@@ -9,7 +9,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 # Guard on modulus exponents so accidental sweeps over astronomically large
-# moduli fail fast.  Reassign to raise the ceiling.
+# moduli fail fast.  Every guard reads this attribute at call time, so
+# reassign core_arith.MAX_EXPONENT to raise the ceiling; the package-level
+# re-export is a copy and has no effect.
 MAX_EXPONENT = 4096
 
 

@@ -28,12 +28,11 @@ from .core_arith import (
     _require_exponent,
     _require_odd,
     canonical_residue,
-    mod_pow,
     odd_part,
     threshold_exponent,
     two_adic_valuation,
 )
-from .order_engine import order_fast
+from .order_engine import _squaring_chain, order_fast
 from .verdict import Verdict
 
 # Beyond this exponent 2*pi*r/2^n loses the argument precision a float can
@@ -128,10 +127,8 @@ def is_exact_zero(multiset: ResidueMultiset) -> ZeroCertificate:
     for r, c in counts.items():
         if c != counts.get(r ^ half, 0):
             return ZeroCertificate(is_zero=False, violating_residue=r)
-    pairing = tuple(
-        (r, counts[r]) for r in sorted(counts) if r < half
-    )
-    return ZeroCertificate(is_zero=True, pairing=pairing)
+    lower = sorted([r for r in counts if r < half])
+    return ZeroCertificate(is_zero=True, pairing=tuple([(r, counts[r]) for r in lower]))
 
 
 def float_sum(multiset: ResidueMultiset) -> complex:
@@ -225,6 +222,9 @@ def check_antipodal_shift(g: int, w: int, n: int, spot_checks: int = 256) -> Ver
     to the single congruence g^lag = 2^(m-1) + 1 (mod 2^m), which is what
     decides the verdict; the first min(lag, spot_checks) indices are also
     verified literally.  Hypothesis: n >= vanishing_bound(g, w).
+
+    g^lag mod 2^m is the half-order residue of the squaring chain modulo
+    2^m; lag is a power of two, so g^lag mod 2^n takes log2(lag) squarings.
     """
     bound = vanishing_bound(g, w)
     _require_exponent(n)
@@ -232,17 +232,21 @@ def check_antipodal_shift(g: int, w: int, n: int, spot_checks: int = 256) -> Ver
         return Verdict.HYPOTHESIS_NOT_MET
     d, _w0 = odd_part(w)
     m = n - d
-    lag = order_fast(g, m).omega // 2
-    if mod_pow(g, lag, m) != (1 << (m - 1)) + 1:
+    omega, g_lag = _squaring_chain(g, m)
+    if g_lag != (1 << (m - 1)) + 1:
         return Verdict.COUNTEREXAMPLE
-    big = 1 << n
+    lag = omega // 2
+    mask = (1 << n) - 1
     half = 1 << (n - 1)
-    s = g % big
-    cur = w % big
-    ahead = w * mod_pow(g, lag, n) % big
+    s = g & mask
+    shift = s
+    for _ in range(lag.bit_length() - 1):
+        shift = shift * shift & mask
+    cur = w & mask
+    ahead = w * shift & mask
     for _ in range(min(lag, spot_checks)):
-        cur = cur * s % big
-        ahead = ahead * s % big
-        if ahead != (cur + half) % big:
+        cur = cur * s & mask
+        ahead = ahead * s & mask
+        if ahead != (cur + half) & mask:
             return Verdict.COUNTEREXAMPLE
     return Verdict.HOLDS

@@ -25,8 +25,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core_arith import DomainError, _require_exponent, _require_odd, canonical_residue, mod_pow
-from .order_engine import order_fast
+from .core_arith import DomainError, _require_exponent, _require_odd, canonical_residue
+from .order_engine import _squaring_chain
 from .verdict import Verdict
 
 
@@ -74,8 +74,8 @@ class HalfOrderResult:
     matches_expected: bool
 
 
-def half_order_exponent(g: int, n: int) -> int:
-    """omega_g(2^n) / 2, an exact positive integer.
+def _half_order_chain(g: int, n: int) -> tuple[int, int]:
+    """(omega_g(2^n) / 2, g^(omega/2) mod 2^n) from one squaring chain.
 
     Requires n >= 2 and g != 1 (mod 2^n): modulo 2 every odd g is 1, and
     for g = 1 the order is odd (namely 1), so neither admits a half.
@@ -84,21 +84,29 @@ def half_order_exponent(g: int, n: int) -> int:
     _require_exponent(n)
     if n < 2:
         raise DomainError("half-order exponent needs n >= 2 (every odd g is 1 mod 2)")
-    if canonical_residue(g, n) == 1:
+    omega, residue = _squaring_chain(g, n)
+    if omega == 1:
         raise DomainError(f"g={g} is 1 mod 2^{n}: order is odd, half-exponent undefined")
-    omega = order_fast(g, n).omega
     # omega is a power of two and > 1 here, hence even
-    return omega // 2
+    return omega // 2, residue
+
+
+def half_order_exponent(g: int, n: int) -> int:
+    """omega_g(2^n) / 2, an exact positive integer; needs n >= 2, g != 1."""
+    return _half_order_chain(g, n)[0]
 
 
 def half_order_residue(g: int, n: int) -> HalfOrderResult:
-    """Compute and classify g^(omega/2) mod 2^n.  Requires n >= 3."""
+    """Compute and classify g^(omega/2) mod 2^n.  Requires n >= 3.
+
+    The residue is the squaring chain's last element before 1, so no
+    second power is taken.
+    """
     _require_exponent(n)
     if n < 3:
         raise DomainError(f"half-order classification needs n >= 3, got n={n}")
-    half = half_order_exponent(g, n)
+    half, residue = _half_order_chain(g, n)
     gc = canonical_residue(g, n)
-    residue = mod_pow(g, half, n)
     involution = classify_involution(residue, n)
     if gc == (1 << n) - 1:
         expected = InvolutionClass.MINUS_ONE

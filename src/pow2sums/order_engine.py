@@ -10,6 +10,13 @@ with g^k = 1 (mod 2^n):
   2-group, so every order is a power of two and the least j with
   g^(2^j) = 1 gives omega = 2^j in at most n squarings.
 
+The squaring chain g, g^2, g^4, ... is walked once, by ``_squaring_chain``,
+with every square reduced by the mask 2^n - 1 instead of a division.  The
+element just before the chain reaches 1 is g^(omega/2), so the same walk
+also yields the half-order residue that ``half_order`` classifies.
+``order_table`` walks one chain modulo 2^n_max and reads every smaller
+order from it, in n_max squarings in total.
+
 The fast path is validated against the scan exhaustively in the tests.
 """
 from __future__ import annotations
@@ -64,32 +71,55 @@ def order_naive(g: int, n: int, cap: int = NAIVE_SCAN_CAP) -> OrderRecord:
     return OrderRecord(g=s, n=n, omega=k, path="naive")
 
 
-def order_fast(g: int, n: int) -> OrderRecord:
-    """Same order as ``order_naive``, via at most n squarings.
+def _squaring_chain(g: int, n: int) -> tuple[int, int]:
+    """(omega, g^(omega // 2) mod 2^n) for odd g, from one squaring chain.
 
     Unit orders modulo 2^n are powers of two, so omega is 2^j for the least
-    j >= 0 with g^(2^j) = 1 (mod 2^n).
+    j >= 0 with g^(2^j) = 1 (mod 2^n), and g^(omega/2) is the chain's last
+    element before 1.  For omega = 1 the residue is g^0 = 1.  Arguments
+    are not validated.
     """
-    _require_odd(g)
-    _require_exponent(n)
-    m = 1 << n
-    s = g % m
+    mask = (1 << n) - 1
+    s = g & mask
+    half = s
     omega = 1
     while s != 1:
-        s = s * s % m
+        half = s
+        s = s * s & mask
         omega <<= 1
-    return OrderRecord(g=g % m, n=n, omega=omega, path="fast")
+    return omega, half
+
+
+def order_fast(g: int, n: int) -> OrderRecord:
+    """Same order as ``order_naive``, via at most n squarings."""
+    _require_odd(g)
+    _require_exponent(n)
+    omega, _ = _squaring_chain(g, n)
+    return OrderRecord(g=g & ((1 << n) - 1), n=n, omega=omega, path="fast")
 
 
 def order_table(g: int, n_max: int) -> list[OrderRecord]:
     """Orders of g modulo 2^1 .. 2^n_max, one fast-path record per exponent.
 
-    The sequence is non-decreasing and consecutive entries differ by a
-    factor of 1 or 2.
+    One squaring chain s_j = g^(2^j) mod 2^n_max serves every exponent:
+    omega_g(2^n) = 2^j for the least j with v2(s_j - 1) >= n, and
+    v2(s_j - 1) strictly increases along the chain, so n_max squarings
+    suffice in total.  The sequence is non-decreasing and consecutive
+    entries differ by a factor of 1 or 2.
     """
     _require_odd(g)
     _require_exponent(n_max)
-    return [order_fast(g, n) for n in range(1, n_max + 1)]
+    mask = (1 << n_max) - 1
+    s = g & mask
+    omega = 1
+    records = []
+    for n in range(1, n_max + 1):
+        low = (1 << n) - 1
+        while (s - 1) & low:  # until s = 1 (mod 2^n)
+            s = s * s & mask
+            omega <<= 1
+        records.append(OrderRecord(g=g & low, n=n, omega=omega, path="fast"))
+    return records
 
 
 def check_order_doubling(g: int, n: int) -> Verdict:

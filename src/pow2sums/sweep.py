@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from . import exp_sum, half_order, order_engine
+from . import core_arith, exp_sum, half_order, order_engine
 from .core_arith import canonical_residue
 from .verdict import Verdict
 
@@ -124,6 +124,10 @@ def _detail_order_oracle(g: int, n: int, w: Optional[int]) -> tuple[str, str]:
 
 
 def _eval_order_doubling(g: int, n: int, w: Optional[int]) -> Verdict:
+    # the doubling step needs exponent n + 1, which the guard refuses at the
+    # limit; read the limit here so a reassigned core_arith.MAX_EXPONENT holds
+    if n == core_arith.MAX_EXPONENT:
+        return Verdict.HYPOTHESIS_NOT_MET
     return order_engine.check_order_doubling(g, n)
 
 

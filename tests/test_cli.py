@@ -156,6 +156,18 @@ def test_sweep_command_passing(capsys):
     assert canonical_json(parsed) == out.strip()
 
 
+def test_sweep_lemma1_at_the_exponent_limit(capsys):
+    code = main(
+        ["sweep", "--claim", "lemma1", "--g-min", "3", "--g-max", "3",
+         "--n-min", "4095", "--n-max", "4096"]
+    )
+    assert code == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["cases_checked"] == 2
+    assert parsed["tallies"]["holds"] == 1
+    assert parsed["tallies"]["hypothesis_not_met"] == 1
+
+
 def test_sweep_strict_paper_flag(capsys):
     argv = ["sweep", "--claim", "lemma4_theorem5", "--g-min", "1", "--g-max", "255",
             "--n-min", "3", "--n-max", "8"]

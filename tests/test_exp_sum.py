@@ -254,6 +254,39 @@ def test_antipodal_shift_literal_for_odd_w():
         assert check_antipodal_shift(g, w, n) is Verdict.HOLDS
 
 
+def antipodal_shift_by_powers(g: int, w: int, n: int) -> Verdict:
+    """Reference route: both lagged powers taken with pow, 256 spot checks."""
+    if n < vanishing_bound(g, w):
+        return Verdict.HYPOTHESIS_NOT_MET
+    d, _ = odd_part(w)
+    m = n - d
+    lag = order_fast(g, m).omega // 2
+    if pow(g, lag, 1 << m) != (1 << (m - 1)) + 1:
+        return Verdict.COUNTEREXAMPLE
+    big = 1 << n
+    cur = w % big
+    ahead = w * pow(g, lag, big) % big
+    for _ in range(min(lag, 256)):
+        cur = cur * g % big
+        ahead = ahead * g % big
+        if ahead != (cur + (big >> 1)) % big:
+            return Verdict.COUNTEREXAMPLE
+    return Verdict.HOLDS
+
+
+def test_antipodal_shift_matches_power_route_on_grid():
+    for g in range(-63, 64, 2):
+        for w in range(-40, 41):
+            for n in range(1, 15):
+                try:
+                    want = antipodal_shift_by_powers(g, w, n)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        check_antipodal_shift(g, w, n)
+                    continue
+                assert check_antipodal_shift(g, w, n) is want, (g, w, n)
+
+
 def test_exact_zero_iff_float_small_on_random_orbits():
     import random
 

@@ -77,6 +77,30 @@ def test_half_order_residue_requires_n_at_least_3():
         half_order_residue(3, 2)
 
 
+@pytest.mark.parametrize(
+    "g, n, message",
+    [
+        (3, 2, "half-order classification needs n >= 3, got n=2"),
+        (4, 2, "half-order classification needs n >= 3, got n=2"),
+        (4, 5, "base must be odd, got 4"),
+        (17, 4, "g=17 is 1 mod 2^4: order is odd, half-exponent undefined"),
+        (-15, 4, "g=-15 is 1 mod 2^4: order is odd, half-exponent undefined"),
+    ],
+)
+def test_half_order_residue_error_messages(g, n, message):
+    with pytest.raises(DomainError) as info:
+        half_order_residue(g, n)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_half_order_residue_equals_a_direct_power(n):
+    m = 1 << n
+    for g in (3, 5, -3, 7, m - 1, (m >> 1) - 1, (m >> 1) + 1, 12345, -(3**70)):
+        result = half_order_residue(g, n)
+        assert result.residue == pow(g, result.half_exponent, m), (g, n)
+
+
 def test_classify_involution_tags():
     assert classify_involution(1, 5) is InvolutionClass.ONE
     assert classify_involution(31, 5) is InvolutionClass.MINUS_ONE

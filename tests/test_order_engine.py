@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,24 @@ def test_fast_order_properties_on_large_moduli(g, n):
     if omega > 1:
         assert mod_pow(g, omega // 2, n) != 1
     assert omega & (omega - 1) == 0
+
+
+def test_order_table_equals_per_exponent_orders():
+    # the one-chain table against a fresh chain per exponent, record by record
+    rng = random.Random(0x5EED)
+    bases = list(range(-301, 302, 2))
+    bases += [rng.randrange((1 << 99) + 1, 1 << 100, 2) * rng.choice((1, -1)) for _ in range(200)]
+    for g in bases:
+        assert order_table(g, 70) == [order_fast(g, n) for n in range(1, 71)], g
+
+
+def test_fast_order_agrees_with_sympy():
+    n_order = pytest.importorskip("sympy.ntheory").n_order
+    rng = random.Random(40)
+    for n in range(1, 41):
+        m = 1 << n
+        for g in [3, 5, 7, -3, m - 1, (m >> 1) | 1] + [rng.randrange(1, m, 2) for _ in range(30)]:
+            assert order_fast(g, n).omega == n_order(g % m, m), (g, n)
 
 
 def test_order_table_is_monotone_with_ratio_one_or_two():

@@ -10,13 +10,16 @@ import pytest
 from pow2sums import (
     CLAIMS,
     Claim,
+    DomainError,
     SweepSpec,
     UsageError,
     Verdict,
     canonical_json,
+    check_order_doubling,
     format_report,
     run_sweep,
 )
+from pow2sums import core_arith
 
 
 def spec(**kwargs) -> SweepSpec:
@@ -50,6 +53,29 @@ def test_run_sweep_finds_known_exception_family():
         ((1 << (n - 1)) - 1, n) for n in range(3, 9)
     ]
     assert all(e.w is None for e in report.exceptions)
+
+
+def test_lemma1_at_the_exponent_limit_is_tallied_not_raised():
+    top = core_arith.MAX_EXPONENT
+    report = run_sweep(spec(g_min=3, g_max=3, n_min=top - 1, n_max=top))
+    assert report.tallies == {
+        "holds": 1,
+        "hypothesis_not_met": 1,
+        "paper_exception": 0,
+        "counterexample": 0,
+    }
+    with pytest.raises(DomainError):
+        check_order_doubling(3, top)
+
+
+def test_lemma1_reads_the_exponent_limit_at_call_time(monkeypatch):
+    monkeypatch.setattr(core_arith, "MAX_EXPONENT", 6)
+    report = run_sweep(spec(n_min=5, n_max=6))
+    # n = 5: 16 odd residues, 2 of them +-1; n = 6: all 32 at the limit
+    assert report.tallies["holds"] == 14
+    assert report.tallies["hypothesis_not_met"] == 2 + 32
+    with pytest.raises(DomainError):
+        run_sweep(spec(n_min=7, n_max=7))
 
 
 def test_run_sweep_theorem6_domain():
