@@ -32,8 +32,8 @@ from .core_arith import (
     threshold_exponent,
     two_adic_valuation,
 )
-from .order_engine import _squaring_chain, order_fast
-from .verdict import Verdict
+from .order_engine import order_fast
+from .verdict import Outcome, Verdict
 
 # Beyond this exponent 2*pi*r/2^n loses the argument precision a float can
 # carry; callers are directed to the exact certificate instead.
@@ -169,19 +169,36 @@ def check_orbit_vanishing(g: int, w: int, n: int) -> Verdict:
     is reported as a counterexample too.
     Sweep claim id: theorem6.
     """
+    return _orbit_vanishing(g, w, n)[0]
+
+
+def _orbit_vanishing(g: int, w: int, n: int) -> Outcome:
+    """A failed collapse guard is reported as such while the sum still
+    vanishes, and otherwise by the residue that shows it does not."""
     bound = vanishing_bound(g, w)
     _require_exponent(n)
     if g in (-1, 1):
         raise DomainError(f"orbit base must be an odd integer outside {{-1, 1}}, got {g}")
     if n < bound:
-        return Verdict.HYPOTHESIS_NOT_MET
+        return Verdict.HYPOTHESIS_NOT_MET, None
     m = n - two_adic_valuation(w)
     gm = canonical_residue(g, m)
-    if gm == 1 or gm == (1 << m) - 1:
-        return Verdict.COUNTEREXAMPLE
-    if is_exact_zero(residue_orbit(g, w, n)).is_zero:
-        return Verdict.HOLDS
-    return Verdict.COUNTEREXAMPLE
+    guard_holds = gm != 1 and gm != (1 << m) - 1
+    orbit = residue_orbit(g, w, n)
+    cert = is_exact_zero(orbit)
+    if cert.is_zero and guard_holds:
+        return Verdict.HOLDS, None
+    if cert.is_zero:
+        return Verdict.COUNTEREXAMPLE, (
+            "exact zero (collapse guard failed)",
+            "base not +-1 modulo the collapsed modulus",
+        )
+    r = cert.violating_residue
+    half = 1 << (n - 1)
+    return Verdict.COUNTEREXAMPLE, (
+        f"count({r})={orbit.counts.get(r, 0)} != count({r ^ half})={orbit.counts.get(r ^ half, 0)}",
+        "equal multiplicities on every antipodal residue pair",
+    )
 
 
 class MinVanishing(NamedTuple):
@@ -223,8 +240,9 @@ def check_antipodal_shift(g: int, w: int, n: int, spot_checks: int = 256) -> Ver
     decides the verdict; the first min(lag, spot_checks) indices are also
     verified literally.  Hypothesis: n >= vanishing_bound(g, w).
 
-    g^lag mod 2^m is the half-order residue of the squaring chain modulo
-    2^m; lag is a power of two, so g^lag mod 2^n takes log2(lag) squarings.
+    One squaring chain modulo 2^n serves both sides: omega_g(2^m) = 2^j
+    for the least j with g^(2^j) = 1 (mod 2^m), and the chain element
+    before it is g^lag mod 2^n, whose low m bits decide the congruence.
     """
     bound = vanishing_bound(g, w)
     _require_exponent(n)
@@ -232,16 +250,20 @@ def check_antipodal_shift(g: int, w: int, n: int, spot_checks: int = 256) -> Ver
         return Verdict.HYPOTHESIS_NOT_MET
     d, _w0 = odd_part(w)
     m = n - d
-    omega, g_lag = _squaring_chain(g, m)
-    if g_lag != (1 << (m - 1)) + 1:
-        return Verdict.COUNTEREXAMPLE
-    lag = omega // 2
     mask = (1 << n) - 1
-    half = 1 << (n - 1)
+    low = (1 << m) - 1
     s = g & mask
     shift = s
-    for _ in range(lag.bit_length() - 1):
-        shift = shift * shift & mask
+    omega = 1
+    while (s - 1) & low:  # until s = 1 (mod 2^m)
+        shift = s
+        s = s * s & mask
+        omega <<= 1
+    if shift & low != (1 << (m - 1)) + 1:
+        return Verdict.COUNTEREXAMPLE
+    lag = omega // 2
+    half = 1 << (n - 1)
+    s = g & mask
     cur = w & mask
     ahead = w * shift & mask
     for _ in range(min(lag, spot_checks)):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .core_arith import DomainError, _require_exponent, _require_odd, canonical_residue
 from .order_engine import _squaring_chain
-from .verdict import Verdict
+from .verdict import Outcome, Verdict
 
 
 class InvolutionClass(enum.Enum):
@@ -127,14 +127,22 @@ def check_involution_membership(g: int, n: int) -> Verdict:
 
     Sweep claim id: lemma2.
     """
+    return _involution_membership(g, n)[0]
+
+
+def _involution_membership(g: int, n: int) -> Outcome:
     result = half_order_residue(g, n)
     if result.involution in (
         InvolutionClass.MINUS_ONE,
         InvolutionClass.HALF_MINUS_ONE,
         InvolutionClass.HALF_PLUS_ONE,
     ):
-        return Verdict.HOLDS
-    return Verdict.COUNTEREXAMPLE
+        return Verdict.HOLDS, None
+    half = 1 << (n - 1)
+    return Verdict.COUNTEREXAMPLE, (
+        f"half-order residue {result.residue} outside the candidate set",
+        f"residue in {{{(1 << n) - 1}, {half - 1}, {half + 1}}}",
+    )
 
 
 def check_minus_one_case(g: int, n: int) -> Verdict:
@@ -142,12 +150,19 @@ def check_minus_one_case(g: int, n: int) -> Verdict:
 
     Sweep claim id: lemma3.
     """
+    return _minus_one_case(g, n)[0]
+
+
+def _minus_one_case(g: int, n: int) -> Outcome:
     result = half_order_residue(g, n)
     if result.involution is not InvolutionClass.MINUS_ONE:
-        return Verdict.HYPOTHESIS_NOT_MET
+        return Verdict.HYPOTHESIS_NOT_MET, None
     if result.half_exponent == 1 and result.g == (1 << n) - 1:
-        return Verdict.HOLDS
-    return Verdict.COUNTEREXAMPLE
+        return Verdict.HOLDS, None
+    return Verdict.COUNTEREXAMPLE, (
+        f"omega={2 * result.half_exponent}, g={result.g} (mod 2^{n})",
+        f"omega=2 and g={(1 << n) - 1} (mod 2^{n})",
+    )
 
 
 def check_half_order_classification(g: int, n: int) -> Verdict:
@@ -159,12 +174,24 @@ def check_half_order_classification(g: int, n: int) -> Verdict:
     reported as PAPER_EXCEPTION; any other violation is a COUNTEREXAMPLE.
     Sweep claim id: lemma4_theorem5.
     """
+    return _classification(g, n)[0]
+
+
+def _classification(g: int, n: int) -> Outcome:
     result = half_order_residue(g, n)
     if result.matches_expected:
-        return Verdict.HOLDS
+        return Verdict.HOLDS, None
+    if result.g == (1 << n) - 1:
+        want = f"{(1 << n) - 1} (MINUS_ONE)"
+    else:
+        want = f"{(1 << (n - 1)) + 1} (HALF_PLUS_ONE)"
+    detail = (
+        f"half-order residue {result.residue} ({result.involution.value})",
+        f"half-order residue {want}",
+    )
     if (
         result.g == (1 << (n - 1)) - 1
         and result.involution is InvolutionClass.HALF_MINUS_ONE
     ):
-        return Verdict.PAPER_EXCEPTION
-    return Verdict.COUNTEREXAMPLE
+        return Verdict.PAPER_EXCEPTION, detail
+    return Verdict.COUNTEREXAMPLE, detail

@@ -29,7 +29,7 @@ from .core_arith import (
     _require_odd,
     canonical_residue,
 )
-from .verdict import Verdict
+from .verdict import Outcome, Verdict
 
 # The scan is a cross-validation oracle, not a production path; beyond this
 # many multiplications it reports a resource error instead of grinding on.
@@ -129,14 +129,23 @@ def check_order_doubling(g: int, n: int) -> Verdict:
     fail (for g = -1 the order is stuck at 2, for g = 1 at 1).
     Sweep claim id: lemma1.
     """
+    return _order_doubling(g, n)[0]
+
+
+def _order_doubling(g: int, n: int) -> Outcome:
     _require_odd(g)
     _require_exponent(n)
     gc = canonical_residue(g, n)
     if gc == 1 or gc == (1 << n) - 1:
-        return Verdict.HYPOTHESIS_NOT_MET
-    if order_fast(g, n + 1).omega == 2 * order_fast(g, n).omega:
-        return Verdict.HOLDS
-    return Verdict.COUNTEREXAMPLE
+        return Verdict.HYPOTHESIS_NOT_MET, None
+    above = order_fast(g, n + 1).omega
+    base = order_fast(g, n).omega
+    if above == 2 * base:
+        return Verdict.HOLDS, None
+    return Verdict.COUNTEREXAMPLE, (
+        f"omega at exponent {n + 1} = {above}",
+        f"2 * omega at exponent {n} = {2 * base}",
+    )
 
 
 def check_order_scaling(g: int, n: int, d: int) -> Verdict:

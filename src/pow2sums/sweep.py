@@ -1,10 +1,12 @@
 """Exhaustive claim sweeps over (g, n[, w]) domains, with reports.
 
-Each sweepable claim pairs a hypothesis filter with a checker from the
-library and lives in the CLAIMS registry under a stable id.  The ids,
-verdict tallies and the JSON report schema are the machine interface;
-the registry is mutable so a harness (or the test suite) can inject
-extra claims.
+Each sweepable claim is one evaluate callable in the CLAIMS registry,
+under a stable id.  It applies the claim's hypothesis filter and runs the
+library's checker once per tuple, returning the verdict together with the
+report's (observed, expected) strings, built from the values that
+decided the verdict.  The ids, verdict tallies and the JSON report
+schema are the machine interface; the registry is mutable so a harness
+(or the test suite) can inject extra claims.
 
 Per-modulus claims iterate canonical odd residues g in [1, 2^n) clipped
 to the requested range, one pass per exponent; the orbit-sum claim
@@ -21,12 +23,12 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Optional
 
 from . import core_arith, exp_sum, half_order, order_engine
 from .core_arith import canonical_residue
-from .verdict import Verdict
+from .verdict import Outcome, Verdict
 
 _CHUNK_TUPLES = 4096
 
@@ -39,16 +41,16 @@ class UsageError(ValueError):
 class Claim:
     """One sweepable claim.
 
-    evaluate(g, n, w) returns a Verdict and must accept every tuple the
-    domain generator produces (hypothesis filtering happens inside).
-    detail(g, n, w) is called only for exception-grade verdicts and
-    returns (observed, expected) strings for the report.
+    evaluate(g, n, w) must accept every tuple the domain generator produces
+    (hypothesis filtering happens inside) and returns (verdict, detail) from
+    one evaluation: detail is the (observed, expected) pair of strings for
+    the report when the verdict is COUNTEREXAMPLE or PAPER_EXCEPTION, and
+    None otherwise.
     """
 
     name: str
     needs_w: bool
-    evaluate: Callable[[int, int, Optional[int]], Verdict]
-    detail: Callable[[int, int, Optional[int]], tuple[str, str]]
+    evaluate: Callable[[int, int, Optional[int]], Outcome]
 
 
 @dataclass(frozen=True)
@@ -75,15 +77,6 @@ class SweepException:
     observed: str
     expected: str
 
-    def as_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "n": self.n,
-            "w": self.w,
-            "observed": self.observed,
-            "expected": self.expected,
-        }
-
 
 @dataclass
 class SweepReport:
@@ -97,123 +90,59 @@ class SweepReport:
     wall_time_ms: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "domain": self.domain,
-            "cases_checked": self.cases_checked,
-            "tallies": self.tallies,
-            "exceptions": [e.as_dict() for e in self.exceptions],
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # Claim catalog
 # ---------------------------------------------------------------------------
 
-def _eval_order_oracle(g: int, n: int, w: Optional[int]) -> Verdict:
-    if order_engine.order_naive(g, n).omega == order_engine.order_fast(g, n).omega:
-        return Verdict.HOLDS
-    return Verdict.COUNTEREXAMPLE
-
-
-def _detail_order_oracle(g: int, n: int, w: Optional[int]) -> tuple[str, str]:
-    fast = order_engine.order_fast(g, n).omega
+def _eval_order_oracle(g: int, n: int, w: Optional[int]) -> Outcome:
     naive = order_engine.order_naive(g, n).omega
-    return f"fast path omega={fast}", f"naive scan omega={naive}"
+    fast = order_engine.order_fast(g, n).omega
+    if naive == fast:
+        return Verdict.HOLDS, None
+    return Verdict.COUNTEREXAMPLE, (f"fast path omega={fast}", f"naive scan omega={naive}")
 
 
-def _eval_order_doubling(g: int, n: int, w: Optional[int]) -> Verdict:
+def _eval_order_doubling(g: int, n: int, w: Optional[int]) -> Outcome:
     # the doubling step needs exponent n + 1, which the guard refuses at the
     # limit; read the limit here so a reassigned core_arith.MAX_EXPONENT holds
     if n == core_arith.MAX_EXPONENT:
-        return Verdict.HYPOTHESIS_NOT_MET
-    return order_engine.check_order_doubling(g, n)
+        return Verdict.HYPOTHESIS_NOT_MET, None
+    return order_engine._order_doubling(g, n)
 
 
-def _detail_order_doubling(g: int, n: int, w: Optional[int]) -> tuple[str, str]:
-    above = order_engine.order_fast(g, n + 1).omega
-    base = order_engine.order_fast(g, n).omega
-    return f"omega at exponent {n + 1} = {above}", f"2 * omega at exponent {n} = {2 * base}"
+def _half_order_claim(
+    check: Callable[[int, int], Outcome],
+) -> Callable[[int, int, Optional[int]], Outcome]:
+    """Evaluate a half-order checker on the tuples that meet its hypotheses,
+    n >= 3 and g != 1 (mod 2^n), where a half-order residue exists."""
+
+    def evaluate(g: int, n: int, w: Optional[int]) -> Outcome:
+        if n < 3 or canonical_residue(g, n) == 1:
+            return Verdict.HYPOTHESIS_NOT_MET, None
+        return check(g, n)
+
+    return evaluate
 
 
-def _eval_involutions(g: int, n: int, w: Optional[int]) -> Verdict:
-    if n < 3 or canonical_residue(g, n) == 1:
-        return Verdict.HYPOTHESIS_NOT_MET
-    return half_order.check_involution_membership(g, n)
-
-
-def _detail_involutions(g: int, n: int, w: Optional[int]) -> tuple[str, str]:
-    r = half_order.half_order_residue(g, n).residue
-    half = 1 << (n - 1)
-    return (
-        f"half-order residue {r} outside the candidate set",
-        f"residue in {{{(1 << n) - 1}, {half - 1}, {half + 1}}}",
-    )
-
-
-def _eval_minus_one(g: int, n: int, w: Optional[int]) -> Verdict:
-    if n < 3 or canonical_residue(g, n) == 1:
-        return Verdict.HYPOTHESIS_NOT_MET
-    return half_order.check_minus_one_case(g, n)
-
-
-def _detail_minus_one(g: int, n: int, w: Optional[int]) -> tuple[str, str]:
-    result = half_order.half_order_residue(g, n)
-    return (
-        f"omega={2 * result.half_exponent}, g={result.g} (mod 2^{n})",
-        f"omega=2 and g={(1 << n) - 1} (mod 2^{n})",
-    )
-
-
-def _eval_classification(g: int, n: int, w: Optional[int]) -> Verdict:
-    if n < 3 or canonical_residue(g, n) == 1:
-        return Verdict.HYPOTHESIS_NOT_MET
-    return half_order.check_half_order_classification(g, n)
-
-
-def _detail_classification(g: int, n: int, w: Optional[int]) -> tuple[str, str]:
-    result = half_order.half_order_residue(g, n)
-    if result.g == (1 << n) - 1:
-        want = f"{(1 << n) - 1} (MINUS_ONE)"
-    else:
-        want = f"{(1 << (n - 1)) + 1} (HALF_PLUS_ONE)"
-    return (
-        f"half-order residue {result.residue} ({result.involution.value})",
-        f"half-order residue {want}",
-    )
-
-
-def _eval_orbit_vanishing(g: int, n: int, w: Optional[int]) -> Verdict:
+def _eval_orbit_vanishing(g: int, n: int, w: Optional[int]) -> Outcome:
     assert w is not None
     if g in (-1, 1):
-        return Verdict.HYPOTHESIS_NOT_MET
-    return exp_sum.check_orbit_vanishing(g, w, n)
-
-
-def _detail_orbit_vanishing(g: int, n: int, w: Optional[int]) -> tuple[str, str]:
-    assert w is not None
-    cert = exp_sum.is_exact_zero(exp_sum.residue_orbit(g, w, n))
-    if cert.is_zero:
-        return "exact zero (collapse guard failed)", "base not +-1 modulo the collapsed modulus"
-    r = cert.violating_residue
-    half = 1 << (n - 1)
-    orbit = exp_sum.residue_orbit(g, w, n)
-    return (
-        f"count({r})={orbit.counts.get(r, 0)} != count({(r ^ half)})={orbit.counts.get(r ^ half, 0)}",
-        "equal multiplicities on every antipodal residue pair",
-    )
+        return Verdict.HYPOTHESIS_NOT_MET, None
+    return exp_sum._orbit_vanishing(g, w, n)
 
 
 CLAIMS: dict[str, Claim] = {
     c.name: c
     for c in (
-        Claim("order_oracle", False, _eval_order_oracle, _detail_order_oracle),
-        Claim("lemma1", False, _eval_order_doubling, _detail_order_doubling),
-        Claim("lemma2", False, _eval_involutions, _detail_involutions),
-        Claim("lemma3", False, _eval_minus_one, _detail_minus_one),
-        Claim("lemma4_theorem5", False, _eval_classification, _detail_classification),
-        Claim("theorem6", True, _eval_orbit_vanishing, _detail_orbit_vanishing),
+        Claim("order_oracle", False, _eval_order_oracle),
+        Claim("lemma1", False, _eval_order_doubling),
+        Claim("lemma2", False, _half_order_claim(half_order._involution_membership)),
+        Claim("lemma3", False, _half_order_claim(half_order._minus_one_case)),
+        Claim("lemma4_theorem5", False, _half_order_claim(half_order._classification)),
+        Claim("theorem6", True, _eval_orbit_vanishing),
     )
 }
 
@@ -284,10 +213,10 @@ def _run_chunk(
     tallies = {v.value: 0 for v in Verdict}
     exceptions: list[SweepException] = []
     for g, n, w in items:
-        verdict = claim.evaluate(g, n, w)
+        verdict, detail = claim.evaluate(g, n, w)
         tallies[verdict.value] += 1
         if verdict in (Verdict.COUNTEREXAMPLE, Verdict.PAPER_EXCEPTION):
-            observed, expected = claim.detail(g, n, w)
+            observed, expected = detail
             exceptions.append(SweepException(g=g, n=n, w=w, observed=observed, expected=expected))
     return tallies, exceptions
 

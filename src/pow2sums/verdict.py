@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
 
 class Verdict(enum.Enum):
@@ -19,3 +20,8 @@ class Verdict(enum.Enum):
     HYPOTHESIS_NOT_MET = "hypothesis_not_met"
     PAPER_EXCEPTION = "paper_exception"
     COUNTEREXAMPLE = "counterexample"
+
+
+# One claim evaluation: the verdict, and for COUNTEREXAMPLE and
+# PAPER_EXCEPTION the (observed, expected) strings a sweep report records.
+Outcome = tuple[Verdict, Optional[tuple[str, str]]]

@@ -182,8 +182,7 @@ def test_sweep_injected_counterexample_exits_1(capsys):
     claim = Claim(
         name="test_only_failure",
         needs_w=False,
-        evaluate=lambda g, n, w: Verdict.COUNTEREXAMPLE,
-        detail=lambda g, n, w: ("forced failure", "forced success"),
+        evaluate=lambda g, n, w: (Verdict.COUNTEREXAMPLE, ("forced failure", "forced success")),
     )
     CLAIMS[claim.name] = claim
     try:

@@ -161,8 +161,7 @@ def test_injected_claim_reaches_the_report():
     always_fails = Claim(
         name="always_fails",
         needs_w=False,
-        evaluate=lambda g, n, w: Verdict.COUNTEREXAMPLE,
-        detail=lambda g, n, w: ("it failed", "it should hold"),
+        evaluate=lambda g, n, w: (Verdict.COUNTEREXAMPLE, ("it failed", "it should hold")),
     )
     CLAIMS[always_fails.name] = always_fails
     try:
