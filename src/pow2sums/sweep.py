@@ -8,11 +8,12 @@ decided the verdict.  The ids, verdict tallies and the JSON report
 schema are the machine interface; the registry is mutable so a harness
 (or the test suite) can inject extra claims.
 
-Per-modulus claims iterate canonical odd residues g in [1, 2^n) clipped
-to the requested range, one pass per exponent; the orbit-sum claim
-iterates literal signed integers for g and w, since its hypotheses are
-about g as an integer.  Work is cut into chunks of input tuples and
-evaluated inline or on a process pool; tallies merge associatively and
+Every claim walks its domain in one loop: g, then w, then n.  Per-modulus
+claims take each odd g in the range at every n with g < 2^n, i.e. the
+canonical residues of each modulus; the orbit-sum claim takes literal
+signed integers for g and w, since its hypotheses are about g as an
+integer.  At jobs > 1 the domain is cut into sub-specs mapped over at
+most min(jobs, CPU count) worker processes; tallies add up and
 exceptions are sorted, so a report is byte-deterministic for a given
 spec at any worker count.
 """
@@ -21,10 +22,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Optional
 
 from . import core_arith, exp_sum, half_order, order_engine
 from .core_arith import canonical_residue
@@ -41,8 +43,8 @@ class UsageError(ValueError):
 class Claim:
     """One sweepable claim.
 
-    evaluate(g, n, w) must accept every tuple the domain generator produces
-    (hypothesis filtering happens inside) and returns (verdict, detail) from
+    evaluate(g, n, w) must accept every tuple of a sweep domain (hypothesis
+    filtering happens inside) and returns (verdict, detail) from
     one evaluation: detail is the (observed, expected) pair of strings for
     the report when the verdict is COUNTEREXAMPLE or PAPER_EXCEPTION, and
     None otherwise.
@@ -174,50 +176,47 @@ def _validate(spec: SweepSpec) -> Claim:
     return claim
 
 
-def _tuples(spec: SweepSpec, claim: Claim) -> Iterator[tuple[int, int, Optional[int]]]:
+def _g_range(spec: SweepSpec, claim: Claim) -> range:
+    """The odd g a claim takes: literal signed integers for the orbit-sum
+    claim, canonical residues below 2^n_max for the per-modulus claims."""
     if claim.needs_w:
-        assert spec.w_min is not None and spec.w_max is not None
-        g_lo = spec.g_min if spec.g_min % 2 else spec.g_min + 1
-        for g in range(g_lo, spec.g_max + 1, 2):
-            for w in range(spec.w_min, spec.w_max + 1):
-                if w == 0:
-                    continue
-                for n in range(spec.n_min, spec.n_max + 1):
-                    yield g, n, w
+        lo, hi = spec.g_min, spec.g_max
     else:
-        for n in range(spec.n_min, spec.n_max + 1):
-            lo = max(spec.g_min, 1)
-            if lo % 2 == 0:
-                lo += 1
-            hi = min(spec.g_max, (1 << n) - 1)
-            for g in range(lo, hi + 1, 2):
-                yield g, n, None
+        lo, hi = max(spec.g_min, 1), min(spec.g_max, (1 << spec.n_max) - 1)
+    return range(lo | 1, hi + 1, 2)
 
 
-def _chunks(spec: SweepSpec, claim: Claim) -> Iterator[list[tuple[int, int, Optional[int]]]]:
-    block: list[tuple[int, int, Optional[int]]] = []
-    for item in _tuples(spec, claim):
-        block.append(item)
-        if len(block) >= _CHUNK_TUPLES:
-            yield block
-            block = []
-    if block:
-        yield block
+def _slices(spec: SweepSpec, claim: Claim) -> list[SweepSpec]:
+    """Cut the domain into sub-specs of about _CHUNK_TUPLES tuples: runs of
+    g for a per-modulus claim, one g and a run of w for the orbit-sum claim."""
+    run = max(1, _CHUNK_TUPLES // (spec.n_max - spec.n_min + 1))
+    gs = _g_range(spec, claim)
+    if claim.needs_w:
+        return [
+            replace(spec, g_min=g, g_max=g, w_min=w, w_max=min(w + run - 1, spec.w_max))
+            for g in gs
+            for w in range(spec.w_min, spec.w_max + 1, run)
+        ]
+    return [replace(spec, g_min=g, g_max=min(g + 2 * run - 2, spec.g_max)) for g in gs[::run]]
 
 
-def _run_chunk(
-    job: tuple[str, list[tuple[int, int, Optional[int]]]],
-) -> tuple[dict[str, int], list[SweepException]]:
-    claim_name, items = job
-    claim = CLAIMS[claim_name]
+def _run_chunk(spec: SweepSpec) -> tuple[dict[str, int], list[SweepException]]:
+    """Evaluate every tuple of a (sub-)domain in one loop: g, then w, then n."""
+    claim = CLAIMS[spec.claim]
+    ws = range(spec.w_min, spec.w_max + 1) if claim.needs_w else (None,)
     tallies = {v.value: 0 for v in Verdict}
     exceptions: list[SweepException] = []
-    for g, n, w in items:
-        verdict, detail = claim.evaluate(g, n, w)
-        tallies[verdict.value] += 1
-        if verdict in (Verdict.COUNTEREXAMPLE, Verdict.PAPER_EXCEPTION):
-            observed, expected = detail
-            exceptions.append(SweepException(g=g, n=n, w=w, observed=observed, expected=expected))
+    for g in _g_range(spec, claim):
+        n_lo = spec.n_min if claim.needs_w else max(spec.n_min, g.bit_length())
+        for w in ws:
+            if w == 0:
+                continue
+            for n in range(n_lo, spec.n_max + 1):
+                verdict, detail = claim.evaluate(g, n, w)
+                tallies[verdict.value] += 1
+                if verdict in (Verdict.COUNTEREXAMPLE, Verdict.PAPER_EXCEPTION):
+                    observed, expected = detail
+                    exceptions.append(SweepException(g, n, w, observed, expected))
     return tallies, exceptions
 
 
@@ -229,12 +228,13 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     """
     claim = _validate(spec)
     start = time.perf_counter()
-    jobs = [(spec.claim, block) for block in _chunks(spec, claim)]
-    if spec.jobs == 1 or len(jobs) <= 1:
-        results = [_run_chunk(job) for job in jobs]
+    slices = _slices(spec, claim) if spec.jobs > 1 else []
+    if len(slices) <= 1:
+        results = [_run_chunk(spec)]
     else:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_run_chunk, jobs))
+        workers = min(spec.jobs, len(slices), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_chunk, slices))
     tallies = {v.value: 0 for v in Verdict}
     exceptions: list[SweepException] = []
     for chunk_tallies, chunk_exceptions in results:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -19,7 +21,7 @@ from pow2sums import (
     format_report,
     run_sweep,
 )
-from pow2sums import core_arith
+from pow2sums import core_arith, sweep
 
 
 def spec(**kwargs) -> SweepSpec:
@@ -88,12 +90,97 @@ def test_run_sweep_theorem6_domain():
     assert report.tallies["holds"] > 0
 
 
-def test_run_sweep_is_deterministic_across_worker_counts():
-    serial = run_sweep(spec(claim="lemma2", g_min=1, g_max=255, n_min=3, n_max=8, jobs=1))
-    parallel = run_sweep(spec(claim="lemma2", g_min=1, g_max=255, n_min=3, n_max=8, jobs=4))
-    a = replace(serial, wall_time_ms=0)
-    b = replace(parallel, wall_time_ms=0)
-    assert format_report(a, "json") == format_report(b, "json")
+def json_body(report) -> str:
+    return format_report(replace(report, wall_time_ms=0), "json")
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        dict(claim="lemma2", g_min=1, g_max=255, n_min=3, n_max=8),
+        # even negative g_min, and a w range across 0 (which the sweep skips)
+        dict(claim="theorem6", g_min=-8, g_max=7, n_min=1, n_max=6, w_min=-5, w_max=6),
+        # one g: only the w range can be cut
+        dict(claim="theorem6", g_min=3, g_max=3, n_min=1, n_max=8, w_min=-40, w_max=40),
+        # g range reaching below 1 and above 2^n_max, n from 2
+        dict(claim="lemma4_theorem5", g_min=-4, g_max=300, n_min=2, n_max=7),
+        dict(claim="order_oracle", g_min=2, g_max=100, n_min=1, n_max=8),
+    ],
+    ids=["lemma2", "theorem6-even-negative-g", "theorem6-one-g", "lemma4-clipped", "order-even-g"],
+)
+def test_run_sweep_is_deterministic_across_worker_counts(monkeypatch, domain):
+    # tiny chunks so that every domain is cut into many pool jobs
+    monkeypatch.setattr(sweep, "_CHUNK_TUPLES", 5)
+    serial = json_body(run_sweep(spec(jobs=1, **domain)))
+    for jobs in (2, 4):
+        assert json_body(run_sweep(spec(jobs=jobs, **domain))) == serial
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and the
+    jobs handed to map, and runs them inline, so no process is started."""
+
+    made: list["RecordingPool"] = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.jobs: list = []
+        RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, jobs):
+        self.jobs = list(jobs)
+        return map(fn, self.jobs)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    return RecordingPool.made
+
+
+def test_pool_size_is_bounded_by_the_cpu_count(recording_pool):
+    # 8191 tuples: more than one chunk
+    run_sweep(spec(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13, jobs=10**6))
+    assert len(recording_pool) == 1
+    assert 1 <= recording_pool[0].max_workers <= (os.cpu_count() or 1)
+    # a domain of one chunk runs inline, whatever jobs says
+    run_sweep(spec(claim="lemma1", g_min=1, g_max=63, n_min=1, n_max=6, jobs=10**6))
+    assert len(recording_pool) == 1
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13),
+        dict(claim="theorem6", g_min=3, g_max=5, n_min=1, n_max=3, w_min=-2000, w_max=2000),
+    ],
+    ids=["lemma1", "theorem6"],
+)
+def test_pool_jobs_are_sub_specs(recording_pool, domain):
+    parallel = run_sweep(spec(jobs=2, **domain))
+    (pool,) = recording_pool
+    assert len(pool.jobs) > 1
+    assert all(isinstance(job, SweepSpec) for job in pool.jobs)
+    assert json_body(parallel) == json_body(run_sweep(spec(jobs=1, **domain)))
+
+
+def test_serial_sweep_memory_does_not_grow_with_the_domain():
+    # 8192 odd g over 14 exponents; a list of the (g, n, w) tuples would
+    # take well over a megabyte
+    tracemalloc.start()
+    try:
+        run_sweep(spec(g_min=1, g_max=(1 << 14) - 1, n_min=1, n_max=14))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000
 
 
 @pytest.mark.parametrize(
