@@ -6,13 +6,15 @@ one-row csv); sweeps print a report in the selected format.
 
 Exit codes: 0 success / no counterexamples; 1 counterexamples found (or,
 under --strict-paper, documented exceptions found); 2 usage or domain
-error.
+error, or an output pipe closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
 from . import __version__
@@ -120,7 +122,7 @@ def _emit(record: dict, fmt: str) -> None:
 
 def _cmd_order(args: argparse.Namespace) -> int:
     rec = order_naive(args.g, args.n) if args.naive else order_fast(args.g, args.n)
-    _emit({"g": rec.g, "n": rec.n, "omega": rec.omega, "path": rec.path}, args.format)
+    _emit(asdict(rec), args.format)
     return 0
 
 
@@ -146,17 +148,7 @@ def _cmd_c(args: argparse.Namespace) -> int:
 
 def _cmd_half_order(args: argparse.Namespace) -> int:
     result = half_order_residue(args.g, args.n)
-    _emit(
-        {
-            "g": result.g,
-            "n": result.n,
-            "half_exponent": result.half_exponent,
-            "residue": result.residue,
-            "involution": result.involution.value,
-            "matches_expected": result.matches_expected,
-        },
-        args.format,
-    )
+    _emit({**asdict(result), "involution": result.involution.value}, args.format)
     return 0
 
 
@@ -201,16 +193,7 @@ def _cmd_min_vanishing(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = SweepSpec(
-        claim=args.claim,
-        g_min=args.g_min,
-        g_max=args.g_max,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        w_min=args.w_min,
-        w_max=args.w_max,
-        jobs=args.jobs,
-    )
+    spec = SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})
     report = run_sweep(spec)
     print(format_report(report, args.format))
     if report.tallies["counterexample"] > 0:
@@ -243,4 +226,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`); exit 1 would claim counterexamples.
+        # stdout now points at devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    raise SystemExit(code)

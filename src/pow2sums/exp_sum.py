@@ -28,16 +28,18 @@ from .core_arith import (
     _require_exponent,
     _require_odd,
     canonical_residue,
-    odd_part,
     threshold_exponent,
     two_adic_valuation,
 )
-from .order_engine import order_fast
+from .order_engine import _squaring_chain, order_fast
 from .verdict import Outcome, Verdict
 
 # Beyond this exponent 2*pi*r/2^n loses the argument precision a float can
 # carry; callers are directed to the exact certificate instead.
 FLOAT_EXPONENT_CAP = 52
+
+# How many orbit indices check_antipodal_shift also verifies literally.
+_SPOT_CHECKS = 256
 
 
 class FloatPrecisionError(ValueError):
@@ -172,16 +174,22 @@ def check_orbit_vanishing(g: int, w: int, n: int) -> Verdict:
     return _orbit_vanishing(g, w, n)[0]
 
 
+def _collapsed_exponent(g: int, w: int, n: int) -> Optional[int]:
+    """m = n - d(w), the exponent the orbit collapses to, when n is at or
+    above vanishing_bound(g, w); None below the bound."""
+    bound = vanishing_bound(g, w)
+    _require_exponent(n)
+    if n < bound:
+        return None
+    return n - two_adic_valuation(w)
+
+
 def _orbit_vanishing(g: int, w: int, n: int) -> Outcome:
     """A failed collapse guard is reported as such while the sum still
     vanishes, and otherwise by the residue that shows it does not."""
-    bound = vanishing_bound(g, w)
-    _require_exponent(n)
-    if g in (-1, 1):
-        raise DomainError(f"orbit base must be an odd integer outside {{-1, 1}}, got {g}")
-    if n < bound:
+    m = _collapsed_exponent(g, w, n)
+    if m is None:
         return Verdict.HYPOTHESIS_NOT_MET, None
-    m = n - two_adic_valuation(w)
     gm = canonical_residue(g, m)
     guard_holds = gm != 1 and gm != (1 << m) - 1
     orbit = residue_orbit(g, w, n)
@@ -226,7 +234,7 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
     return None
 
 
-def check_antipodal_shift(g: int, w: int, n: int, spot_checks: int = 256) -> Verdict:
+def check_antipodal_shift(g: int, w: int, n: int) -> Verdict:
     """Shift symmetry of the orbit: half a collapsed period adds 2^(n-1).
 
     With w = 2^d * w0 (w0 odd) and m = n - d, the claim is
@@ -237,36 +245,26 @@ def check_antipodal_shift(g: int, w: int, n: int, spot_checks: int = 256) -> Ver
 
     Since w0 * g^k is an odd unit, the for-all-k statement is equivalent
     to the single congruence g^lag = 2^(m-1) + 1 (mod 2^m), which is what
-    decides the verdict; the first min(lag, spot_checks) indices are also
+    decides the verdict; the first min(lag, _SPOT_CHECKS) indices are also
     verified literally.  Hypothesis: n >= vanishing_bound(g, w).
 
-    One squaring chain modulo 2^n serves both sides: omega_g(2^m) = 2^j
-    for the least j with g^(2^j) = 1 (mod 2^m), and the chain element
-    before it is g^lag mod 2^n, whose low m bits decide the congruence.
+    Both omega_g(2^m) and g^lag mod 2^m come from the squaring chain
+    modulo 2^m that the order routes share.  That residue is enough for
+    the spot checks too: w * x mod 2^n = 2^d * (w0 * x mod 2^m) depends
+    only on x mod 2^m.
     """
-    bound = vanishing_bound(g, w)
-    _require_exponent(n)
-    if n < bound:
+    m = _collapsed_exponent(g, w, n)
+    if m is None:
         return Verdict.HYPOTHESIS_NOT_MET
-    d, _w0 = odd_part(w)
-    m = n - d
-    mask = (1 << n) - 1
-    low = (1 << m) - 1
-    s = g & mask
-    shift = s
-    omega = 1
-    while (s - 1) & low:  # until s = 1 (mod 2^m)
-        shift = s
-        s = s * s & mask
-        omega <<= 1
-    if shift & low != (1 << (m - 1)) + 1:
+    omega, shift = _squaring_chain(g, m)
+    if shift != (1 << (m - 1)) + 1:
         return Verdict.COUNTEREXAMPLE
-    lag = omega // 2
+    mask = (1 << n) - 1
     half = 1 << (n - 1)
     s = g & mask
     cur = w & mask
     ahead = w * shift & mask
-    for _ in range(min(lag, spot_checks)):
+    for _ in range(min(omega // 2, _SPOT_CHECKS)):
         cur = cur * s & mask
         ahead = ahead * s & mask
         if ahead != (cur + half) & mask:

@@ -188,15 +188,19 @@ def _g_range(spec: SweepSpec, claim: Claim) -> range:
 
 def _slices(spec: SweepSpec, claim: Claim) -> list[SweepSpec]:
     """Cut the domain into sub-specs of about _CHUNK_TUPLES tuples: runs of
-    g for a per-modulus claim, one g and a run of w for the orbit-sum claim."""
-    run = max(1, _CHUNK_TUPLES // (spec.n_max - spec.n_min + 1))
+    odd g, or, when one g of the orbit-sum claim has more tuples than that,
+    one g and a run of w."""
+    n_count = spec.n_max - spec.n_min + 1
+    per_g = n_count * (spec.w_max - spec.w_min + 1 if claim.needs_w else 1)
     gs = _g_range(spec, claim)
-    if claim.needs_w:
+    if claim.needs_w and per_g > _CHUNK_TUPLES:
+        run = max(1, _CHUNK_TUPLES // n_count)
         return [
             replace(spec, g_min=g, g_max=g, w_min=w, w_max=min(w + run - 1, spec.w_max))
             for g in gs
             for w in range(spec.w_min, spec.w_max + 1, run)
         ]
+    run = max(1, _CHUNK_TUPLES // per_g)
     return [replace(spec, g_min=g, g_max=min(g + 2 * run - 2, spec.g_max)) for g in gs[::run]]
 
 
@@ -242,14 +246,7 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
             tallies[key] += count
         exceptions.extend(chunk_exceptions)
     exceptions.sort(key=lambda e: (e.n, e.g, e.w if e.w is not None else 0))
-    domain = {
-        "g_min": spec.g_min,
-        "g_max": spec.g_max,
-        "n_min": spec.n_min,
-        "n_max": spec.n_max,
-        "w_min": spec.w_min,
-        "w_max": spec.w_max,
-    }
+    domain = {k: v for k, v in asdict(spec).items() if k not in ("claim", "jobs")}
     return SweepReport(
         claim=spec.claim,
         domain=domain,

@@ -108,17 +108,42 @@ def test_min_vanishing_command_absent(capsys):
     assert record["n"] is None
 
 
+ORDER = ["order", "--g", "3", "--n", "5"]
+HALF_ORDER = ["half-order", "--g", "7", "--n", "4"]
+
+
 def test_table_format(capsys):
-    assert main(["order", "--g", "3", "--n", "5", "--format", "table"]) == 0
-    out = capsys.readouterr().out
-    assert "omega" in out and "8" in out
+    # whole outputs, byte for byte
+    for argv, expected in [
+        (ORDER, "g      3\nn      5\nomega  8\npath   fast\n"),
+        ([*ORDER, "--naive"], "g      3\nn      5\nomega  8\npath   naive\n"),
+        (
+            HALF_ORDER,
+            "g                 7\n"
+            "half_exponent     1\n"
+            "involution        HALF_MINUS_ONE\n"
+            "matches_expected  False\n"
+            "n                 4\n"
+            "residue           7\n",
+        ),
+    ]:
+        assert main([*argv, "--format", "table"]) == 0
+        assert capsys.readouterr().out == expected, argv
 
 
 def test_csv_format_single_query(capsys):
-    assert main(["order", "--g", "3", "--n", "5", "--format", "csv"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "g,n,omega,path"
-    assert lines[1] == "3,5,8,fast"
+    # whole outputs, byte for byte
+    for argv, expected in [
+        (ORDER, "g,n,omega,path\n3,5,8,fast\n"),
+        ([*ORDER, "--naive"], "g,n,omega,path\n3,5,8,naive\n"),
+        (
+            HALF_ORDER,
+            "g,half_exponent,involution,matches_expected,n,residue\n"
+            "7,1,HALF_MINUS_ONE,False,4,7\n",
+        ),
+    ]:
+        assert main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == expected, argv
 
 
 def test_domain_error_exits_2(capsys):
@@ -214,3 +239,19 @@ def test_module_entry_point_usage_error_exit_code():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_closed_output_pipe_exits_2_without_a_traceback():
+    # about 2 MB of output: the reader closes the pipe long before the end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pow2sums", "order-table", "--g", "3", "--n-max", "4000",
+         "--format", "table"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err

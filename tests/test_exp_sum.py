@@ -287,6 +287,21 @@ def test_antipodal_shift_matches_power_route_on_grid():
                 assert check_antipodal_shift(g, w, n) is want, (g, w, n)
 
 
+@pytest.mark.parametrize(
+    "g, w, n",
+    [
+        (7, 1 << 4000, 4096),
+        (-5, 3 << 1000, 1024),
+        (-3, 1 << 1019, 1024),  # collapsed exponent m = 5
+        (3, 5 << 60, 64),
+        ((1 << 61) - 1, 1, 64),  # n one above the vanishing bound
+        (5, 3, 1024),
+    ],
+)
+def test_antipodal_shift_matches_power_route_at_large_n_and_d(g, w, n):
+    assert check_antipodal_shift(g, w, n) is antipodal_shift_by_powers(g, w, n)
+
+
 def test_exact_zero_iff_float_small_on_random_orbits():
     import random
 

@@ -105,8 +105,17 @@ def json_body(report) -> str:
         # g range reaching below 1 and above 2^n_max, n from 2
         dict(claim="lemma4_theorem5", g_min=-4, g_max=300, n_min=2, n_max=7),
         dict(claim="order_oracle", g_min=2, g_max=100, n_min=1, n_max=8),
+        # fewer tuples per g than a chunk: runs of g, each with the whole w range
+        dict(claim="theorem6", g_min=-15, g_max=15, n_min=3, n_max=3, w_min=1, w_max=2),
     ],
-    ids=["lemma2", "theorem6-even-negative-g", "theorem6-one-g", "lemma4-clipped", "order-even-g"],
+    ids=[
+        "lemma2",
+        "theorem6-even-negative-g",
+        "theorem6-one-g",
+        "lemma4-clipped",
+        "order-even-g",
+        "theorem6-packed-g",
+    ],
 )
 def test_run_sweep_is_deterministic_across_worker_counts(monkeypatch, domain):
     # tiny chunks so that every domain is cut into many pool jobs
@@ -153,6 +162,13 @@ def test_pool_size_is_bounded_by_the_cpu_count(recording_pool):
     # a domain of one chunk runs inline, whatever jobs says
     run_sweep(spec(claim="lemma1", g_min=1, g_max=63, n_min=1, n_max=6, jobs=10**6))
     assert len(recording_pool) == 1
+
+
+def test_orbit_domain_of_one_chunk_runs_inline_whatever_its_g_count(recording_pool):
+    # 32 odd g, one w, three exponents: 96 tuples, far below one chunk
+    domain = dict(claim="theorem6", g_min=-31, g_max=31, n_min=1, n_max=3, w_min=1, w_max=1)
+    run_sweep(spec(jobs=2, **domain))
+    assert recording_pool == []
 
 
 @pytest.mark.parametrize(
