@@ -96,30 +96,25 @@ def half_order_exponent(g: int, n: int) -> int:
     return _half_order_chain(g, n)[0]
 
 
+def _classifiable(g: int, n: int) -> tuple[int, int, int, int]:
+    """(canonical g, n, half exponent, residue), validated for n >= 3: the
+    plain ints the checkers below take, which a sweep reads from a column."""
+    _require_exponent(n)
+    if n < 3:
+        raise DomainError(f"half-order classification needs n >= 3, got n={n}")
+    half, residue = _half_order_chain(g, n)
+    return canonical_residue(g, n), n, half, residue
+
+
 def half_order_residue(g: int, n: int) -> HalfOrderResult:
     """Compute and classify g^(omega/2) mod 2^n.  Requires n >= 3.
 
     The residue is the squaring chain's last element before 1, so no
     second power is taken.
     """
-    _require_exponent(n)
-    if n < 3:
-        raise DomainError(f"half-order classification needs n >= 3, got n={n}")
-    half, residue = _half_order_chain(g, n)
-    gc = canonical_residue(g, n)
-    involution = classify_involution(residue, n)
-    if gc == (1 << n) - 1:
-        expected = InvolutionClass.MINUS_ONE
-    else:
-        expected = InvolutionClass.HALF_PLUS_ONE
-    return HalfOrderResult(
-        g=gc,
-        n=n,
-        half_exponent=half,
-        residue=residue,
-        involution=involution,
-        matches_expected=involution is expected,
-    )
+    gc, n, half, residue = _classifiable(g, n)
+    holds = _classification(gc, n, half, residue)[0] is Verdict.HOLDS
+    return HalfOrderResult(gc, n, half, residue, classify_involution(residue, n), holds)
 
 
 def check_involution_membership(g: int, n: int) -> Verdict:
@@ -127,21 +122,20 @@ def check_involution_membership(g: int, n: int) -> Verdict:
 
     Sweep claim id: lemma2.
     """
-    return _involution_membership(g, n)[0]
+    return _involution_membership(*_classifiable(g, n))[0]
 
 
-def _involution_membership(g: int, n: int) -> Outcome:
-    result = half_order_residue(g, n)
-    if result.involution in (
+def _involution_membership(g: int, n: int, half: int, residue: int) -> Outcome:
+    if classify_involution(residue, n) in (
         InvolutionClass.MINUS_ONE,
         InvolutionClass.HALF_MINUS_ONE,
         InvolutionClass.HALF_PLUS_ONE,
     ):
         return Verdict.HOLDS, None
-    half = 1 << (n - 1)
+    top = 1 << (n - 1)
     return Verdict.COUNTEREXAMPLE, (
-        f"half-order residue {result.residue} outside the candidate set",
-        f"residue in {{{(1 << n) - 1}, {half - 1}, {half + 1}}}",
+        f"half-order residue {residue} outside the candidate set",
+        f"residue in {{{(1 << n) - 1}, {top - 1}, {top + 1}}}",
     )
 
 
@@ -150,17 +144,16 @@ def check_minus_one_case(g: int, n: int) -> Verdict:
 
     Sweep claim id: lemma3.
     """
-    return _minus_one_case(g, n)[0]
+    return _minus_one_case(*_classifiable(g, n))[0]
 
 
-def _minus_one_case(g: int, n: int) -> Outcome:
-    result = half_order_residue(g, n)
-    if result.involution is not InvolutionClass.MINUS_ONE:
+def _minus_one_case(g: int, n: int, half: int, residue: int) -> Outcome:
+    if classify_involution(residue, n) is not InvolutionClass.MINUS_ONE:
         return Verdict.HYPOTHESIS_NOT_MET, None
-    if result.half_exponent == 1 and result.g == (1 << n) - 1:
+    if half == 1 and g == (1 << n) - 1:
         return Verdict.HOLDS, None
     return Verdict.COUNTEREXAMPLE, (
-        f"omega={2 * result.half_exponent}, g={result.g} (mod 2^{n})",
+        f"omega={2 * half}, g={g} (mod 2^{n})",
         f"omega=2 and g={(1 << n) - 1} (mod 2^{n})",
     )
 
@@ -174,24 +167,23 @@ def check_half_order_classification(g: int, n: int) -> Verdict:
     reported as PAPER_EXCEPTION; any other violation is a COUNTEREXAMPLE.
     Sweep claim id: lemma4_theorem5.
     """
-    return _classification(g, n)[0]
+    return _classification(*_classifiable(g, n))[0]
 
 
-def _classification(g: int, n: int) -> Outcome:
-    result = half_order_residue(g, n)
-    if result.matches_expected:
-        return Verdict.HOLDS, None
-    if result.g == (1 << n) - 1:
-        want = f"{(1 << n) - 1} (MINUS_ONE)"
+def _classification(g: int, n: int, half: int, residue: int) -> Outcome:
+    """The two-case rule itself; ``half_order_residue`` reads
+    matches_expected from it."""
+    involution = classify_involution(residue, n)
+    if g == (1 << n) - 1:
+        expected, want = InvolutionClass.MINUS_ONE, g
     else:
-        want = f"{(1 << (n - 1)) + 1} (HALF_PLUS_ONE)"
+        expected, want = InvolutionClass.HALF_PLUS_ONE, (1 << (n - 1)) + 1
+    if involution is expected:
+        return Verdict.HOLDS, None
     detail = (
-        f"half-order residue {result.residue} ({result.involution.value})",
-        f"half-order residue {want}",
+        f"half-order residue {residue} ({involution.value})",
+        f"half-order residue {want} ({expected.value})",
     )
-    if (
-        result.g == (1 << (n - 1)) - 1
-        and result.involution is InvolutionClass.HALF_MINUS_ONE
-    ):
+    if g == (1 << (n - 1)) - 1 and involution is InvolutionClass.HALF_MINUS_ONE:
         return Verdict.PAPER_EXCEPTION, detail
     return Verdict.COUNTEREXAMPLE, detail

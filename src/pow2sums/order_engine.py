@@ -10,12 +10,16 @@ with g^k = 1 (mod 2^n):
   2-group, so every order is a power of two and the least j with
   g^(2^j) = 1 gives omega = 2^j in at most n squarings.
 
-The squaring chain g, g^2, g^4, ... is walked once, by ``_squaring_chain``,
-with every square reduced by the mask 2^n - 1 instead of a division.  The
-element just before the chain reaches 1 is g^(omega/2), so the same walk
-also yields the half-order residue that ``half_order`` classifies.
-``order_table`` walks one chain modulo 2^n_max and reads every smaller
-order from it, in n_max squarings in total.
+The squaring chain g, g^2, g^4, ... is reduced by a mask instead of a
+division; its element just before 1 is g^(omega/2), the half-order
+residue that ``half_order`` classifies.  Two walkers read it:
+
+* ``_squaring_chain(g, n)``, for one exponent (``order_fast``,
+  ``half_order_residue``, ``check_antipodal_shift``): its stop test
+  ``s != 1`` is cheaper than the column's masked test.
+* ``_order_column(g, n_lo, n_hi)``, for a run of exponents: reduction
+  modulo 2^n commutes with squaring, so one chain modulo 2^n_hi serves
+  every n <= n_hi (sweeps, ``order_table``, the order-law checkers).
 
 The fast path is validated against the scan exhaustively in the tests.
 """
@@ -23,12 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core_arith import (
-    DomainError,
-    _require_exponent,
-    _require_odd,
-    canonical_residue,
-)
+from .core_arith import DomainError, _require_exponent, _require_odd, canonical_residue
 from .verdict import Outcome, Verdict
 
 # The scan is a cross-validation oracle, not a production path; beyond this
@@ -57,8 +56,8 @@ def order_naive(g: int, n: int, cap: int = NAIVE_SCAN_CAP) -> OrderRecord:
     """Least k >= 1 with g^k = 1 (mod 2^n), by incremental multiplication."""
     _require_odd(g)
     _require_exponent(n)
-    m = 1 << n
-    s = g % m
+    mask = (1 << n) - 1
+    s = g & mask
     x = s
     k = 1
     while x != 1:
@@ -67,7 +66,7 @@ def order_naive(g: int, n: int, cap: int = NAIVE_SCAN_CAP) -> OrderRecord:
             raise ScanBudgetExceeded(
                 f"order scan for g={g} mod 2^{n} exceeded {cap} iterations"
             )
-        x = x * s % m
+        x = x * s & mask
     return OrderRecord(g=s, n=n, omega=k, path="naive")
 
 
@@ -90,6 +89,29 @@ def _squaring_chain(g: int, n: int) -> tuple[int, int]:
     return omega, half
 
 
+def _order_column(g: int, n_lo: int, n_hi: int) -> list[tuple[int, int]]:
+    """(omega, g^(omega // 2) mod 2^n) for n = n_lo .. n_hi from one chain.
+
+    On the chain s_j = g^(2^j) mod 2^n_hi, omega_g(2^n) is 2^j for the
+    least j with s_j = 1 (mod 2^n), and the residue is s_(j-1) mod 2^n (1
+    for omega = 1).  j only grows with n, so the walk takes at most n_hi
+    squarings.  Arguments are not validated.
+    """
+    mask = (1 << n_hi) - 1
+    s = g & mask
+    half = 1
+    omega = 1
+    column = []
+    for n in range(n_lo, n_hi + 1):
+        low = (1 << n) - 1
+        while (s - 1) & low:  # until s = 1 (mod 2^n)
+            half = s
+            s = s * s & mask
+            omega <<= 1
+        column.append((omega, half & low))
+    return column
+
+
 def order_fast(g: int, n: int) -> OrderRecord:
     """Same order as ``order_naive``, via at most n squarings."""
     _require_odd(g)
@@ -101,25 +123,16 @@ def order_fast(g: int, n: int) -> OrderRecord:
 def order_table(g: int, n_max: int) -> list[OrderRecord]:
     """Orders of g modulo 2^1 .. 2^n_max, one fast-path record per exponent.
 
-    One squaring chain s_j = g^(2^j) mod 2^n_max serves every exponent:
-    omega_g(2^n) = 2^j for the least j with v2(s_j - 1) >= n, and
-    v2(s_j - 1) strictly increases along the chain, so n_max squarings
-    suffice in total.  The sequence is non-decreasing and consecutive
-    entries differ by a factor of 1 or 2.
+    Read from one column, so n_max squarings suffice in total.  The
+    sequence is non-decreasing and consecutive entries differ by a factor
+    of 1 or 2.
     """
     _require_odd(g)
     _require_exponent(n_max)
-    mask = (1 << n_max) - 1
-    s = g & mask
-    omega = 1
-    records = []
-    for n in range(1, n_max + 1):
-        low = (1 << n) - 1
-        while (s - 1) & low:  # until s = 1 (mod 2^n)
-            s = s * s & mask
-            omega <<= 1
-        records.append(OrderRecord(g=g & low, n=n, omega=omega, path="fast"))
-    return records
+    return [
+        OrderRecord(g=g & ((1 << n) - 1), n=n, omega=omega, path="fast")
+        for n, (omega, _) in enumerate(_order_column(g, 1, n_max), start=1)
+    ]
 
 
 def check_order_doubling(g: int, n: int) -> Verdict:
@@ -129,23 +142,32 @@ def check_order_doubling(g: int, n: int) -> Verdict:
     fail (for g = -1 the order is stuck at 2, for g = 1 at 1).
     Sweep claim id: lemma1.
     """
-    return _order_doubling(g, n)[0]
+    return _order_doubling(g, range(n, n + 1))[0][0]
 
 
-def _order_doubling(g: int, n: int) -> Outcome:
+def _order_doubling(g: int, ns: range) -> list[Outcome]:
+    """lemma1 at each n of a run: omega_n and omega_(n+1) are both read, by
+    their definition, from one column walked to exponent ns[-1] + 1."""
+    top = ns[-1]
     _require_odd(g)
-    _require_exponent(n)
-    gc = canonical_residue(g, n)
-    if gc == 1 or gc == (1 << n) - 1:
-        return Verdict.HYPOTHESIS_NOT_MET, None
-    above = order_fast(g, n + 1).omega
-    base = order_fast(g, n).omega
-    if above == 2 * base:
-        return Verdict.HOLDS, None
-    return Verdict.COUNTEREXAMPLE, (
-        f"omega at exponent {n + 1} = {above}",
-        f"2 * omega at exponent {n} = {2 * base}",
-    )
+    _require_exponent(top)
+    if g & ((1 << top) - 1) in (1, (1 << top) - 1):
+        # then g = +-1 modulo every lower power of two too, and no column is read
+        return [(Verdict.HYPOTHESIS_NOT_MET, None)] * len(ns)
+    _require_exponent(top + 1)
+    omegas = [omega for omega, _ in _order_column(g, ns[0], top + 1)]
+    outcomes: list[Outcome] = []
+    for n, base, above in zip(ns, omegas, omegas[1:]):
+        if g & ((1 << n) - 1) in (1, (1 << n) - 1):
+            outcomes.append((Verdict.HYPOTHESIS_NOT_MET, None))
+        elif above == 2 * base:
+            outcomes.append((Verdict.HOLDS, None))
+        else:
+            outcomes.append((Verdict.COUNTEREXAMPLE, (
+                f"omega at exponent {n + 1} = {above}",
+                f"2 * omega at exponent {n} = {2 * base}",
+            )))
+    return outcomes
 
 
 def check_order_scaling(g: int, n: int, d: int) -> Verdict:
@@ -153,7 +175,7 @@ def check_order_scaling(g: int, n: int, d: int) -> Verdict:
 
     Requires g != +-1 (mod 2^(n-d)); the identity then follows from d
     applications of the doubling law, and this checker verifies it by
-    computing both orders independently.
+    reading both orders, by definition, from one column.
     """
     _require_odd(g)
     _require_exponent(n)
@@ -163,6 +185,7 @@ def check_order_scaling(g: int, n: int, d: int) -> Verdict:
     gm = canonical_residue(g, m)
     if gm == 1 or gm == (1 << m) - 1:
         return Verdict.HYPOTHESIS_NOT_MET
-    if order_fast(g, n).omega == (1 << d) * order_fast(g, m).omega:
+    column = _order_column(g, m, n)
+    if column[-1][0] == (1 << d) * column[0][0]:
         return Verdict.HOLDS
     return Verdict.COUNTEREXAMPLE

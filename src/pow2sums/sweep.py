@@ -1,12 +1,14 @@
 """Exhaustive claim sweeps over (g, n[, w]) domains, with reports.
 
 Each sweepable claim is one evaluate callable in the CLAIMS registry,
-under a stable id.  It applies the claim's hypothesis filter and runs the
-library's checker once per tuple, returning the verdict together with the
-report's (observed, expected) strings, built from the values that
-decided the verdict.  The ids, verdict tallies and the JSON report
-schema are the machine interface; the registry is mutable so a harness
-(or the test suite) can inject extra claims.
+under a stable id.  It takes one column, a g and w at every n of a run,
+applies the claim's hypothesis filter and runs the library's checker once
+per tuple, returning each verdict with the report's (observed, expected)
+strings, built from the values that decided it.  A per-modulus claim
+walks one squaring chain per g and reads every n's order and half-order
+residue from it.  The ids, verdict tallies and the JSON report schema are
+the machine interface; the registry is mutable so a harness (or the test
+suite) can inject extra claims.
 
 Every claim walks its domain in one loop: g, then w, then n.  Per-modulus
 claims take each odd g in the range at every n with g < 2^n, i.e. the
@@ -29,7 +31,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 from . import core_arith, exp_sum, half_order, order_engine
-from .core_arith import canonical_residue
 from .verdict import Outcome, Verdict
 
 _CHUNK_TUPLES = 4096
@@ -43,16 +44,17 @@ class UsageError(ValueError):
 class Claim:
     """One sweepable claim.
 
-    evaluate(g, n, w) must accept every tuple of a sweep domain (hypothesis
-    filtering happens inside) and returns (verdict, detail) from
-    one evaluation: detail is the (observed, expected) pair of strings for
-    the report when the verdict is COUNTEREXAMPLE or PAPER_EXCEPTION, and
-    None otherwise.
+    evaluate(g, w, ns) takes a column of a sweep domain, g and w at every
+    n of the non-empty range ns (hypothesis filtering happens inside), and
+    returns one (verdict, detail) per n, in order, each from one
+    evaluation: detail is the (observed, expected) pair of strings for the
+    report when the verdict is COUNTEREXAMPLE or PAPER_EXCEPTION, and None
+    otherwise.
     """
 
     name: str
     needs_w: bool
-    evaluate: Callable[[int, int, Optional[int]], Outcome]
+    evaluate: Callable[[int, Optional[int], range], list[Outcome]]
 
 
 @dataclass(frozen=True)
@@ -99,41 +101,48 @@ class SweepReport:
 # Claim catalog
 # ---------------------------------------------------------------------------
 
-def _eval_order_oracle(g: int, n: int, w: Optional[int]) -> Outcome:
-    naive = order_engine.order_naive(g, n).omega
-    fast = order_engine.order_fast(g, n).omega
-    if naive == fast:
-        return Verdict.HOLDS, None
-    return Verdict.COUNTEREXAMPLE, (f"fast path omega={fast}", f"naive scan omega={naive}")
+def _eval_order_oracle(g: int, w: Optional[int], ns: range) -> list[Outcome]:
+    column = order_engine._order_column(g, ns[0], ns[-1])
+    naive = [order_engine.order_naive(g, n).omega for n in ns]
+    return [
+        (Verdict.HOLDS, None) if slow == fast
+        else (Verdict.COUNTEREXAMPLE, (f"fast path omega={fast}", f"naive scan omega={slow}"))
+        for slow, (fast, _) in zip(naive, column)
+    ]
 
 
-def _eval_order_doubling(g: int, n: int, w: Optional[int]) -> Outcome:
+def _eval_order_doubling(g: int, w: Optional[int], ns: range) -> list[Outcome]:
     # the doubling step needs exponent n + 1, which the guard refuses at the
     # limit; read the limit here so a reassigned core_arith.MAX_EXPONENT holds
-    if n == core_arith.MAX_EXPONENT:
-        return Verdict.HYPOTHESIS_NOT_MET, None
-    return order_engine._order_doubling(g, n)
+    if ns[-1] != core_arith.MAX_EXPONENT:
+        return order_engine._order_doubling(g, ns)
+    below = order_engine._order_doubling(g, ns[:-1]) if len(ns) > 1 else []
+    return below + [(Verdict.HYPOTHESIS_NOT_MET, None)]
 
 
 def _half_order_claim(
-    check: Callable[[int, int], Outcome],
-) -> Callable[[int, int, Optional[int]], Outcome]:
+    check: Callable[[int, int, int, int], Outcome],
+) -> Callable[[int, Optional[int], range], list[Outcome]]:
     """Evaluate a half-order checker on the tuples that meet its hypotheses,
-    n >= 3 and g != 1 (mod 2^n), where a half-order residue exists."""
+    n >= 3 and g != 1 (mod 2^n), i.e. omega > 1, where a half-order residue
+    exists; every n reads its order and residue from one column."""
 
-    def evaluate(g: int, n: int, w: Optional[int]) -> Outcome:
-        if n < 3 or canonical_residue(g, n) == 1:
-            return Verdict.HYPOTHESIS_NOT_MET, None
-        return check(g, n)
+    def evaluate(g: int, w: Optional[int], ns: range) -> list[Outcome]:
+        return [
+            check(g, n, omega >> 1, residue)
+            if n >= 3 and omega > 1
+            else (Verdict.HYPOTHESIS_NOT_MET, None)
+            for n, (omega, residue) in zip(ns, order_engine._order_column(g, ns[0], ns[-1]))
+        ]
 
     return evaluate
 
 
-def _eval_orbit_vanishing(g: int, n: int, w: Optional[int]) -> Outcome:
+def _eval_orbit_vanishing(g: int, w: Optional[int], ns: range) -> list[Outcome]:
     assert w is not None
     if g in (-1, 1):
-        return Verdict.HYPOTHESIS_NOT_MET, None
-    return exp_sum._orbit_vanishing(g, w, n)
+        return [(Verdict.HYPOTHESIS_NOT_MET, None)] * len(ns)
+    return [exp_sum._orbit_vanishing(g, w, n) for n in ns]
 
 
 CLAIMS: dict[str, Claim] = {
@@ -205,18 +214,17 @@ def _slices(spec: SweepSpec, claim: Claim) -> list[SweepSpec]:
 
 
 def _run_chunk(spec: SweepSpec) -> tuple[dict[str, int], list[SweepException]]:
-    """Evaluate every tuple of a (sub-)domain in one loop: g, then w, then n."""
+    """Evaluate every tuple of a (sub-)domain: each (g, w) column in one call."""
     claim = CLAIMS[spec.claim]
     ws = range(spec.w_min, spec.w_max + 1) if claim.needs_w else (None,)
     tallies = {v.value: 0 for v in Verdict}
     exceptions: list[SweepException] = []
     for g in _g_range(spec, claim):
-        n_lo = spec.n_min if claim.needs_w else max(spec.n_min, g.bit_length())
+        ns = range(spec.n_min if claim.needs_w else max(spec.n_min, g.bit_length()), spec.n_max + 1)
         for w in ws:
             if w == 0:
                 continue
-            for n in range(n_lo, spec.n_max + 1):
-                verdict, detail = claim.evaluate(g, n, w)
+            for n, (verdict, detail) in zip(ns, claim.evaluate(g, w, ns), strict=True):
                 tallies[verdict.value] += 1
                 if verdict in (Verdict.COUNTEREXAMPLE, Verdict.PAPER_EXCEPTION):
                     observed, expected = detail

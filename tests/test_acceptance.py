@@ -213,7 +213,7 @@ def test_criterion_9_determinism_and_exit_codes(capsys):
     claim = Claim(
         name="acceptance_forced_failure",
         needs_w=False,
-        evaluate=lambda g, n, w: (Verdict.COUNTEREXAMPLE, ("forced", "never")),
+        evaluate=lambda g, w, ns: [(Verdict.COUNTEREXAMPLE, ("forced", "never"))] * len(ns),
     )
     CLAIMS[claim.name] = claim
     try:

@@ -36,13 +36,21 @@ def test_order_oracle_records_both_orders(monkeypatch):
     ]
 
 
+def forced_column(monkeypatch, force):
+    """Make the column walker return force(g, n, omega, residue) at each n."""
+    real = order_engine._order_column
+
+    def column(g, n_lo, n_hi):
+        return [
+            force(g, n, omega, residue)
+            for n, (omega, residue) in zip(range(n_lo, n_hi + 1), real(g, n_lo, n_hi))
+        ]
+
+    monkeypatch.setattr(order_engine, "_order_column", column)
+
+
 def test_order_doubling_records_both_exponents(monkeypatch):
-    real = order_engine.order_fast
-    monkeypatch.setattr(
-        order_engine,
-        "order_fast",
-        lambda g, n: replace(real(g, n), omega=6) if n == 5 else real(g, n),
-    )
+    forced_column(monkeypatch, lambda g, n, omega, residue: (6 if n == 5 else omega, residue))
     assert records("lemma1", 3, 4) == [
         (3, 4, None, "omega at exponent 5 = 6", "2 * omega at exponent 4 = 8")
     ]
@@ -50,13 +58,9 @@ def test_order_doubling_records_both_exponents(monkeypatch):
 
 def forced_chain(monkeypatch, residues):
     """Make the squaring chain end on residues[g] for the listed bases."""
-    real = half_order._squaring_chain
-
-    def chain(g, n):
-        omega, residue = real(g, n)
-        return omega, residues.get(g, residue)
-
-    monkeypatch.setattr(half_order, "_squaring_chain", chain)
+    forced_column(
+        monkeypatch, lambda g, n, omega, residue: (omega, residues.get(g, residue))
+    )
 
 
 def test_involution_membership_records_the_stray_residue(monkeypatch):
@@ -105,21 +109,31 @@ def test_orbit_vanishing_records_a_failed_collapse_guard(monkeypatch, g, observe
     assert records("theorem6", g, 2, w=1) == [(g, 2, 1, observed, expected)]
 
 
-def test_classification_sweep_computes_each_half_order_residue_once(monkeypatch):
-    real = half_order.half_order_residue
+@pytest.mark.parametrize("claim", ["order_oracle", "lemma1", "lemma2", "lemma3", "lemma4_theorem5"])
+def test_per_modulus_sweep_walks_one_column_per_g(monkeypatch, claim):
+    real = order_engine._order_column
     calls: Counter = Counter()
 
-    def counted(g, n):
-        calls[g, n] += 1
-        return real(g, n)
+    def counted(g, n_lo, n_hi):
+        calls[g, n_lo, n_hi] += 1
+        return real(g, n_lo, n_hi)
 
-    monkeypatch.setattr(half_order, "half_order_residue", counted)
-    report = run_sweep(SweepSpec("lemma4_theorem5", 1, 255, 3, 8, jobs=1))
-    assert report.tallies["paper_exception"] == 6
-    admissible = {
-        (g, n) for n in range(3, 9) for g in range(3, min(256, 1 << n), 2)
-    }
-    assert calls == Counter(dict.fromkeys(admissible, 1))
+    monkeypatch.setattr(order_engine, "_order_column", counted)
+    report = run_sweep(SweepSpec(claim, 1, 255, 3, 8, jobs=1))
+    if claim == "lemma4_theorem5":
+        assert report.tallies["paper_exception"] == 6
+    # each odd g < 2^8 at most once, over its own n-range: max(3, bits of g) to 8
+    expected: Counter = Counter()
+    for g in range(1, 256, 2):
+        ns = range(max(3, g.bit_length()), 9)
+        if claim == "lemma1":
+            # the doubling law reads one exponent above the run; a base that is
+            # +-1 (mod 2^8), and so modulo every lower power, reads no column
+            if g in (1, 255):
+                continue
+            ns = range(ns[0], 10)
+        expected[g, ns[0], ns[-1]] = 1
+    assert calls == expected
 
 
 def test_orbit_sweep_builds_at_most_one_orbit_per_tuple(monkeypatch):

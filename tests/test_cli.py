@@ -207,7 +207,9 @@ def test_sweep_injected_counterexample_exits_1(capsys):
     claim = Claim(
         name="test_only_failure",
         needs_w=False,
-        evaluate=lambda g, n, w: (Verdict.COUNTEREXAMPLE, ("forced failure", "forced success")),
+        evaluate=lambda g, w, ns: [
+            (Verdict.COUNTEREXAMPLE, ("forced failure", "forced success"))
+        ] * len(ns),
     )
     CLAIMS[claim.name] = claim
     try:

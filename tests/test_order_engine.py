@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pow2sums import (
@@ -17,6 +17,7 @@ from pow2sums import (
     order_naive,
     order_table,
 )
+from pow2sums.order_engine import _order_column, _squaring_chain
 
 
 @pytest.mark.parametrize(
@@ -112,6 +113,34 @@ def test_order_table_equals_per_exponent_orders():
     bases += [rng.randrange((1 << 99) + 1, 1 << 100, 2) * rng.choice((1, -1)) for _ in range(200)]
     for g in bases:
         assert order_table(g, 70) == [order_fast(g, n) for n in range(1, 71)], g
+
+
+@settings(max_examples=300)
+@given(
+    g=st.integers(min_value=-(1 << 80), max_value=1 << 80).map(lambda x: 2 * x + 1),
+    lo=st.integers(min_value=1, max_value=70),
+    span=st.integers(min_value=0, max_value=70),
+)
+@example(g=3, lo=9, span=0)  # lo == hi
+@example(g=-3, lo=1, span=40)  # lo == 1, negative g
+@example(g=(1 << 64) + 1, lo=1, span=63)  # g = 1 (mod 2^hi): omega 1, residue 1
+@example(g=-(1 << 90) + 7, lo=2, span=60)  # g >= 2^hi in absolute value
+def test_order_column_equals_the_single_exponent_chain(g, lo, span):
+    hi = lo + span
+    assert _order_column(g, lo, hi) == [_squaring_chain(g, n) for n in range(lo, hi + 1)]
+
+
+def test_order_column_equals_the_scan_exhaustively_to_n10():
+    for g in range(1, 1 << 10, 2):
+        for n, (omega, residue) in enumerate(_order_column(g, 1, 10), start=1):
+            assert omega == order_naive(g, n).omega, (g, n)
+            assert residue == pow(g, omega // 2, 1 << n), (g, n)
+
+
+@pytest.mark.parametrize("g", [3, -5, (1 << 4095) - 1, (1 << 4094) + 1])
+def test_order_column_at_the_exponent_limit(g):
+    assert _order_column(g, 4096, 4096) == [_squaring_chain(g, 4096)]
+    assert _order_column(g, 4094, 4096) == [_squaring_chain(g, n) for n in (4094, 4095, 4096)]
 
 
 def test_fast_order_agrees_with_sympy():

@@ -264,7 +264,7 @@ def test_injected_claim_reaches_the_report():
     always_fails = Claim(
         name="always_fails",
         needs_w=False,
-        evaluate=lambda g, n, w: (Verdict.COUNTEREXAMPLE, ("it failed", "it should hold")),
+        evaluate=lambda g, w, ns: [(Verdict.COUNTEREXAMPLE, ("it failed", "it should hold"))] * len(ns),
     )
     CLAIMS[always_fails.name] = always_fails
     try:
