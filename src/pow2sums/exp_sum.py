@@ -31,7 +31,7 @@ from .core_arith import (
     threshold_exponent,
     two_adic_valuation,
 )
-from .order_engine import _squaring_chain, order_fast
+from .order_engine import _order_column, order_fast
 from .verdict import Outcome, Verdict
 
 # Beyond this exponent 2*pi*r/2^n loses the argument precision a float can
@@ -256,7 +256,7 @@ def check_antipodal_shift(g: int, w: int, n: int) -> Verdict:
     m = _collapsed_exponent(g, w, n)
     if m is None:
         return Verdict.HYPOTHESIS_NOT_MET
-    omega, shift = _squaring_chain(g, m)
+    omega, shift = _order_column(g, m, m)[0]
     if shift != (1 << (m - 1)) + 1:
         return Verdict.COUNTEREXAMPLE
     mask = (1 << n) - 1

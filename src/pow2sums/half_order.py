@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass
 
 from .core_arith import DomainError, _require_exponent, _require_odd, canonical_residue
-from .order_engine import _squaring_chain
+from .order_engine import _order_column
 from .verdict import Outcome, Verdict
 
 
@@ -84,7 +84,7 @@ def _half_order_chain(g: int, n: int) -> tuple[int, int]:
     _require_exponent(n)
     if n < 2:
         raise DomainError("half-order exponent needs n >= 2 (every odd g is 1 mod 2)")
-    omega, residue = _squaring_chain(g, n)
+    omega, residue = _order_column(g, n, n)[0]
     if omega == 1:
         raise DomainError(f"g={g} is 1 mod 2^{n}: order is odd, half-exponent undefined")
     # omega is a power of two and > 1 here, hence even

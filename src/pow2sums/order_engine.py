@@ -12,14 +12,12 @@ with g^k = 1 (mod 2^n):
 
 The squaring chain g, g^2, g^4, ... is reduced by a mask instead of a
 division; its element just before 1 is g^(omega/2), the half-order
-residue that ``half_order`` classifies.  Two walkers read it:
-
-* ``_squaring_chain(g, n)``, for one exponent (``order_fast``,
-  ``half_order_residue``, ``check_antipodal_shift``): its stop test
-  ``s != 1`` is cheaper than the column's masked test.
-* ``_order_column(g, n_lo, n_hi)``, for a run of exponents: reduction
-  modulo 2^n commutes with squaring, so one chain modulo 2^n_hi serves
-  every n <= n_hi (sweeps, ``order_table``, the order-law checkers).
+residue that ``half_order`` classifies.  One walker, ``_order_column(g,
+n_lo, n_hi)``, reads it for a run of exponents: reduction modulo 2^n
+commutes with squaring, so one chain modulo 2^n_hi serves every n <= n_hi
+(sweeps, ``order_table``, the order-law checkers), and a single exponent
+is the run n_lo = n_hi (``order_fast``, ``half_order``,
+``check_antipodal_shift``).
 
 The fast path is validated against the scan exhaustively in the tests.
 """
@@ -70,25 +68,6 @@ def order_naive(g: int, n: int, cap: int = NAIVE_SCAN_CAP) -> OrderRecord:
     return OrderRecord(g=s, n=n, omega=k, path="naive")
 
 
-def _squaring_chain(g: int, n: int) -> tuple[int, int]:
-    """(omega, g^(omega // 2) mod 2^n) for odd g, from one squaring chain.
-
-    Unit orders modulo 2^n are powers of two, so omega is 2^j for the least
-    j >= 0 with g^(2^j) = 1 (mod 2^n), and g^(omega/2) is the chain's last
-    element before 1.  For omega = 1 the residue is g^0 = 1.  Arguments
-    are not validated.
-    """
-    mask = (1 << n) - 1
-    s = g & mask
-    half = s
-    omega = 1
-    while s != 1:
-        half = s
-        s = s * s & mask
-        omega <<= 1
-    return omega, half
-
-
 def _order_column(g: int, n_lo: int, n_hi: int) -> list[tuple[int, int]]:
     """(omega, g^(omega // 2) mod 2^n) for n = n_lo .. n_hi from one chain.
 
@@ -116,7 +95,7 @@ def order_fast(g: int, n: int) -> OrderRecord:
     """Same order as ``order_naive``, via at most n squarings."""
     _require_odd(g)
     _require_exponent(n)
-    omega, _ = _squaring_chain(g, n)
+    omega, _ = _order_column(g, n, n)[0]
     return OrderRecord(g=g & ((1 << n) - 1), n=n, omega=omega, path="fast")
 
 

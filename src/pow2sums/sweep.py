@@ -102,6 +102,7 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 
 def _eval_order_oracle(g: int, w: Optional[int], ns: range) -> list[Outcome]:
+    core_arith._require_exponent(ns[-1])
     column = order_engine._order_column(g, ns[0], ns[-1])
     naive = [order_engine.order_naive(g, n).omega for n in ns]
     return [
@@ -128,6 +129,7 @@ def _half_order_claim(
     exists; every n reads its order and residue from one column."""
 
     def evaluate(g: int, w: Optional[int], ns: range) -> list[Outcome]:
+        core_arith._require_exponent(ns[-1])
         return [
             check(g, n, omega >> 1, residue)
             if n >= 3 and omega > 1

@@ -80,6 +80,14 @@ def test_lemma1_reads_the_exponent_limit_at_call_time(monkeypatch):
         run_sweep(spec(n_min=7, n_max=7))
 
 
+@pytest.mark.parametrize("claim", ["order_oracle", "lemma1", "lemma2", "lemma3", "lemma4_theorem5"])
+def test_per_modulus_sweep_beyond_the_exponent_limit_raises(claim):
+    # g = 1 is 1 modulo every 2^n, so no checker would ever see the exponent;
+    # the column itself must refuse it before walking
+    with pytest.raises(DomainError):
+        run_sweep(SweepSpec(claim, 1, 1, 3, core_arith.MAX_EXPONENT + 1))
+
+
 def test_run_sweep_theorem6_domain():
     report = run_sweep(
         spec(claim="theorem6", g_min=-7, g_max=7, n_min=1, n_max=8, w_min=-4, w_max=4)
