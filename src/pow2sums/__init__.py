@@ -27,6 +27,7 @@ from .core_arith import (
 )
 from .exp_sum import (
     FLOAT_EXPONENT_CAP,
+    LITERAL_EXPONENT_CAP,
     FloatPrecisionError,
     MinVanishing,
     ResidueMultiset,
@@ -78,6 +79,7 @@ __all__ = [
     "MAX_EXPONENT",
     "NAIVE_SCAN_CAP",
     "FLOAT_EXPONENT_CAP",
+    "LITERAL_EXPONENT_CAP",
     "DomainError",
     "FloatPrecisionError",
     "ScanBudgetExceeded",

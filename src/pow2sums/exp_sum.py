@@ -13,8 +13,17 @@ residue r < 2^(n-1) carries the same multiplicity as its antipode
 r + 2^(n-1) -- a complete criterion, checkable in one pass, and the
 resulting pairing (or the first violating residue) is the certificate.
 
+Two exact routes apply that criterion.  The theorem6 checker decides it
+from a dense table of 2^n counters up to LITERAL_EXPONENT_CAP, comparing the
+lower half with the upper half in one list comparison.  Above the cap it
+falls back on the multiset route: residue_orbit builds the multiset and
+is_exact_zero pairs it.  That route is also the tests' reference and the
+certificate behind the expsum command.  The literal orbit is bounded:
+residue_orbit refuses an orbit longer than the table route takes at the
+cap, 2^(LITERAL_EXPONENT_CAP - 2) terms, with a DomainError.
+
 A floating evaluation is provided as a diagnostic cross-check only; the
-exact path is authoritative at every exponent.
+exact routes are authoritative wherever the orbit is within that bound.
 """
 from __future__ import annotations
 
@@ -37,6 +46,11 @@ from .verdict import Outcome, Verdict
 # Beyond this exponent 2*pi*r/2^n loses the argument precision a float can
 # carry; callers are directed to the exact certificate instead.
 FLOAT_EXPONENT_CAP = 52
+
+# Largest exponent decided from a dense table of 2^n counters, and the bound
+# on the literal orbit: at most 2^(LITERAL_EXPONENT_CAP - 2) terms, the
+# longest orbit modulo 2^LITERAL_EXPONENT_CAP.
+LITERAL_EXPONENT_CAP = 22
 
 # How many orbit indices check_antipodal_shift also verifies literally.
 _SPOT_CHECKS = 256
@@ -93,8 +107,9 @@ def residue_orbit(g: int, w: int, n: int) -> ResidueMultiset:
     """The multiset {w * g^k mod 2^n : k = 1..omega_g(2^n)}.
 
     One modular multiplication per term; the orbit length is the order of
-    g, so cost grows with omega.  Requires odd g outside {-1, 1} and
-    nonzero w.
+    g, so cost grows with omega.  Requires odd g outside {-1, 1}, nonzero
+    w, and omega <= 2^(LITERAL_EXPONENT_CAP - 2); a longer orbit raises
+    DomainError before any term is built.
     """
     _require_odd(g)
     if g in (-1, 1):
@@ -104,6 +119,12 @@ def residue_orbit(g: int, w: int, n: int) -> ResidueMultiset:
     _require_exponent(n)
     m = 1 << n
     omega = order_fast(g, n).omega
+    if omega > 1 << (LITERAL_EXPONENT_CAP - 2):
+        raise DomainError(
+            f"orbit of {g} modulo 2^{n} has {omega} terms; the literal orbit is "
+            f"capped at 2^{LITERAL_EXPONENT_CAP - 2} terms "
+            f"(LITERAL_EXPONENT_CAP = {LITERAL_EXPONENT_CAP})"
+        )
     s = g % m
     cur = w % m
     counts: dict[int, int] = {}
@@ -192,21 +213,56 @@ def _orbit_vanishing(g: int, w: int, n: int) -> Outcome:
         return Verdict.HYPOTHESIS_NOT_MET, None
     gm = canonical_residue(g, m)
     guard_holds = gm != 1 and gm != (1 << m) - 1
-    orbit = residue_orbit(g, w, n)
-    cert = is_exact_zero(orbit)
-    if cert.is_zero and guard_holds:
+    unpaired = _unpaired(g, w, n)
+    if unpaired is None and guard_holds:
         return Verdict.HOLDS, None
-    if cert.is_zero:
+    if unpaired is None:
         return Verdict.COUNTEREXAMPLE, (
             "exact zero (collapse guard failed)",
             "base not +-1 modulo the collapsed modulus",
         )
-    r = cert.violating_residue
-    half = 1 << (n - 1)
+    r, count, antipode_count = unpaired
     return Verdict.COUNTEREXAMPLE, (
-        f"count({r})={orbit.counts.get(r, 0)} != count({r ^ half})={orbit.counts.get(r ^ half, 0)}",
+        f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode_count}",
         "equal multiplicities on every antipodal residue pair",
     )
+
+
+def _unpaired(g: int, w: int, n: int) -> Optional[tuple[int, int, int]]:
+    """None when S(g, w, n) = 0; otherwise (r, count(r), count(r ^ 2^(n-1)))
+    for the first residue r, in construction order, whose antipode carries
+    a different multiplicity.  The caller has validated g, w and n.
+
+    Up to LITERAL_EXPONENT_CAP the orbit is counted into a table of 2^n
+    counters and its halves are compared in one list comparison; only a
+    sum that does not vanish walks the orbit again, to name the offender
+    that is_exact_zero would name.  Above the cap the multiset route
+    decides, within residue_orbit's bound.
+    """
+    half = 1 << (n - 1)
+    if n > LITERAL_EXPONENT_CAP:
+        orbit = residue_orbit(g, w, n)
+        r = is_exact_zero(orbit).violating_residue
+        if r is None:
+            return None
+        return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ half, 0)
+    mask = (1 << n) - 1
+    s = g & mask
+    start = w & mask
+    table = [0] * (mask + 1)
+    cur = start
+    for _ in range(_order_column(g, n, n)[0][0]):
+        cur = cur * s & mask
+        table[cur] += 1
+    if table[:half] == table[half:]:
+        return None
+    # of two residues with different counts one is occupied, and the walk
+    # meets every occupied residue, so this loop returns within omega steps
+    cur = start
+    while True:
+        cur = cur * s & mask
+        if table[cur] != table[cur ^ half]:
+            return cur, table[cur], table[cur ^ half]
 
 
 class MinVanishing(NamedTuple):

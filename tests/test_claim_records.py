@@ -2,7 +2,7 @@
 
 Most exception-grade branches never fire on real inputs, so each is forced
 by replacing one computational route (an order, the squaring chain, the
-orbit or the vanishing bound) and the report must carry the exact
+orbit decider or the vanishing bound) and the report must carry the exact
 observed/expected strings built from the values that route returned.
 """
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from pow2sums import SweepSpec, run_sweep
 from pow2sums import exp_sum, half_order, order_engine
-from pow2sums.exp_sum import ResidueMultiset
 
 
 def records(claim, g, n, w=None):
@@ -87,9 +86,7 @@ def test_classification_records_paper_exception_and_both_counterexamples(monkeyp
 
 
 def test_orbit_vanishing_records_the_unpaired_residue(monkeypatch):
-    monkeypatch.setattr(
-        exp_sum, "residue_orbit", lambda g, w, n: ResidueMultiset(n=n, counts={1: 2, 9: 1})
-    )
+    monkeypatch.setattr(exp_sum, "_unpaired", lambda g, w, n: (1, 2, 1))
     assert records("theorem6", 3, 4, w=1) == [
         (3, 4, 1, "count(1)=2 != count(9)=1", "equal multiplicities on every antipodal residue pair")
     ]
@@ -137,19 +134,23 @@ def test_per_modulus_sweep_walks_one_column_per_g(monkeypatch, claim):
 
 
 def test_orbit_sweep_builds_at_most_one_orbit_per_tuple(monkeypatch):
-    real = exp_sum.residue_orbit
+    real = exp_sum._unpaired
     calls: Counter = Counter()
 
     def counted(g, w, n):
         calls[g, w, n] += 1
-        orbit = real(g, w, n)
+        unpaired = real(g, w, n)
         if (g, w, n) == (3, 1, 4):
-            # one extra copy of an occupied residue breaks its pairing
-            r = next(iter(orbit.counts))
-            orbit.counts[r] += 1
-        return orbit
+            # one extra copy of the first residue breaks its pairing
+            assert unpaired is None
+            return 3, 2, 1
+        return unpaired
 
-    monkeypatch.setattr(exp_sum, "residue_orbit", counted)
+    def unbuilt(g, w, n):
+        raise AssertionError("the table decides below the cap; no multiset is built")
+
+    monkeypatch.setattr(exp_sum, "_unpaired", counted)
+    monkeypatch.setattr(exp_sum, "residue_orbit", unbuilt)
     report = run_sweep(SweepSpec("theorem6", -7, 7, 1, 6, -4, 4, jobs=1))
     assert report.tallies["counterexample"] == 1
     assert report.exceptions[0].g == 3 and report.exceptions[0].n == 4

@@ -153,6 +153,28 @@ def test_domain_error_exits_2(capsys):
     assert main(["expsum", "--g", "3", "--w", "0", "--n", "4"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["expsum", "--g", "3", "--w", "1", "--n", "64"], 2),
+        (["sweep", "--claim", "theorem6", "--g-min", "3", "--g-max", "3",
+          "--n-min", "40", "--n-max", "40", "--w-min", "1", "--w-max", "1"], 2),
+        (["min-vanishing-n", "--g", "3", "--w", str(1 << 40), "--n-max", "64"], 2),
+        # a two-term orbit far above the cap is still answered
+        (["expsum", "--g", str((1 << 52) + 1), "--w", "1", "--n", "53"], 0),
+    ],
+    ids=["expsum-n64", "theorem6-n40", "min-vanishing-sparse", "expsum-short-orbit-n53"],
+)
+def test_orbit_commands_are_bounded_by_the_literal_cap(argv, code):
+    # without the cap the three refused orbits have 2^21 to 2^62 terms
+    proc = subprocess.run(
+        [sys.executable, "-m", "pow2sums", *argv], capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert "LITERAL_EXPONENT_CAP = 22" in proc.stderr
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--claim", "bogus", "--g-min", "1", "--g-max", "3", "--n-min", "1", "--n-max", "2"])

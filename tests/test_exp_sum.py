@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pow2sums import (
+    LITERAL_EXPONENT_CAP,
     DomainError,
     FloatPrecisionError,
     MinVanishing,
@@ -20,6 +21,7 @@ from pow2sums import (
     residue_orbit,
     vanishing_bound,
 )
+from pow2sums import exp_sum
 
 
 def reduced_coefficients(multiset: ResidueMultiset) -> list[int]:
@@ -189,6 +191,66 @@ def test_orbit_vanishing_small_grid_never_fails():
             bound = vanishing_bound(g, w)
             for n in range(bound, bound + 3):
                 assert check_orbit_vanishing(g, w, n) is Verdict.HOLDS, (g, w, n)
+
+
+def unpaired_by_multiset(g: int, w: int, n: int):
+    """Reference for exp_sum._unpaired: the offender is_exact_zero names."""
+    orbit = residue_orbit(g, w, n)
+    r = is_exact_zero(orbit).violating_residue
+    if r is None:
+        return None
+    return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ (1 << (n - 1)), 0)
+
+
+def test_dense_decider_agrees_with_the_multiset_route():
+    # odd |g| < 64 plus bases that are +-1 modulo 2^9 or 2^10, so a short
+    # orbit at small n grows at the top of the grid
+    bases = [g for g in range(-63, 64, 2) if g not in (-1, 1)]
+    bases += [s * (k + e) for k in (1 << 9, 1 << 10) for e in (-1, 1) for s in (-1, 1)]
+    weights = [w for w in range(-40, 41) if w != 0] + [1 << 12, -(3 << 9), 5 << 20]
+    failures = 0
+    for g in bases:
+        for w in weights:
+            for n in range(1, 13):
+                expected = unpaired_by_multiset(g, w, n)
+                assert exp_sum._unpaired(g, w, n) == expected, (g, w, n)
+                failures += expected is not None
+    assert failures > 0
+
+
+def test_dense_decider_switches_route_above_the_cap(monkeypatch):
+    cap = LITERAL_EXPONENT_CAP
+    # short orbits on both sides of the cap (orders 4 and 2 modulo 2^n),
+    # with weights for which some sums vanish and others do not
+    cases = [(g, w, n) for n in (cap, cap + 1) for g in (1 + (1 << (n - 2)), -1 + (1 << (n - 1)))
+             for w in (1, -3, 1 << (n - 2), 3 << (n - 1))]
+    expected = {case: unpaired_by_multiset(*case) for case in cases}
+    assert None in expected.values() and len(set(expected.values())) > 2
+    calls = []
+    real = exp_sum.residue_orbit
+    monkeypatch.setattr(
+        exp_sum, "residue_orbit", lambda g, w, n: calls.append(n) or real(g, w, n)
+    )
+    for case in cases:
+        assert exp_sum._unpaired(*case) == expected[case], case
+    # the table decides at the cap; the multiset route only above it
+    assert calls == [cap + 1] * (len(cases) // 2)
+
+
+def test_literal_orbit_is_capped(monkeypatch):
+    with pytest.raises(DomainError, match="LITERAL_EXPONENT_CAP"):
+        residue_orbit(3, 1, LITERAL_EXPONENT_CAP + 1)
+    with pytest.raises(DomainError, match="LITERAL_EXPONENT_CAP"):
+        check_orbit_vanishing(3, 1, 64)
+    # at the bound the orbit is literal and too long; below it nothing is built
+    with pytest.raises(DomainError, match="LITERAL_EXPONENT_CAP"):
+        check_orbit_vanishing(3, 1 << 60, 64)
+    assert check_orbit_vanishing(3, 1 << 61, 64) is Verdict.HYPOTHESIS_NOT_MET
+    # the longest orbit modulo 2^cap is built, one twice as long is refused
+    monkeypatch.setattr(exp_sum, "LITERAL_EXPONENT_CAP", 10)
+    assert residue_orbit(3, 1, 10).total == 1 << 8
+    with pytest.raises(DomainError, match="LITERAL_EXPONENT_CAP = 10"):
+        residue_orbit(3, 1, 11)
 
 
 def test_min_vanishing_n_examples():
