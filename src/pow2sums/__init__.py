@@ -30,6 +30,7 @@ from .exp_sum import (
     LITERAL_EXPONENT_CAP,
     FloatPrecisionError,
     MinVanishing,
+    OrbitCertificate,
     ResidueMultiset,
     ZeroCertificate,
     check_antipodal_shift,
@@ -37,6 +38,7 @@ from .exp_sum import (
     float_sum,
     is_exact_zero,
     min_vanishing_n,
+    orbit_certificate,
     residue_orbit,
     vanishing_bound,
 )
@@ -92,6 +94,7 @@ __all__ = [
     "ResidueMultiset",
     "ZeroCertificate",
     "MinVanishing",
+    "OrbitCertificate",
     "Claim",
     "SweepSpec",
     "SweepException",
@@ -115,6 +118,7 @@ __all__ = [
     "residue_orbit",
     "is_exact_zero",
     "float_sum",
+    "orbit_certificate",
     "vanishing_bound",
     "check_orbit_vanishing",
     "check_antipodal_shift",

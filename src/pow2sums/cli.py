@@ -11,6 +11,7 @@ error, or an output pipe closed by its reader.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -19,14 +20,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .core_arith import DomainError, odd_part, threshold_exponent
-from .exp_sum import (
-    FLOAT_EXPONENT_CAP,
-    float_sum,
-    is_exact_zero,
-    min_vanishing_n,
-    residue_orbit,
-    vanishing_bound,
-)
+from .exp_sum import min_vanishing_n, orbit_certificate, vanishing_bound
 from .half_order import half_order_residue
 from .order_engine import ScanBudgetExceeded, order_fast, order_naive, order_table
 from .sweep import CLAIMS, SweepSpec, UsageError, canonical_json, format_report, run_sweep
@@ -108,12 +102,11 @@ def _emit(record: dict, fmt: str) -> None:
         print(canonical_json(record))
     elif fmt == "csv":
         keys = sorted(record)
-        cells = []
-        for k in keys:
-            v = record[k]
-            cells.append(json.dumps(v) if isinstance(v, (list, dict)) else str(v))
-        print(",".join(keys))
-        print(",".join(cells))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
+        # a list cell is quoted, so a csv reader gets one cell per key
+        cells = [record[k] for k in keys]
+        writer.writerow([json.dumps(v) if isinstance(v, (list, dict)) else str(v) for v in cells])
     else:
         width = max(len(k) for k in record)
         for k in sorted(record):
@@ -153,22 +146,17 @@ def _cmd_half_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_expsum(args: argparse.Namespace) -> int:
-    orbit = residue_orbit(args.g, args.w, args.n)
-    cert = is_exact_zero(orbit)
-    value = None
-    if args.n <= FLOAT_EXPONENT_CAP:
-        z = float_sum(orbit)
-        value = [z.real, z.imag]
+    terms, cert, value = orbit_certificate(args.g, args.w, args.n)
     _emit(
         {
             "g": args.g,
             "w": args.w,
             "n": args.n,
-            "terms": orbit.total,
+            "terms": terms,
             "is_zero": cert.is_zero,
-            "pairing": None if cert.pairing is None else [list(p) for p in cert.pairing],
+            "pairing": None if cert.pairing is None else list(map(list, cert.pairing)),
             "violating_residue": cert.violating_residue,
-            "float_sum": value,
+            "float_sum": None if value is None else [value.real, value.imag],
         },
         args.format,
     )

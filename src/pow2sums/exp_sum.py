@@ -13,14 +13,16 @@ residue r < 2^(n-1) carries the same multiplicity as its antipode
 r + 2^(n-1) -- a complete criterion, checkable in one pass, and the
 resulting pairing (or the first violating residue) is the certificate.
 
-Two exact routes apply that criterion.  The theorem6 checker decides it
-from a dense table of 2^n counters up to LITERAL_EXPONENT_CAP, comparing the
-lower half with the upper half in one list comparison.  Above the cap it
-falls back on the multiset route: residue_orbit builds the multiset and
-is_exact_zero pairs it.  That route is also the tests' reference and the
-certificate behind the expsum command.  The literal orbit is bounded:
-residue_orbit refuses an orbit longer than the table route takes at the
-cap, 2^(LITERAL_EXPONENT_CAP - 2) terms, with a DomainError.
+Two exact routes apply that criterion.  Up to LITERAL_EXPONENT_CAP the
+orbit is counted into a dense table of 2^n counters and the lower half is
+compared with the upper half in one list comparison; the theorem6 checker,
+min_vanishing_n and orbit_certificate (the expsum command) all decide
+there, and the certificate's pairing is read from the lower half in
+ascending order.  Above the cap they fall back on the multiset route:
+residue_orbit builds the multiset and is_exact_zero pairs it.  That route
+is also the tests' reference.  The literal orbit is bounded: residue_orbit
+refuses an orbit longer than the table route takes at the cap,
+2^(LITERAL_EXPONENT_CAP - 2) terms, with a DomainError.
 
 A floating evaluation is provided as a diagnostic cross-check only; the
 exact routes are authoritative wherever the orbit is within that bound.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from .core_arith import (
@@ -103,6 +106,15 @@ class ZeroCertificate:
     violating_residue: Optional[int] = None
 
 
+def _require_orbit(g: int, w: int, n: int) -> None:
+    _require_odd(g)
+    if g in (-1, 1):
+        raise DomainError(f"orbit base must be an odd integer outside {{-1, 1}}, got {g}")
+    if w == 0:
+        raise DomainError("orbit weight w must be nonzero")
+    _require_exponent(n)
+
+
 def residue_orbit(g: int, w: int, n: int) -> ResidueMultiset:
     """The multiset {w * g^k mod 2^n : k = 1..omega_g(2^n)}.
 
@@ -111,12 +123,7 @@ def residue_orbit(g: int, w: int, n: int) -> ResidueMultiset:
     w, and omega <= 2^(LITERAL_EXPONENT_CAP - 2); a longer orbit raises
     DomainError before any term is built.
     """
-    _require_odd(g)
-    if g in (-1, 1):
-        raise DomainError(f"orbit base must be an odd integer outside {{-1, 1}}, got {g}")
-    if w == 0:
-        raise DomainError("orbit weight w must be nonzero")
-    _require_exponent(n)
+    _require_orbit(g, w, n)
     m = 1 << n
     omega = order_fast(g, n).omega
     if omega > 1 << (LITERAL_EXPONENT_CAP - 2):
@@ -169,6 +176,49 @@ def float_sum(multiset: ResidueMultiset) -> complex:
     return sum(
         c * cmath.exp(2j * math.pi * r / m) for r, c in multiset.counts.items()
     )
+
+
+class OrbitCertificate(NamedTuple):
+    """Everything the expsum command reports about S(g, w, n): the number of
+    terms, the exact certificate, and the floating cross-check (None above
+    FLOAT_EXPONENT_CAP)."""
+
+    terms: int
+    certificate: ZeroCertificate
+    value: Optional[complex]
+
+
+def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
+    """The orbit sum S(g, w, n) with its exact certificate.
+
+    Same domain, errors and certificate as is_exact_zero(residue_orbit(g,
+    w, n)).  Up to LITERAL_EXPONENT_CAP the orbit is counted into a table
+    of 2^n counters, so the pairing comes out of the lower half in
+    ascending order with no dict and no sort, and the floating value is
+    summed over the occupied residues in ascending order (only its last
+    digits can differ from float_sum's).  Above the cap the multiset route
+    answers, within residue_orbit's bound.
+    """
+    if n > LITERAL_EXPONENT_CAP:
+        orbit = residue_orbit(g, w, n)
+        value = float_sum(orbit) if n <= FLOAT_EXPONENT_CAP else None
+        return OrbitCertificate(orbit.total, is_exact_zero(orbit), value)
+    _require_orbit(g, w, n)
+    table, omega = _orbit_table(g, w, n)
+    m = len(table)
+    half = m >> 1
+    # the occupied residues in ascending order, and their counts
+    residues = list(compress(range(m), table))
+    counts = list(filter(None, table))
+    if table[:half] == table[half:]:
+        # a vanishing sum pairs each occupied residue below half with one
+        # above it, so the lower half holds exactly half of them
+        k = len(residues) >> 1
+        cert = ZeroCertificate(is_zero=True, pairing=tuple(zip(residues[:k], counts[:k])))
+    else:
+        cert = ZeroCertificate(is_zero=False, violating_residue=_first_unpaired(table, g, w)[0])
+    value = sum(c * cmath.exp(2j * math.pi * r / m) for r, c in zip(residues, counts))
+    return OrbitCertificate(omega, cert, value)
 
 
 def vanishing_bound(g: int, w: int) -> int:
@@ -233,11 +283,10 @@ def _unpaired(g: int, w: int, n: int) -> Optional[tuple[int, int, int]]:
     for the first residue r, in construction order, whose antipode carries
     a different multiplicity.  The caller has validated g, w and n.
 
-    Up to LITERAL_EXPONENT_CAP the orbit is counted into a table of 2^n
-    counters and its halves are compared in one list comparison; only a
-    sum that does not vanish walks the orbit again, to name the offender
-    that is_exact_zero would name.  Above the cap the multiset route
-    decides, within residue_orbit's bound.
+    Up to LITERAL_EXPONENT_CAP the halves of the orbit's table are compared
+    in one list comparison; only a sum that does not vanish walks the orbit
+    again, to name the offender that is_exact_zero would name.  Above the
+    cap the multiset route decides, within residue_orbit's bound.
     """
     half = 1 << (n - 1)
     if n > LITERAL_EXPONENT_CAP:
@@ -246,19 +295,37 @@ def _unpaired(g: int, w: int, n: int) -> Optional[tuple[int, int, int]]:
         if r is None:
             return None
         return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ half, 0)
-    mask = (1 << n) - 1
-    s = g & mask
-    start = w & mask
-    table = [0] * (mask + 1)
-    cur = start
-    for _ in range(_order_column(g, n, n)[0][0]):
-        cur = cur * s & mask
-        table[cur] += 1
+    table = _orbit_table(g, w, n)[0]
     if table[:half] == table[half:]:
         return None
-    # of two residues with different counts one is occupied, and the walk
-    # meets every occupied residue, so this loop returns within omega steps
-    cur = start
+    return _first_unpaired(table, g, w)
+
+
+def _orbit_table(g: int, w: int, n: int) -> tuple[list[int], int]:
+    """The orbit w * g^k mod 2^n, k = 1..omega, counted into a list of 2^n
+    counters, and omega.  The caller has validated g, w and n."""
+    mask = (1 << n) - 1
+    s = g & mask
+    cur = w & mask
+    table = [0] * (mask + 1)
+    omega = _order_column(g, n, n)[0][0]
+    for _ in range(omega):
+        cur = cur * s & mask
+        table[cur] += 1
+    return table, omega
+
+
+def _first_unpaired(table: list[int], g: int, w: int) -> tuple[int, int, int]:
+    """(r, count(r), count(r ^ half)) for the first residue r, in construction
+    order, whose antipode in the orbit's table has a different count.
+
+    Of two residues with different counts one is occupied, and the walk
+    meets every occupied residue, so this loop returns within omega steps.
+    """
+    mask = len(table) - 1
+    half = len(table) >> 1
+    s = g & mask
+    cur = w & mask
     while True:
         cur = cur * s & mask
         if table[cur] != table[cur ^ half]:
@@ -276,16 +343,17 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
     """Least n <= n_max with an exact-zero certificate, or None.
 
     Vanishing is not monotone in n (g=3, w=1 vanishes at n=2, fails at
-    n=3, then vanishes from n=4 on), so every exponent is probed with a
-    freshly built orbit.  slack = vanishing_bound(g, w) - n measures how
-    far below the guaranteed bound the first zero appears; the bound's
-    sharpness is an empirical observation only, nothing is asserted
-    about minimality.
+    n=3, then vanishes from n=4 on), so every exponent is probed with the
+    decider the theorem6 checker uses: the orbit's table up to
+    LITERAL_EXPONENT_CAP, the multiset route within residue_orbit's bound
+    above it.  slack = vanishing_bound(g, w) - n measures how far below
+    the guaranteed bound the first zero appears; the bound's sharpness is
+    an empirical observation only, nothing is asserted about minimality.
     """
     _require_exponent(n_max)
     bound = vanishing_bound(g, w)
     for n in range(1, n_max + 1):
-        if is_exact_zero(residue_orbit(g, w, n)).is_zero:
+        if _unpaired(g, w, n) is None:
             return MinVanishing(n=n, slack=bound - n)
     return None
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
@@ -110,6 +111,8 @@ def test_min_vanishing_command_absent(capsys):
 
 ORDER = ["order", "--g", "3", "--n", "5"]
 HALF_ORDER = ["half-order", "--g", "7", "--n", "4"]
+# two terms, i and -i, so the float sum is the same in any summation order
+EXPSUM = ["expsum", "--g", "3", "--w", "1", "--n", "2"]
 
 
 def test_table_format(capsys):
@@ -126,6 +129,17 @@ def test_table_format(capsys):
             "n                 4\n"
             "residue           7\n",
         ),
+        (
+            EXPSUM,
+            "float_sum          [-1.224646799147353e-16, 0.0]\n"
+            "g                  3\n"
+            "is_zero            True\n"
+            "n                  2\n"
+            "pairing            [[1, 1]]\n"
+            "terms              2\n"
+            "violating_residue  None\n"
+            "w                  1\n",
+        ),
     ]:
         assert main([*argv, "--format", "table"]) == 0
         assert capsys.readouterr().out == expected, argv
@@ -141,9 +155,33 @@ def test_csv_format_single_query(capsys):
             "g,half_exponent,involution,matches_expected,n,residue\n"
             "7,1,HALF_MINUS_ONE,False,4,7\n",
         ),
+        (
+            EXPSUM,
+            "float_sum,g,is_zero,n,pairing,terms,violating_residue,w\n"
+            '"[-1.224646799147353e-16, 0.0]",3,True,2,"[[1, 1]]",2,None,1\n',
+        ),
     ]:
         assert main([*argv, "--format", "csv"]) == 0
         assert capsys.readouterr().out == expected, argv
+
+
+@pytest.mark.parametrize(
+    "argv, list_keys",
+    [
+        (["order-table", "--g", "7", "--n-max", "5"], {"omegas"}),
+        (["expsum", "--g", "3", "--w", "1", "--n", "5"], {"float_sum", "pairing"}),
+        (["expsum", "--g", "3", "--w", "6", "--n", "4"], {"float_sum"}),
+    ],
+    ids=["order-table", "expsum-zero", "expsum-nonzero"],
+)
+def test_csv_single_query_keeps_list_cells_whole(capsys, argv, list_keys):
+    assert main([*argv, "--format", "csv"]) == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert len(row) == len(header)
+    record = dict(zip(header, row))
+    expected = run_json(capsys, *argv)
+    for key in list_keys:
+        assert json.loads(record[key]) == expected[key], key
 
 
 def test_domain_error_exits_2(capsys):

@@ -17,6 +17,7 @@ from pow2sums import (
     is_exact_zero,
     min_vanishing_n,
     odd_part,
+    orbit_certificate,
     order_fast,
     residue_orbit,
     vanishing_bound,
@@ -193,18 +194,37 @@ def test_orbit_vanishing_small_grid_never_fails():
                 assert check_orbit_vanishing(g, w, n) is Verdict.HOLDS, (g, w, n)
 
 
+def by_multiset(g: int, w: int, n: int):
+    """The multiset route's answers for S(g, w, n): the orbit, its
+    certificate, and the offender exp_sum._unpaired must name."""
+    orbit = residue_orbit(g, w, n)
+    cert = is_exact_zero(orbit)
+    r = cert.violating_residue
+    if r is None:
+        return orbit, cert, None
+    return orbit, cert, (r, orbit.counts.get(r, 0), orbit.counts.get(r ^ (1 << (n - 1)), 0))
+
+
 def unpaired_by_multiset(g: int, w: int, n: int):
     """Reference for exp_sum._unpaired: the offender is_exact_zero names."""
-    orbit = residue_orbit(g, w, n)
-    r = is_exact_zero(orbit).violating_residue
-    if r is None:
-        return None
-    return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ (1 << (n - 1)), 0)
+    return by_multiset(g, w, n)[2]
+
+
+def assert_certificate_matches(g: int, w: int, n: int, orbit, cert, floats: bool = True) -> None:
+    """orbit_certificate gives the multiset route's terms and certificate,
+    and (if floats) its float within 1e-9 per term of float_sum, which sums
+    in another order."""
+    got = orbit_certificate(g, w, n)
+    assert got.terms == orbit.total, (g, w, n)
+    assert got.certificate == cert, (g, w, n)
+    if floats:
+        assert abs(got.value - float_sum(orbit)) <= 1e-9 * orbit.total, (g, w, n)
 
 
 def test_dense_decider_agrees_with_the_multiset_route():
     # odd |g| < 64 plus bases that are +-1 modulo 2^9 or 2^10, so a short
-    # orbit at small n grows at the top of the grid
+    # orbit at small n grows at the top of the grid; even weights give
+    # multiplicities above 1, and 2^12 and 5 * 2^20 vanish modulo every 2^n
     bases = [g for g in range(-63, 64, 2) if g not in (-1, 1)]
     bases += [s * (k + e) for k in (1 << 9, 1 << 10) for e in (-1, 1) for s in (-1, 1)]
     weights = [w for w in range(-40, 41) if w != 0] + [1 << 12, -(3 << 9), 5 << 20]
@@ -212,8 +232,10 @@ def test_dense_decider_agrees_with_the_multiset_route():
     for g in bases:
         for w in weights:
             for n in range(1, 13):
-                expected = unpaired_by_multiset(g, w, n)
+                orbit, cert, expected = by_multiset(g, w, n)
                 assert exp_sum._unpaired(g, w, n) == expected, (g, w, n)
+                # a complex exp per term: floats are compared up to 2^10
+                assert_certificate_matches(g, w, n, orbit, cert, floats=n <= 10)
                 failures += expected is not None
     assert failures > 0
 
@@ -224,7 +246,8 @@ def test_dense_decider_switches_route_above_the_cap(monkeypatch):
     # with weights for which some sums vanish and others do not
     cases = [(g, w, n) for n in (cap, cap + 1) for g in (1 + (1 << (n - 2)), -1 + (1 << (n - 1)))
              for w in (1, -3, 1 << (n - 2), 3 << (n - 1))]
-    expected = {case: unpaired_by_multiset(*case) for case in cases}
+    reference = {case: by_multiset(*case) for case in cases}
+    expected = {case: ref[2] for case, ref in reference.items()}
     assert None in expected.values() and len(set(expected.values())) > 2
     calls = []
     real = exp_sum.residue_orbit
@@ -233,8 +256,9 @@ def test_dense_decider_switches_route_above_the_cap(monkeypatch):
     )
     for case in cases:
         assert exp_sum._unpaired(*case) == expected[case], case
+        assert_certificate_matches(*case, *reference[case][:2])
     # the table decides at the cap; the multiset route only above it
-    assert calls == [cap + 1] * (len(cases) // 2)
+    assert calls == [cap + 1] * len(cases)
 
 
 def test_literal_orbit_is_capped(monkeypatch):
@@ -265,6 +289,36 @@ def test_min_vanishing_n_examples():
     assert found.n <= vanishing_bound(7, 1) == 5
 
     assert min_vanishing_n(3, 16, 3) is None
+
+
+def test_min_vanishing_n_decides_from_the_table_below_the_cap(monkeypatch):
+    def by_multiset(g, w, n_max):
+        for n in range(1, n_max + 1):
+            if is_exact_zero(residue_orbit(g, w, n)).is_zero:
+                return MinVanishing(n=n, slack=vanishing_bound(g, w) - n)
+        return None
+
+    # g = 2^52 + 1 is 1 modulo 2^n up to n = 52, so its sum first vanishes
+    # at n = 53, far above the cap, on a two-term orbit
+    short = (1 << 52) + 1
+    cases = [(g, w, 12) for g in range(-31, 32, 2) if g not in (-1, 1)
+             for w in (-8, -3, -1, 1, 2, 5, 6, 8, 1 << 12)]
+    cases.append((short, 1, 60))
+    expected = {case: by_multiset(*case) for case in cases}
+    assert expected[(short, 1, 60)] == MinVanishing(n=53, slack=1)
+    assert None in expected.values()
+    calls = []
+    real = exp_sum.residue_orbit
+
+    def orbit_above_the_cap(g, w, n):
+        assert n > LITERAL_EXPONENT_CAP, (g, w, n)
+        calls.append(n)
+        return real(g, w, n)
+
+    monkeypatch.setattr(exp_sum, "residue_orbit", orbit_above_the_cap)
+    for case in cases:
+        assert min_vanishing_n(*case) == expected[case], case
+    assert calls == list(range(LITERAL_EXPONENT_CAP + 1, 54))
 
 
 def test_min_vanishing_n_slack_accounting():
