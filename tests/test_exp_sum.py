@@ -205,11 +205,6 @@ def by_multiset(g: int, w: int, n: int):
     return orbit, cert, (r, orbit.counts.get(r, 0), orbit.counts.get(r ^ (1 << (n - 1)), 0))
 
 
-def unpaired_by_multiset(g: int, w: int, n: int):
-    """Reference for exp_sum._unpaired: the offender is_exact_zero names."""
-    return by_multiset(g, w, n)[2]
-
-
 def assert_certificate_matches(g: int, w: int, n: int, orbit, cert, floats: bool = True) -> None:
     """orbit_certificate gives the multiset route's terms and certificate,
     and (if floats) its float within 1e-9 per term of float_sum, which sums
@@ -224,7 +219,7 @@ def assert_certificate_matches(g: int, w: int, n: int, orbit, cert, floats: bool
 def test_dense_decider_agrees_with_the_multiset_route():
     # odd |g| < 64 plus bases that are +-1 modulo 2^9 or 2^10, so a short
     # orbit at small n grows at the top of the grid; even weights give
-    # multiplicities above 1, and 2^12 and 5 * 2^20 vanish modulo every 2^n
+    # multiplicities above 1, and 2^12 and 5 * 2^20 are 0 modulo every 2^n
     bases = [g for g in range(-63, 64, 2) if g not in (-1, 1)]
     bases += [s * (k + e) for k in (1 << 9, 1 << 10) for e in (-1, 1) for s in (-1, 1)]
     weights = [w for w in range(-40, 41) if w != 0] + [1 << 12, -(3 << 9), 5 << 20]
@@ -292,7 +287,7 @@ def test_min_vanishing_n_examples():
 
 
 def test_min_vanishing_n_decides_from_the_table_below_the_cap(monkeypatch):
-    def by_multiset(g, w, n_max):
+    def first_zero_by_multiset(g, w, n_max):
         for n in range(1, n_max + 1):
             if is_exact_zero(residue_orbit(g, w, n)).is_zero:
                 return MinVanishing(n=n, slack=vanishing_bound(g, w) - n)
@@ -304,7 +299,7 @@ def test_min_vanishing_n_decides_from_the_table_below_the_cap(monkeypatch):
     cases = [(g, w, 12) for g in range(-31, 32, 2) if g not in (-1, 1)
              for w in (-8, -3, -1, 1, 2, 5, 6, 8, 1 << 12)]
     cases.append((short, 1, 60))
-    expected = {case: by_multiset(*case) for case in cases}
+    expected = {case: first_zero_by_multiset(*case) for case in cases}
     assert expected[(short, 1, 60)] == MinVanishing(n=53, slack=1)
     assert None in expected.values()
     calls = []
