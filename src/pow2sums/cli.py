@@ -183,7 +183,8 @@ def _cmd_min_vanishing(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})
     report = run_sweep(spec)
-    print(format_report(report, args.format))
+    # csv text already ends its last row
+    print(format_report(report, args.format), end="" if args.format == "csv" else "\n")
     if report.tallies["counterexample"] > 0:
         return 1
     if args.strict_paper and report.tallies["paper_exception"] > 0:

@@ -24,6 +24,11 @@ is also the tests' reference.  The literal orbit is bounded: residue_orbit
 refuses an orbit longer than the table route takes at the cap,
 2^(LITERAL_EXPONENT_CAP - 2) terms, with a DomainError.
 
+The theorem6 checker takes one (g, w) at every n of a run: one bound, the
+n below it unread, and every order from the bound on read from one
+squaring chain.  check_antipodal_shift decides by a single congruence
+read from that chain.
+
 A floating evaluation is provided as a diagnostic cross-check only; the
 exact routes are authoritative wherever the orbit is within that bound.
 """
@@ -39,7 +44,6 @@ from .core_arith import (
     DomainError,
     _require_exponent,
     _require_odd,
-    canonical_residue,
     threshold_exponent,
     two_adic_valuation,
 )
@@ -54,9 +58,6 @@ FLOAT_EXPONENT_CAP = 52
 # on the literal orbit: at most 2^(LITERAL_EXPONENT_CAP - 2) terms, the
 # longest orbit modulo 2^LITERAL_EXPONENT_CAP.
 LITERAL_EXPONENT_CAP = 22
-
-# How many orbit indices check_antipodal_shift also verifies literally.
-_SPOT_CHECKS = 256
 
 
 class FloatPrecisionError(ValueError):
@@ -204,7 +205,8 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
         value = float_sum(orbit) if n <= FLOAT_EXPONENT_CAP else None
         return OrbitCertificate(orbit.total, is_exact_zero(orbit), value)
     _require_orbit(g, w, n)
-    table, omega = _orbit_table(g, w, n)
+    omega = _order_column(g, n, n)[0][0]
+    table = _orbit_table(g, w, n, omega)
     m = len(table)
     half = m >> 1
     # the occupied residues in ascending order, and their counts
@@ -239,49 +241,52 @@ def check_orbit_vanishing(g: int, w: int, n: int) -> Verdict:
     there).  At or above it, the collapse of the orbit to the odd part of
     w requires g != +-1 modulo 2^(n - d(w)); that guard is implied by the
     bound, and a failure of it would invalidate the whole argument, so it
-    is reported as a counterexample too.
+    is reported as a counterexample too.  This is the column of one n.
     Sweep claim id: theorem6.
     """
-    return _orbit_vanishing(g, w, n)[0]
+    return _orbit_vanishing(g, w, range(n, n + 1))[0][0]
 
 
-def _collapsed_exponent(g: int, w: int, n: int) -> Optional[int]:
-    """m = n - d(w), the exponent the orbit collapses to, when n is at or
-    above vanishing_bound(g, w); None below the bound."""
+def _orbit_vanishing(g: int, w: int, ns: range) -> list[Outcome]:
+    """theorem6 at each n of a run.  The n below the bound are not met and
+    read nothing; every order from the bound on is read from one column.
+
+    A failed collapse guard is reported as such while the sum still
+    vanishes, and otherwise by the residue that shows it does not.
+    """
     bound = vanishing_bound(g, w)
-    _require_exponent(n)
-    if n < bound:
-        return None
-    return n - two_adic_valuation(w)
+    top = ns[-1]
+    _require_exponent(top)
+    lo = max(bound, ns[0])
+    outcomes: list[Outcome] = [(Verdict.HYPOTHESIS_NOT_MET, None)] * (min(lo, top + 1) - ns[0])
+    if lo > top:
+        return outcomes
+    d = two_adic_valuation(w)
+    for n, (omega, _) in zip(range(lo, top + 1), _order_column(g, lo, top)):
+        low = (1 << (n - d)) - 1
+        guard_holds = g & low not in (1, low)
+        unpaired = _unpaired(g, w, n, omega)
+        if unpaired is None and guard_holds:
+            outcomes.append((Verdict.HOLDS, None))
+        elif unpaired is None:
+            outcomes.append((Verdict.COUNTEREXAMPLE, (
+                "exact zero (collapse guard failed)",
+                "base not +-1 modulo the collapsed modulus",
+            )))
+        else:
+            r, count, antipode_count = unpaired
+            outcomes.append((Verdict.COUNTEREXAMPLE, (
+                f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode_count}",
+                "equal multiplicities on every antipodal residue pair",
+            )))
+    return outcomes
 
 
-def _orbit_vanishing(g: int, w: int, n: int) -> Outcome:
-    """A failed collapse guard is reported as such while the sum still
-    vanishes, and otherwise by the residue that shows it does not."""
-    m = _collapsed_exponent(g, w, n)
-    if m is None:
-        return Verdict.HYPOTHESIS_NOT_MET, None
-    gm = canonical_residue(g, m)
-    guard_holds = gm != 1 and gm != (1 << m) - 1
-    unpaired = _unpaired(g, w, n)
-    if unpaired is None and guard_holds:
-        return Verdict.HOLDS, None
-    if unpaired is None:
-        return Verdict.COUNTEREXAMPLE, (
-            "exact zero (collapse guard failed)",
-            "base not +-1 modulo the collapsed modulus",
-        )
-    r, count, antipode_count = unpaired
-    return Verdict.COUNTEREXAMPLE, (
-        f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode_count}",
-        "equal multiplicities on every antipodal residue pair",
-    )
-
-
-def _unpaired(g: int, w: int, n: int) -> Optional[tuple[int, int, int]]:
+def _unpaired(g: int, w: int, n: int, omega: int) -> Optional[tuple[int, int, int]]:
     """None when S(g, w, n) = 0; otherwise (r, count(r), count(r ^ 2^(n-1)))
     for the first residue r, in construction order, whose antipode carries
-    a different multiplicity.  The caller has validated g, w and n.
+    a different multiplicity.  The caller has validated g, w and n, and
+    omega is the order of g modulo 2^n.
 
     Up to LITERAL_EXPONENT_CAP the halves of the orbit's table are compared
     in one list comparison; only a sum that does not vanish walks the orbit
@@ -295,24 +300,24 @@ def _unpaired(g: int, w: int, n: int) -> Optional[tuple[int, int, int]]:
         if r is None:
             return None
         return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ half, 0)
-    table = _orbit_table(g, w, n)[0]
+    table = _orbit_table(g, w, n, omega)
     if table[:half] == table[half:]:
         return None
     return _first_unpaired(table, g, w)
 
 
-def _orbit_table(g: int, w: int, n: int) -> tuple[list[int], int]:
+def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:
     """The orbit w * g^k mod 2^n, k = 1..omega, counted into a list of 2^n
-    counters, and omega.  The caller has validated g, w and n."""
+    counters.  The caller has validated g, w and n, and omega is the order
+    of g modulo 2^n."""
     mask = (1 << n) - 1
     s = g & mask
     cur = w & mask
     table = [0] * (mask + 1)
-    omega = _order_column(g, n, n)[0][0]
     for _ in range(omega):
         cur = cur * s & mask
         table[cur] += 1
-    return table, omega
+    return table
 
 
 def _first_unpaired(table: list[int], g: int, w: int) -> tuple[int, int, int]:
@@ -353,7 +358,7 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
     _require_exponent(n_max)
     bound = vanishing_bound(g, w)
     for n in range(1, n_max + 1):
-        if _unpaired(g, w, n) is None:
+        if _unpaired(g, w, n, _order_column(g, n, n)[0][0]) is None:
             return MinVanishing(n=n, slack=bound - n)
     return None
 
@@ -368,29 +373,15 @@ def check_antipodal_shift(g: int, w: int, n: int) -> Verdict:
     omega_g(2^n)/2 the identity is false for even w).
 
     Since w0 * g^k is an odd unit, the for-all-k statement is equivalent
-    to the single congruence g^lag = 2^(m-1) + 1 (mod 2^m), which is what
-    decides the verdict; the first min(lag, _SPOT_CHECKS) indices are also
-    verified literally.  Hypothesis: n >= vanishing_bound(g, w).
-
-    Both omega_g(2^m) and g^lag mod 2^m come from the squaring chain
-    modulo 2^m that the order routes share.  That residue is enough for
-    the spot checks too: w * x mod 2^n = 2^d * (w0 * x mod 2^m) depends
-    only on x mod 2^m.
+    to the single congruence g^lag = 2^(m-1) + 1 (mod 2^m), and that
+    congruence decides the verdict.  Hypothesis: n >= vanishing_bound(g, w).
+    g^lag mod 2^m is the half-order residue of the squaring chain modulo
+    2^m that the order routes share.
     """
-    m = _collapsed_exponent(g, w, n)
-    if m is None:
+    bound = vanishing_bound(g, w)
+    _require_exponent(n)
+    if n < bound:
         return Verdict.HYPOTHESIS_NOT_MET
-    omega, shift = _order_column(g, m, m)[0]
-    if shift != (1 << (m - 1)) + 1:
-        return Verdict.COUNTEREXAMPLE
-    mask = (1 << n) - 1
-    half = 1 << (n - 1)
-    s = g & mask
-    cur = w & mask
-    ahead = w * shift & mask
-    for _ in range(min(omega // 2, _SPOT_CHECKS)):
-        cur = cur * s & mask
-        ahead = ahead * s & mask
-        if ahead != (cur + half) & mask:
-            return Verdict.COUNTEREXAMPLE
-    return Verdict.HOLDS
+    m = n - two_adic_valuation(w)
+    shift = _order_column(g, m, m)[0][1]
+    return Verdict.HOLDS if shift == (1 << (m - 1)) + 1 else Verdict.COUNTEREXAMPLE

@@ -30,6 +30,8 @@ from .verdict import Outcome, Verdict
 
 # The scan is a cross-validation oracle, not a production path; beyond this
 # many multiplications it reports a resource error instead of grinding on.
+# order_naive reads this attribute at call time; the package-level
+# re-export is a copy.
 NAIVE_SCAN_CAP = 1 << 22
 
 
@@ -50,14 +52,16 @@ class OrderRecord:
     path: str
 
 
-def order_naive(g: int, n: int, cap: int = NAIVE_SCAN_CAP) -> OrderRecord:
-    """Least k >= 1 with g^k = 1 (mod 2^n), by incremental multiplication."""
+def order_naive(g: int, n: int) -> OrderRecord:
+    """Least k >= 1 with g^k = 1 (mod 2^n), by incremental multiplication,
+    within NAIVE_SCAN_CAP multiplications."""
     _require_odd(g)
     _require_exponent(n)
     mask = (1 << n) - 1
     s = g & mask
     x = s
     k = 1
+    cap = NAIVE_SCAN_CAP
     while x != 1:
         k += 1
         if k > cap:

@@ -6,9 +6,11 @@ applies the claim's hypothesis filter and runs the library's checker once
 per tuple, returning each verdict with the report's (observed, expected)
 strings, built from the values that decided it.  A per-modulus claim
 walks one squaring chain per g and reads every n's order and half-order
-residue from it.  The ids, verdict tallies and the JSON report schema are
-the machine interface; the registry is mutable so a harness (or the test
-suite) can inject extra claims.
+residue from it; the orbit-sum claim reads its vanishing bound once per
+(g, w) column and walks one chain from the bound on.  The ids, verdict
+tallies and the JSON report schema are the machine interface; the
+registry is mutable so a harness (or the test suite) can inject extra
+claims.
 
 Every claim walks its domain in one loop: g, then w, then n.  Per-modulus
 claims take each odd g in the range at every n with g < 2^n, i.e. the
@@ -144,7 +146,7 @@ def _eval_orbit_vanishing(g: int, w: Optional[int], ns: range) -> list[Outcome]:
     assert w is not None
     if g in (-1, 1):
         return [(Verdict.HYPOTHESIS_NOT_MET, None)] * len(ns)
-    return [exp_sum._orbit_vanishing(g, w, n) for n in ns]
+    return exp_sum._orbit_vanishing(g, w, ns)
 
 
 CLAIMS: dict[str, Claim] = {

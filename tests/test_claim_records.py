@@ -12,8 +12,8 @@ from dataclasses import replace
 
 import pytest
 
-from pow2sums import SweepSpec, run_sweep
-from pow2sums import exp_sum, half_order, order_engine
+from pow2sums import DomainError, SweepSpec, Verdict, check_antipodal_shift, run_sweep
+from pow2sums import core_arith, exp_sum, half_order, order_engine
 
 
 def records(claim, g, n, w=None):
@@ -28,7 +28,7 @@ def records(claim, g, n, w=None):
 def test_order_oracle_records_both_orders(monkeypatch):
     real = order_engine.order_naive
     monkeypatch.setattr(
-        order_engine, "order_naive", lambda g, n, cap=0: replace(real(g, n), omega=3)
+        order_engine, "order_naive", lambda g, n: replace(real(g, n), omega=3)
     )
     assert records("order_oracle", 5, 4) == [
         (5, 4, None, "fast path omega=4", "naive scan omega=3")
@@ -86,7 +86,7 @@ def test_classification_records_paper_exception_and_both_counterexamples(monkeyp
 
 
 def test_orbit_vanishing_records_the_unpaired_residue(monkeypatch):
-    monkeypatch.setattr(exp_sum, "_unpaired", lambda g, w, n: (1, 2, 1))
+    monkeypatch.setattr(exp_sum, "_unpaired", lambda g, w, n, omega: (1, 2, 1))
     assert records("theorem6", 3, 4, w=1) == [
         (3, 4, 1, "count(1)=2 != count(9)=1", "equal multiplicities on every antipodal residue pair")
     ]
@@ -133,13 +133,69 @@ def test_per_modulus_sweep_walks_one_column_per_g(monkeypatch, claim):
     assert calls == expected
 
 
+def test_theorem6_sweep_walks_one_column_per_g_and_w(monkeypatch):
+    real = exp_sum._order_column
+    calls: Counter = Counter()
+
+    def counted(g, n_lo, n_hi):
+        calls[g, n_lo, n_hi] += 1
+        return real(g, n_lo, n_hi)
+
+    monkeypatch.setattr(exp_sum, "_order_column", counted)
+    run_sweep(SweepSpec("theorem6", -9, 9, 3, 6, -4, 4, jobs=1))
+    # one chain per (g, w) column that reaches its bound, from the bound on
+    expected: Counter = Counter()
+    straddling, below = [], []
+    for g in (-9, -7, -5, -3, 3, 5, 7, 9):
+        for w in (-4, -3, -2, -1, 1, 2, 3, 4):
+            bound = exp_sum.vanishing_bound(g, w)
+            if bound > 6:
+                below.append((g, w))
+                continue
+            expected[g, max(bound, 3), 6] += 1
+            if bound > 3:
+                straddling.append((g, w))
+    assert calls == expected
+    assert straddling and below
+    monkeypatch.undo()
+    for g, w in straddling + below:
+        ns = range(3, 7)
+        assert exp_sum._orbit_vanishing(g, w, ns) == [
+            exp_sum._orbit_vanishing(g, w, range(n, n + 1))[0] for n in ns
+        ], (g, w)
+
+
+def test_theorem6_guards_its_top_exponent_before_any_table(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("the exponent guard runs before any orbit is counted")
+
+    monkeypatch.setattr(exp_sum, "_orbit_table", unbuilt)
+    monkeypatch.setattr(exp_sum, "residue_orbit", unbuilt)
+    top = core_arith.MAX_EXPONENT + 1
+    with pytest.raises(DomainError, match="MAX_EXPONENT"):
+        run_sweep(SweepSpec("theorem6", 3, 3, 1, top, 1, 1))
+
+
+@pytest.mark.parametrize("g, w, n", [(3, 1, 4), (3, 2, 6), (-5, 12, 9), (9, -1, 7)])
+def test_antipodal_shift_is_decided_by_its_congruence(monkeypatch, g, w, n):
+    assert check_antipodal_shift(g, w, n) is Verdict.HOLDS
+    real = exp_sum._order_column
+    # a wrong half-order residue at the collapsed exponent m
+    monkeypatch.setattr(
+        exp_sum,
+        "_order_column",
+        lambda g, n_lo, n_hi: [(omega, residue ^ 2) for omega, residue in real(g, n_lo, n_hi)],
+    )
+    assert check_antipodal_shift(g, w, n) is Verdict.COUNTEREXAMPLE
+
+
 def test_orbit_sweep_builds_at_most_one_orbit_per_tuple(monkeypatch):
     real = exp_sum._unpaired
     calls: Counter = Counter()
 
-    def counted(g, w, n):
+    def counted(g, w, n, omega):
         calls[g, w, n] += 1
-        unpaired = real(g, w, n)
+        unpaired = real(g, w, n, omega)
         if (g, w, n) == (3, 1, 4):
             # one extra copy of the first residue breaks its pairing
             assert unpaired is None

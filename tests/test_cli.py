@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -182,6 +183,19 @@ def test_csv_single_query_keeps_list_cells_whole(capsys, argv, list_keys):
     expected = run_json(capsys, *argv)
     for key in list_keys:
         assert json.loads(record[key]) == expected[key], key
+
+
+def test_csv_sweep_parses_to_header_and_exception_rows(capsys):
+    argv = ["sweep", "--claim", "lemma4_theorem5", "--g-min", "1", "--g-max", "15",
+            "--n-min", "3", "--n-max", "6"]
+    assert main([*argv, "--format", "json"]) == 0
+    exceptions = json.loads(capsys.readouterr().out)["exceptions"]
+    assert exceptions
+    assert main([*argv, "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\r\n") and not out.endswith("\n\n")
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert len(rows) == 1 + len(exceptions)
 
 
 def test_domain_error_exits_2(capsys):

@@ -228,7 +228,7 @@ def test_dense_decider_agrees_with_the_multiset_route():
         for w in weights:
             for n in range(1, 13):
                 orbit, cert, expected = by_multiset(g, w, n)
-                assert exp_sum._unpaired(g, w, n) == expected, (g, w, n)
+                assert exp_sum._unpaired(g, w, n, order_fast(g, n).omega) == expected, (g, w, n)
                 # a complex exp per term: floats are compared up to 2^10
                 assert_certificate_matches(g, w, n, orbit, cert, floats=n <= 10)
                 failures += expected is not None
@@ -249,9 +249,10 @@ def test_dense_decider_switches_route_above_the_cap(monkeypatch):
     monkeypatch.setattr(
         exp_sum, "residue_orbit", lambda g, w, n: calls.append(n) or real(g, w, n)
     )
-    for case in cases:
-        assert exp_sum._unpaired(*case) == expected[case], case
-        assert_certificate_matches(*case, *reference[case][:2])
+    for g, w, n in cases:
+        omega = order_fast(g, n).omega
+        assert exp_sum._unpaired(g, w, n, omega) == expected[g, w, n], (g, w, n)
+        assert_certificate_matches(g, w, n, *reference[g, w, n][:2])
     # the table decides at the cap; the multiset route only above it
     assert calls == [cap + 1] * len(cases)
 

@@ -17,6 +17,7 @@ from pow2sums import (
     order_naive,
     order_table,
 )
+from pow2sums import order_engine
 from pow2sums.order_engine import _order_column
 
 
@@ -76,9 +77,10 @@ def test_order_rejects_even_base_and_bad_exponent():
         order_naive(3, 0)
 
 
-def test_naive_scan_cap():
+def test_naive_scan_cap(monkeypatch):
+    monkeypatch.setattr(order_engine, "NAIVE_SCAN_CAP", 16)
     with pytest.raises(ScanBudgetExceeded, match="g=3 mod 2\\^8"):
-        order_naive(3, 8, cap=16)
+        order_naive(3, 8)
 
 
 def test_fast_equals_naive_exhaustively_to_n10():
