@@ -145,8 +145,12 @@ def residue_orbit(g: int, w: int, n: int) -> ResidueMultiset:
 def is_exact_zero(multiset: ResidueMultiset) -> ZeroCertificate:
     """Decide S = 0 by antipodal multiplicity pairing; exact at every n.
 
-    Follows the multiset's own iteration order when hunting a violation,
-    so the reported residue is the first offender in construction order.
+    The sum vanishes exactly when the occupied residues below 2^(n-1)
+    whose antipode carries the same count are half of all occupied
+    residues: each is matched to a distinct upper residue, so then every
+    residue is matched.  That is read from the lower residues alone.  Only
+    a sum that does not vanish follows the multiset's own iteration order
+    to name a violation, the first offender in construction order.
     """
     if multiset.n == 0:
         # modulus 1: every term is the root 1, so only the empty sum vanishes
@@ -154,12 +158,14 @@ def is_exact_zero(multiset: ResidueMultiset) -> ZeroCertificate:
             return ZeroCertificate(is_zero=True, pairing=())
         return ZeroCertificate(is_zero=False, violating_residue=0)
     half = 1 << (multiset.n - 1)
-    counts = multiset.counts
-    for r, c in counts.items():
-        if c != counts.get(r ^ half, 0):
-            return ZeroCertificate(is_zero=False, violating_residue=r)
-    lower = sorted([r for r in counts if r < half])
-    return ZeroCertificate(is_zero=True, pairing=tuple([(r, counts[r]) for r in lower]))
+    get = multiset.counts.get
+    items = multiset.counts.items()
+    matched = [r for r, c in items if r < half and c == get(r | half)]
+    if 2 * len(matched) == len(items):
+        matched.sort()
+        return ZeroCertificate(is_zero=True, pairing=tuple(zip(matched, map(get, matched))))
+    r = next(r for r, c in items if c != get(r ^ half, 0))
+    return ZeroCertificate(is_zero=False, violating_residue=r)
 
 
 def float_sum(multiset: ResidueMultiset) -> complex:

@@ -5,10 +5,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from pow2sums import CLAIMS, Claim, Verdict, canonical_json
+from pow2sums import CLAIMS, MAX_EXPONENT, NAIVE_SCAN_CAP, Claim, Verdict
 from pow2sums.cli import main
 
 
@@ -17,8 +18,8 @@ def run_json(capsys, *argv: str) -> dict:
     out = capsys.readouterr().out
     assert code == 0, out
     parsed = json.loads(out)
-    # single-query outputs are canonical JSON and round-trip byte-identically
-    assert canonical_json(parsed) == out.strip()
+    # single-query outputs are canonical JSON: the bytes json.dumps gives
+    assert out == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
     return parsed
 
 
@@ -89,6 +90,12 @@ def test_expsum_command_beyond_float_cap(capsys):
     assert record["terms"] == 2
     assert record["is_zero"] is True
     assert record["float_sum"] is None
+
+
+def test_expsum_pairing_is_byte_identical_to_json_dumps(capsys):
+    # 2^13 rows of [residue, count]: the pairing takes the encoder's row template
+    record = run_json(capsys, "expsum", "--g", "3", "--w", "1", "--n", "16")
+    assert len(record["pairing"]) == 1 << 13
 
 
 def test_min_vanishing_command(capsys):
@@ -227,6 +234,63 @@ def test_orbit_commands_are_bounded_by_the_literal_cap(argv, code):
         assert "LITERAL_EXPONENT_CAP = 22" in proc.stderr
 
 
+_OVER = str(MAX_EXPONENT + 1)
+_SWEEP = ["sweep", "--claim", "lemma2", "--g-min", "3", "--g-max", "3"]
+_THEOREM6 = ["sweep", "--claim", "theorem6", "--g-min", "3", "--g-max", "3",
+             "--w-min", "1", "--w-max", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["order", "--g", "3", "--n", _OVER], id="order-n-over-max"),
+        pytest.param(["order", "--g", "3", "--n", "0"], id="order-n0"),
+        pytest.param(["order", "--g", "4", "--n", "5"], id="order-even-g"),
+        # the order of 3 is 2^(n-2), here twice the scan cap
+        pytest.param(["order", "--g", "3", "--n", str(NAIVE_SCAN_CAP.bit_length() + 2), "--naive"],
+                     id="order-naive-past-scan-cap"),
+        pytest.param(["order-table", "--g", "3", "--n-max", _OVER], id="order-table-n-over-max"),
+        pytest.param(["order-table", "--g", "3", "--n-max", "0"], id="order-table-n0"),
+        pytest.param(["order-table", "--g", "4", "--n-max", "5"], id="order-table-even-g"),
+        pytest.param(["valuation", "--w", "0"], id="valuation-w0"),
+        pytest.param(["c", "--g", "4"], id="c-even-g"),
+        pytest.param(["c", "--g", "1"], id="c-g1"),
+        pytest.param(["c", "--g", "-1"], id="c-g-1"),
+        pytest.param(["half-order", "--g", "3", "--n", _OVER], id="half-order-n-over-max"),
+        pytest.param(["half-order", "--g", "3", "--n", "0"], id="half-order-n0"),
+        pytest.param(["half-order", "--g", "3", "--n", "2"], id="half-order-n2"),
+        pytest.param(["half-order", "--g", "4", "--n", "5"], id="half-order-even-g"),
+        pytest.param(["half-order", "--g", "1", "--n", "5"], id="half-order-g1"),
+        pytest.param(["expsum", "--g", "3", "--w", "1", "--n", _OVER], id="expsum-n-over-max"),
+        pytest.param(["expsum", "--g", "3", "--w", "1", "--n", "0"], id="expsum-n0"),
+        pytest.param(["expsum", "--g", "4", "--w", "1", "--n", "5"], id="expsum-even-g"),
+        pytest.param(["expsum", "--g", "1", "--w", "1", "--n", "5"], id="expsum-g1"),
+        pytest.param(["expsum", "--g", "-1", "--w", "1", "--n", "5"], id="expsum-g-1"),
+        pytest.param(["expsum", "--g", "3", "--w", "0", "--n", "5"], id="expsum-w0"),
+        pytest.param(["min-vanishing-n", "--g", "3", "--w", "1", "--n-max", _OVER],
+                     id="min-vanishing-n-over-max"),
+        pytest.param(["min-vanishing-n", "--g", "3", "--w", "1", "--n-max", "0"], id="min-vanishing-n0"),
+        pytest.param(["min-vanishing-n", "--g", "4", "--w", "1", "--n-max", "5"], id="min-vanishing-even-g"),
+        pytest.param(["min-vanishing-n", "--g", "1", "--w", "1", "--n-max", "5"], id="min-vanishing-g1"),
+        pytest.param(["min-vanishing-n", "--g", "-1", "--w", "1", "--n-max", "5"], id="min-vanishing-g-1"),
+        pytest.param(["min-vanishing-n", "--g", "3", "--w", "0", "--n-max", "5"], id="min-vanishing-w0"),
+        pytest.param([*_SWEEP, "--n-min", "3", "--n-max", _OVER], id="sweep-n-over-max"),
+        pytest.param([*_THEOREM6, "--n-min", "3", "--n-max", _OVER], id="sweep-theorem6-n-over-max"),
+        pytest.param([*_SWEEP, "--n-min", "0", "--n-max", "4"], id="sweep-n0"),
+        pytest.param([*_SWEEP, "--n-min", "3", "--n-max", "4", "--jobs", "0"], id="sweep-jobs0"),
+    ],
+)
+def test_pathological_query_exits_2_promptly(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert elapsed < 10, f"{elapsed:.1f} s"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--claim", "bogus", "--g-min", "1", "--g-max", "3", "--n-min", "1", "--n-max", "2"])
@@ -252,7 +316,7 @@ def test_sweep_command_passing(capsys):
     assert code == 0
     parsed = json.loads(out)
     assert parsed["tallies"]["counterexample"] == 0
-    assert canonical_json(parsed) == out.strip()
+    assert out == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
 
 
 def test_sweep_lemma1_at_the_exponent_limit(capsys):

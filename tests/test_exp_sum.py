@@ -119,6 +119,49 @@ def test_is_exact_zero_agrees_with_cyclotomic_reduction(n, entries):
     assert is_exact_zero(multiset).is_zero == oracle_is_zero(multiset)
 
 
+def pairwise_walk(multiset: ResidueMultiset) -> tuple:
+    """Reference certificate: visit every residue in construction order and
+    stop at the first whose antipode carries a different count."""
+    half = 1 << (multiset.n - 1)
+    counts = multiset.counts
+    for r, c in counts.items():
+        if c != counts.get(r ^ half, 0):
+            return False, None, r
+    return True, tuple(sorted((r, c) for r, c in counts.items() if r < half)), None
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    lower=st.dictionaries(
+        st.integers(min_value=0, max_value=127), st.integers(min_value=1, max_value=4), max_size=12
+    ),
+    changes=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=255), st.integers(min_value=-2, max_value=2)),
+        max_size=2,
+    ),
+    rng=st.randoms(use_true_random=False),
+)
+def test_is_exact_zero_matches_the_pairwise_walk(n, lower, changes, rng):
+    # antipodally symmetric counts with at most two entries changed, in a
+    # shuffled construction order: sums that vanish and sums that nearly do
+    half = 1 << (n - 1)
+    counts: dict[int, int] = {}
+    for r, c in lower.items():
+        counts[r % half] = counts[r % half | half] = c
+    for r, delta in changes:
+        r %= 2 * half
+        c = counts.pop(r, 0) + delta
+        if c > 0:
+            counts[r] = c
+    items = list(counts.items())
+    rng.shuffle(items)
+    multiset = ResidueMultiset(n=n, counts=dict(items))
+    cert = is_exact_zero(multiset)
+    assert (cert.is_zero, cert.pairing, cert.violating_residue) == pairwise_walk(multiset)
+    assert cert.is_zero == oracle_is_zero(multiset)
+
+
 def test_zero_certificate_pairing_is_complete():
     orbit = residue_orbit(5, 3, 6)
     cert = is_exact_zero(orbit)

@@ -8,6 +8,8 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pow2sums import (
     CLAIMS,
@@ -229,7 +231,7 @@ def test_format_json_is_canonical_and_round_trips():
     report = run_sweep(spec(claim="lemma3", g_min=1, g_max=127, n_min=3, n_max=7))
     text = format_report(report, "json")
     parsed = json.loads(text)
-    assert canonical_json(parsed) == text
+    assert text == json.dumps(parsed, sort_keys=True, indent=2)
     assert parsed["claim"] == "lemma3"
     assert parsed["tallies"]["counterexample"] == 0
     assert set(parsed["tallies"]) == {
@@ -246,6 +248,72 @@ def test_format_json_is_canonical_and_round_trips():
         "w_min": None,
         "w_max": None,
     }
+
+
+def _reference_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+_huge_ints = st.integers(min_value=-(1 << 1000), max_value=1 << 1000)
+_leaves = (
+    st.none() | st.booleans() | st.integers() | _huge_ints | st.floats() | st.text()
+)
+# equal-length rows of ints take the encoder's row template
+_int_rows = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers() | _huge_ints, min_size=k, max_size=k)
+        | st.tuples(*[st.integers()] * k),
+        min_size=1,
+        max_size=8,
+    )
+)
+# ragged rows, and rows holding a bool or a float, must take the generic path
+_other_rows = st.lists(
+    st.lists(st.integers() | st.booleans() | st.floats(), max_size=4)
+    | st.tuples(st.integers(), st.booleans() | st.floats()),
+    max_size=6,
+)
+_trees = st.recursive(
+    _leaves | _int_rows | _other_rows,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(value=_trees)
+@example(value={"pairing": [[1, 1], [3, 1]], "float_sum": [0.0, -0.0], "is_zero": True})
+@example(value=[[1, True], [2, 3]])
+@example(value=[[1, 2.5], [3, 4]])
+@example(value=[[1, 2], (3, 4), [5, 6]])
+@example(value=[[1, 2], [3]])
+@example(value=[[], []])
+@example(value={"k\u00e9\n\"\\\ud83d\ude00": [[-(1 << 200), 0]], "": {}, "a": [(), []]})
+@example(value=[float("nan"), float("inf"), -float("inf"), 1e-310, -0.0])
+def test_canonical_json_is_the_bytes_of_json_dumps(value):
+    assert canonical_json(value) == _reference_json(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [set(), object(), [1, {2}], [[1, object()]], {"k": object()}],
+    ids=["set", "object", "set-in-list", "object-in-row", "object-in-dict"],
+)
+def test_canonical_json_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        _reference_json(value)
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
+def test_canonical_json_takes_only_str_keys():
+    # json.dumps would write an int key as a string; no report has one
+    with pytest.raises(TypeError):
+        canonical_json({1: 2})
+    with pytest.raises(TypeError):
+        canonical_json({"a": 1, 2: 3})
 
 
 def test_format_csv_flattens_exceptions():
