@@ -100,17 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(canonical_json(record))
-    elif fmt == "csv":
-        keys = sorted(record)
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(keys)
+        return
+    keys = sorted(record)
+    # one cell rule for csv and table: a tuple or list is a JSON list
+    cells = [json.dumps(v) if isinstance(v, (list, tuple)) else str(v)
+             for v in map(record.get, keys)]
+    if fmt == "csv":
         # a list cell is quoted, so a csv reader gets one cell per key
-        cells = [record[k] for k in keys]
-        writer.writerow([json.dumps(v) if isinstance(v, (list, dict)) else str(v) for v in cells])
+        csv.writer(sys.stdout, lineterminator="\n").writerows([keys, cells])
     else:
-        width = max(len(k) for k in record)
-        for k in sorted(record):
-            print(f"{k:<{width}}  {record[k]}")
+        width = max(map(len, keys))
+        print("\n".join(f"{k:<{width}}  {cell}" for k, cell in zip(keys, cells)))
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
@@ -154,7 +154,7 @@ def _cmd_expsum(args: argparse.Namespace) -> int:
             "n": args.n,
             "terms": terms,
             "is_zero": cert.is_zero,
-            "pairing": None if cert.pairing is None else list(map(list, cert.pairing)),
+            "pairing": cert.pairing,
             "violating_residue": cert.violating_residue,
             "float_sum": None if value is None else [value.real, value.imag],
         },

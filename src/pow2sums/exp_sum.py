@@ -20,9 +20,11 @@ min_vanishing_n and orbit_certificate (the expsum command) all decide
 there, and the certificate's pairing is read from the lower half in
 ascending order.  Above the cap they fall back on the multiset route:
 residue_orbit builds the multiset and is_exact_zero pairs it.  That route
-is also the tests' reference.  The literal orbit is bounded: residue_orbit
-refuses an orbit longer than the table route takes at the cap,
-2^(LITERAL_EXPONENT_CAP - 2) terms, with a DomainError.
+is also the tests' reference.  A sum that does not vanish is named by its
+first term, w * g mod 2^n, which no such sum pairs (see _unpaired).  The
+literal orbit is bounded: residue_orbit refuses an orbit longer than the
+table route takes at the cap, 2^(LITERAL_EXPONENT_CAP - 2) terms, with a
+DomainError.
 
 The theorem6 checker takes one (g, w) at every n of a run: one bound, the
 n below it unread, and every order from the bound on read from one
@@ -224,7 +226,8 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
         k = len(residues) >> 1
         cert = ZeroCertificate(is_zero=True, pairing=tuple(zip(residues[:k], counts[:k])))
     else:
-        cert = ZeroCertificate(is_zero=False, violating_residue=_first_unpaired(table, g, w)[0])
+        # the first term is unpaired in every sum that does not vanish (_unpaired)
+        cert = ZeroCertificate(is_zero=False, violating_residue=w * g & (m - 1))
     value = sum(c * cmath.exp(2j * math.pi * r / m) for r, c in zip(residues, counts))
     return OrbitCertificate(omega, cert, value)
 
@@ -290,26 +293,28 @@ def _orbit_vanishing(g: int, w: int, ns: range) -> list[Outcome]:
 
 def _unpaired(g: int, w: int, n: int, omega: int) -> Optional[tuple[int, int, int]]:
     """None when S(g, w, n) = 0; otherwise (r, count(r), count(r ^ 2^(n-1)))
-    for the first residue r, in construction order, whose antipode carries
-    a different multiplicity.  The caller has validated g, w and n, and
-    omega is the order of g modulo 2^n.
+    for the orbit's first term r = w * g mod 2^n.  The caller has validated
+    g, w and n, and omega is the order of g modulo 2^n.
 
     Up to LITERAL_EXPONENT_CAP the halves of the orbit's table are compared
-    in one list comparison; only a sum that does not vanish walks the orbit
-    again, to name the offender that is_exact_zero would name.  Above the
-    cap the multiset route decides, within residue_orbit's bound.
+    in one list comparison; above it the multiset route decides, within
+    residue_orbit's bound.  The first term only names the offender: with
+    w = 2^d * w0 (w0 odd) and m = n - d, the orbit is 2^d times a coset of
+    <g> modulo 2^m with one count on every residue, and adding 2^(n-1)
+    multiplies that coset by 1 + 2^(m-1).  So either every occupied
+    residue is paired or none is.
     """
     half = 1 << (n - 1)
+    r = w * g & ((1 << n) - 1)
     if n > LITERAL_EXPONENT_CAP:
         orbit = residue_orbit(g, w, n)
-        r = is_exact_zero(orbit).violating_residue
-        if r is None:
+        if is_exact_zero(orbit).is_zero:
             return None
         return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ half, 0)
     table = _orbit_table(g, w, n, omega)
     if table[:half] == table[half:]:
         return None
-    return _first_unpaired(table, g, w)
+    return r, table[r], table[r ^ half]
 
 
 def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:
@@ -326,23 +331,6 @@ def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:
     return table
 
 
-def _first_unpaired(table: list[int], g: int, w: int) -> tuple[int, int, int]:
-    """(r, count(r), count(r ^ half)) for the first residue r, in construction
-    order, whose antipode in the orbit's table has a different count.
-
-    Of two residues with different counts one is occupied, and the walk
-    meets every occupied residue, so this loop returns within omega steps.
-    """
-    mask = len(table) - 1
-    half = len(table) >> 1
-    s = g & mask
-    cur = w & mask
-    while True:
-        cur = cur * s & mask
-        if table[cur] != table[cur ^ half]:
-            return cur, table[cur], table[cur ^ half]
-
-
 class MinVanishing(NamedTuple):
     """Least vanishing exponent and its distance below the guaranteed bound."""
 
@@ -354,16 +342,18 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
     """Least n <= n_max with an exact-zero certificate, or None.
 
     Vanishing is not monotone in n (g=3, w=1 vanishes at n=2, fails at
-    n=3, then vanishes from n=4 on), so every exponent is probed with the
-    decider the theorem6 checker uses: the orbit's table up to
-    LITERAL_EXPONENT_CAP, the multiset route within residue_orbit's bound
-    above it.  slack = vanishing_bound(g, w) - n measures how far below
-    the guaranteed bound the first zero appears; the bound's sharpness is
-    an empirical observation only, nothing is asserted about minimality.
+    n=3, then vanishes from n=4 on), so every exponent from d(w) + 2 on is
+    probed with the decider the theorem6 checker uses: the orbit's table
+    up to LITERAL_EXPONENT_CAP, the multiset route within residue_orbit's
+    bound above it.  Below d(w) + 2 every term sits on 0 or 2^(n-1), so no
+    sum vanishes there.  slack = vanishing_bound(g, w) - n measures how far
+    below the guaranteed bound the first zero appears; the bound's
+    sharpness is an empirical observation only, nothing is asserted about
+    minimality.
     """
     _require_exponent(n_max)
     bound = vanishing_bound(g, w)
-    for n in range(1, n_max + 1):
+    for n in range(two_adic_valuation(w) + 2, n_max + 1):
         if _unpaired(g, w, n, _order_column(g, n, n)[0][0]) is None:
             return MinVanishing(n=n, slack=bound - n)
     return None

@@ -121,6 +121,9 @@ ORDER = ["order", "--g", "3", "--n", "5"]
 HALF_ORDER = ["half-order", "--g", "7", "--n", "4"]
 # two terms, i and -i, so the float sum is the same in any summation order
 EXPSUM = ["expsum", "--g", "3", "--w", "1", "--n", "2"]
+# a pairing of several rows, and a sum that does not vanish (first term 7)
+EXPSUM_ROWS = ["expsum", "--g", "3", "--w", "1", "--n", "5"]
+EXPSUM_NONZERO = ["expsum", "--g", "7", "--w", "1", "--n", "4"]
 
 
 def test_table_format(capsys):
@@ -148,6 +151,28 @@ def test_table_format(capsys):
             "violating_residue  None\n"
             "w                  1\n",
         ),
+        (
+            EXPSUM_ROWS,
+            "float_sum          [-1.1102230246251565e-16, 1.1102230246251565e-16]\n"
+            "g                  3\n"
+            "is_zero            True\n"
+            "n                  5\n"
+            "pairing            [[1, 1], [3, 1], [9, 1], [11, 1]]\n"
+            "terms              8\n"
+            "violating_residue  None\n"
+            "w                  1\n",
+        ),
+        (
+            EXPSUM_NONZERO,
+            "float_sum          [0.0, 0.7653668647301797]\n"
+            "g                  7\n"
+            "is_zero            False\n"
+            "n                  4\n"
+            "pairing            None\n"
+            "terms              2\n"
+            "violating_residue  7\n"
+            "w                  1\n",
+        ),
     ]:
         assert main([*argv, "--format", "table"]) == 0
         assert capsys.readouterr().out == expected, argv
@@ -167,6 +192,17 @@ def test_csv_format_single_query(capsys):
             EXPSUM,
             "float_sum,g,is_zero,n,pairing,terms,violating_residue,w\n"
             '"[-1.224646799147353e-16, 0.0]",3,True,2,"[[1, 1]]",2,None,1\n',
+        ),
+        (
+            EXPSUM_ROWS,
+            "float_sum,g,is_zero,n,pairing,terms,violating_residue,w\n"
+            '"[-1.1102230246251565e-16, 1.1102230246251565e-16]",3,True,5,'
+            '"[[1, 1], [3, 1], [9, 1], [11, 1]]",8,None,1\n',
+        ),
+        (
+            EXPSUM_NONZERO,
+            "float_sum,g,is_zero,n,pairing,terms,violating_residue,w\n"
+            '"[0.0, 0.7653668647301797]",7,False,4,None,2,7,1\n',
         ),
     ]:
         assert main([*argv, "--format", "csv"]) == 0

@@ -272,6 +272,14 @@ def test_dense_decider_agrees_with_the_multiset_route():
             for n in range(1, 13):
                 orbit, cert, expected = by_multiset(g, w, n)
                 assert exp_sum._unpaired(g, w, n, order_fast(g, n).omega) == expected, (g, w, n)
+                if expected is not None:
+                    # the orbit is a scaled coset of <g>: a sum that does not
+                    # vanish pairs none of its residues, so the first term,
+                    # w * g mod 2^n, is the first offender
+                    half = 1 << (n - 1)
+                    assert all(c != orbit.counts.get(r ^ half, 0)
+                               for r, c in orbit.counts.items()), (g, w, n)
+                    assert expected[0] == w * g % (1 << n), (g, w, n)
                 # a complex exp per term: floats are compared up to 2^10
                 assert_certificate_matches(g, w, n, orbit, cert, floats=n <= 10)
                 failures += expected is not None
@@ -358,6 +366,24 @@ def test_min_vanishing_n_decides_from_the_table_below_the_cap(monkeypatch):
     for case in cases:
         assert min_vanishing_n(*case) == expected[case], case
     assert calls == list(range(LITERAL_EXPONENT_CAP + 1, 54))
+
+
+def test_min_vanishing_n_builds_no_orbit_below_two_above_the_valuation(monkeypatch):
+    # for n <= d(w) + 1 every term sits on residue 0 or on 2^(n-1), so no
+    # sum there vanishes; the test above checks the answers from n = 1 on
+    calls = []
+    real = exp_sum._orbit_table
+    monkeypatch.setattr(
+        exp_sum, "_orbit_table", lambda g, w, n, omega: calls.append((w, n)) or real(g, w, n, omega)
+    )
+    for g in (-7, -3, 3, 5, 7, 9, 15):
+        for w in (1, -2, 12, 40, -(3 << 9)):
+            min_vanishing_n(g, w, 12)
+    assert calls and all(n >= odd_part(w).d + 2 for w, n in calls)
+    calls.clear()
+    # 2^40: the sum is nonzero up to n = 41, and nothing is built for it
+    assert min_vanishing_n(3, 1 << 40, 22) is None
+    assert calls == []
 
 
 def test_min_vanishing_n_slack_accounting():
