@@ -14,22 +14,19 @@ r + 2^(n-1) -- a complete criterion, checkable in one pass, and the
 resulting pairing (or the first violating residue) is the certificate.
 
 Two exact routes apply that criterion.  Up to LITERAL_EXPONENT_CAP the
-orbit is counted into a dense table of 2^n counters and the lower half is
-compared with the upper half in one list comparison; the theorem6 checker,
-min_vanishing_n and orbit_certificate (the expsum command) all decide
-there, and the certificate's pairing is read from the lower half in
-ascending order.  Above the cap they fall back on the multiset route:
-residue_orbit builds the multiset and is_exact_zero pairs it.  That route
-is also the tests' reference.  A sum that does not vanish is named by its
-first term, w * g mod 2^n, which no such sum pairs (see _unpaired).  The
-literal orbit is bounded: residue_orbit refuses an orbit longer than the
-table route takes at the cap, 2^(LITERAL_EXPONENT_CAP - 2) terms, with a
-DomainError.
+orbit is counted into a table of 2^n counters whose lower half is compared
+with its upper half; theorem6, min_vanishing_n and orbit_certificate (the
+expsum command) decide there, and the pairing is read from the lower half
+in ascending order.  Above the cap residue_orbit builds the multiset, at
+most 2^(LITERAL_EXPONENT_CAP - 2) terms, and is_exact_zero pairs it; that
+route is also the tests' reference.  A sum that does not vanish is named
+by its first term, w * g mod 2^n, which no such sum pairs (_unpaired).
 
-The theorem6 checker takes one (g, w) at every n of a run: one bound, the
-n below it unread, and every order from the bound on read from one
-squaring chain.  check_antipodal_shift decides by a single congruence
-read from that chain.
+theorem6 takes a slab, one g with a run of weights at a run of n: every
+order comes from one squaring chain, and at each n one table serves every
+weight whose first term it holds, since that weight's orbit is the same
+orbit shifted cyclically (_unpaired_run).  check_antipodal_shift decides
+by a single congruence read from the chain.
 
 A floating evaluation is provided as a diagnostic cross-check only; the
 exact routes are authoritative wherever the orbit is within that bound.
@@ -40,7 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .core_arith import (
     DomainError,
@@ -60,6 +57,8 @@ FLOAT_EXPONENT_CAP = 52
 # on the literal orbit: at most 2^(LITERAL_EXPONENT_CAP - 2) terms, the
 # longest orbit modulo 2^LITERAL_EXPONENT_CAP.
 LITERAL_EXPONENT_CAP = 22
+
+Unpaired = Optional[tuple[int, int, int]]
 
 
 class FloatPrecisionError(ValueError):
@@ -201,12 +200,9 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
     """The orbit sum S(g, w, n) with its exact certificate.
 
     Same domain, errors and certificate as is_exact_zero(residue_orbit(g,
-    w, n)).  Up to LITERAL_EXPONENT_CAP the orbit is counted into a table
-    of 2^n counters, so the pairing comes out of the lower half in
-    ascending order with no dict and no sort, and the floating value is
-    summed over the occupied residues in ascending order (only its last
-    digits can differ from float_sum's).  Above the cap the multiset route
-    answers, within residue_orbit's bound.
+    w, n)).  Up to LITERAL_EXPONENT_CAP both are read from the orbit's
+    table, and the floating value is summed over the occupied residues in
+    ascending order, so only its last digits can differ from float_sum's.
     """
     if n > LITERAL_EXPONENT_CAP:
         orbit = residue_orbit(g, w, n)
@@ -250,71 +246,93 @@ def check_orbit_vanishing(g: int, w: int, n: int) -> Verdict:
     there).  At or above it, the collapse of the orbit to the odd part of
     w requires g != +-1 modulo 2^(n - d(w)); that guard is implied by the
     bound, and a failure of it would invalidate the whole argument, so it
-    is reported as a counterexample too.  This is the column of one n.
-    Sweep claim id: theorem6.
+    is reported as a counterexample too.  This is the slab of one weight
+    and one n.  Sweep claim id: theorem6.
     """
-    return _orbit_vanishing(g, w, range(n, n + 1))[0][0]
+    return _orbit_vanishing(g, (w,), range(n, n + 1))[0][0]
 
 
-def _orbit_vanishing(g: int, w: int, ns: range) -> list[Outcome]:
-    """theorem6 at each n of a run.  The n below the bound are not met and
-    read nothing; every order from the bound on is read from one column.
-
-    A failed collapse guard is reported as such while the sum still
-    vanishes, and otherwise by the residue that shows it does not.
-    """
-    bound = vanishing_bound(g, w)
+def _orbit_vanishing(g: int, ws: Sequence[int], ns: range) -> list[Outcome]:
+    """theorem6 on a slab, one g with each weight of ws at each n of a run,
+    in (w, n) order.  The n below a weight's bound are not met; from the
+    least bound on every order comes from one column, and each n decides its
+    weights together (_unpaired_run).  A failed collapse guard is reported
+    as such while the sum still vanishes, else by the unpaired residue."""
     top = ns[-1]
     _require_exponent(top)
-    lo = max(bound, ns[0])
-    outcomes: list[Outcome] = [(Verdict.HYPOTHESIS_NOT_MET, None)] * (min(lo, top + 1) - ns[0])
+    bounds = [vanishing_bound(g, w) for w in ws]
+    outcomes: list[Outcome] = [(Verdict.HYPOTHESIS_NOT_MET, None)] * (len(ws) * len(ns))
+    lo = max(min(bounds), ns[0])
     if lo > top:
         return outcomes
-    d = two_adic_valuation(w)
+    ds = list(map(two_adic_valuation, ws))
     for n, (omega, _) in zip(range(lo, top + 1), _order_column(g, lo, top)):
-        low = (1 << (n - d)) - 1
-        guard_holds = g & low not in (1, low)
-        unpaired = _unpaired(g, w, n, omega)
-        if unpaired is None and guard_holds:
-            outcomes.append((Verdict.HOLDS, None))
-        elif unpaired is None:
-            outcomes.append((Verdict.COUNTEREXAMPLE, (
-                "exact zero (collapse guard failed)",
-                "base not +-1 modulo the collapsed modulus",
-            )))
-        else:
-            r, count, antipode_count = unpaired
-            outcomes.append((Verdict.COUNTEREXAMPLE, (
-                f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode_count}",
-                "equal multiplicities on every antipodal residue pair",
-            )))
+        met = [i for i, bound in enumerate(bounds) if bound <= n]
+        for i, unpaired in zip(met, _unpaired_run(g, [ws[i] for i in met], n, omega)):
+            low = (1 << (n - ds[i])) - 1
+            guard_holds = g & low not in (1, low)
+            at = i * len(ns) + n - ns[0]
+            if unpaired is None and guard_holds:
+                outcomes[at] = (Verdict.HOLDS, None)
+            elif unpaired is None:
+                outcomes[at] = (Verdict.COUNTEREXAMPLE, (
+                    "exact zero (collapse guard failed)",
+                    "base not +-1 modulo the collapsed modulus"))
+            else:
+                r, count, antipode = unpaired
+                outcomes[at] = (Verdict.COUNTEREXAMPLE, (
+                    f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
+                    "equal multiplicities on every antipodal residue pair"))
     return outcomes
 
 
-def _unpaired(g: int, w: int, n: int, omega: int) -> Optional[tuple[int, int, int]]:
+def _unpaired(g: int, w: int, n: int, omega: int) -> Unpaired:
     """None when S(g, w, n) = 0; otherwise (r, count(r), count(r ^ 2^(n-1)))
     for the orbit's first term r = w * g mod 2^n.  The caller has validated
     g, w and n, and omega is the order of g modulo 2^n.
 
-    Up to LITERAL_EXPONENT_CAP the halves of the orbit's table are compared
-    in one list comparison; above it the multiset route decides, within
-    residue_orbit's bound.  The first term only names the offender: with
-    w = 2^d * w0 (w0 odd) and m = n - d, the orbit is 2^d times a coset of
-    <g> modulo 2^m with one count on every residue, and adding 2^(n-1)
-    multiplies that coset by 1 + 2^(m-1).  So either every occupied
-    residue is paired or none is.
-    """
-    half = 1 << (n - 1)
+    Up to LITERAL_EXPONENT_CAP the orbit's table decides (_unpaired_run);
+    above it the multiset route, within residue_orbit's bound.  The first
+    term only names the offender: with w = 2^d * w0 (w0 odd) and m = n - d,
+    the orbit is 2^d times a coset of <g> modulo 2^m with one count on
+    every residue, and adding 2^(n-1) multiplies that coset by 1 + 2^(m-1),
+    so either every occupied residue is paired or none is."""
+    if n <= LITERAL_EXPONENT_CAP:
+        return _unpaired_run(g, (w,), n, omega)[0]
     r = w * g & ((1 << n) - 1)
-    if n > LITERAL_EXPONENT_CAP:
-        orbit = residue_orbit(g, w, n)
-        if is_exact_zero(orbit).is_zero:
-            return None
-        return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ half, 0)
-    table = _orbit_table(g, w, n, omega)
-    if table[:half] == table[half:]:
+    orbit = residue_orbit(g, w, n)
+    if is_exact_zero(orbit).is_zero:
         return None
-    return r, table[r], table[r ^ half]
+    return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ (1 << (n - 1)), 0)
+
+
+def _unpaired_run(g: int, ws: Sequence[int], n: int, omega: int) -> list[Unpaired]:
+    """_unpaired(g, w, n, omega) for each w of ws, one table per distinct orbit.
+
+    The table of the first undecided w, compared half to half, decides it
+    and every undecided v whose first term v * g it holds: v * g = w * g^k
+    gives v = w * g^(k-1), so v's orbit is w's shifted by k - 1 steps, the
+    same multiset.  That needs only g^omega = 1 (mod 2^n), and the counts
+    are read at v's own first term.  One table is alive at a time.  Above
+    LITERAL_EXPONENT_CAP each w takes the multiset route (_unpaired)."""
+    if n > LITERAL_EXPONENT_CAP:
+        return [_unpaired(g, w, n, omega) for w in ws]
+    mask, half = (1 << n) - 1, 1 << (n - 1)
+    found: list[Unpaired] = [None] * len(ws)
+    pending = range(len(ws))
+    while pending:
+        table = _orbit_table(g, ws[pending[0]], n, omega)
+        paired = table[:half] == table[half:]
+        rest = []
+        for i in pending:
+            r = ws[i] * g & mask
+            if not table[r] and i != pending[0]:
+                rest.append(i)
+            elif not paired:
+                found[i] = r, table[r], table[r ^ half]
+        del table
+        pending = rest
+    return found
 
 
 def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:
@@ -343,14 +361,11 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
 
     Vanishing is not monotone in n (g=3, w=1 vanishes at n=2, fails at
     n=3, then vanishes from n=4 on), so every exponent from d(w) + 2 on is
-    probed with the decider the theorem6 checker uses: the orbit's table
-    up to LITERAL_EXPONENT_CAP, the multiset route within residue_orbit's
-    bound above it.  Below d(w) + 2 every term sits on 0 or 2^(n-1), so no
-    sum vanishes there.  slack = vanishing_bound(g, w) - n measures how far
-    below the guaranteed bound the first zero appears; the bound's
-    sharpness is an empirical observation only, nothing is asserted about
-    minimality.
-    """
+    probed with theorem6's decider, _unpaired.  Below d(w) + 2 every term
+    sits on 0 or 2^(n-1), so no sum vanishes there.  slack =
+    vanishing_bound(g, w) - n measures how far below the guaranteed bound
+    the first zero appears; the bound's sharpness is an empirical
+    observation only, nothing is asserted about minimality."""
     _require_exponent(n_max)
     bound = vanishing_bound(g, w)
     for n in range(two_adic_valuation(w) + 2, n_max + 1):

@@ -1,25 +1,24 @@
 """Exhaustive claim sweeps over (g, n[, w]) domains, with reports.
 
 Each sweepable claim is one evaluate callable in the CLAIMS registry,
-under a stable id.  It takes one column, a g and w at every n of a run,
-applies the claim's hypothesis filter and runs the library's checker once
-per tuple, returning each verdict with the report's (observed, expected)
-strings, built from the values that decided it.  A per-modulus claim
-walks one squaring chain per g and reads every n's order and half-order
-residue from it; the orbit-sum claim reads its vanishing bound once per
-(g, w) column and walks one chain from the bound on.  The ids, verdict
-tallies and the JSON report schema are the machine interface; the
-registry is mutable so a harness (or the test suite) can inject extra
-claims.
+under a stable id.  It takes one slab, a g with its run of weights at
+every n of a run, applies the claim's hypothesis filter and returns each
+tuple's verdict with the report's (observed, expected) strings, built
+from the values that decided it.  A per-modulus claim (weights (None,))
+reads every n's order and half-order residue from one squaring chain per
+g; the orbit-sum claim walks one chain per g from its least vanishing
+bound on, and one orbit table per distinct orbit at each n.  The ids,
+verdict tallies and the JSON report schema are the machine interface;
+the registry is mutable so a harness (or the test suite) can inject
+extra claims.
 
-Every claim walks its domain in one loop: g, then w, then n.  Per-modulus
-claims take each odd g in the range at every n with g < 2^n, i.e. the
-canonical residues of each modulus; the orbit-sum claim takes literal
-signed integers for g and w, since its hypotheses are about g as an
-integer.  At jobs > 1 the domain is cut into sub-specs mapped over at
-most min(jobs, CPU count) worker processes; tallies add up and
-exceptions are sorted, so a report is byte-deterministic for a given
-spec at any worker count.
+Per-modulus claims take each odd g in the range at every n with g < 2^n,
+i.e. the canonical residues of each modulus; the orbit-sum claim takes
+literal signed integers for g and w, since its hypotheses are about g as
+an integer, and skips w = 0.  At jobs > 1 the domain is cut into
+sub-specs mapped over at most min(jobs, CPU count) worker processes;
+tallies add up and exceptions are sorted, so a report is
+byte-deterministic for a given spec at any worker count.
 """
 from __future__ import annotations
 
@@ -29,9 +28,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import core_arith, exp_sum, half_order, order_engine
 from .verdict import Outcome, Verdict
@@ -47,17 +46,17 @@ class UsageError(ValueError):
 class Claim:
     """One sweepable claim.
 
-    evaluate(g, w, ns) takes a column of a sweep domain, g and w at every
-    n of the non-empty range ns (hypothesis filtering happens inside), and
-    returns one (verdict, detail) per n, in order, each from one
-    evaluation: detail is the (observed, expected) pair of strings for the
-    report when the verdict is COUNTEREXAMPLE or PAPER_EXCEPTION, and None
-    otherwise.
+    evaluate(g, ws, ns) takes a slab of a sweep domain, g with each weight
+    of ws ((None,) for a per-modulus claim) at every n of the non-empty
+    range ns, filters hypotheses itself, and returns one (verdict, detail)
+    per tuple in (w, n) order, each from one evaluation: detail is the
+    (observed, expected) pair of strings for the report when the verdict
+    is COUNTEREXAMPLE or PAPER_EXCEPTION, and None otherwise.
     """
 
     name: str
     needs_w: bool
-    evaluate: Callable[[int, Optional[int], range], list[Outcome]]
+    evaluate: Callable[[int, Sequence[Optional[int]], range], list[Outcome]]
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ class SweepReport:
 # Claim catalog
 # ---------------------------------------------------------------------------
 
-def _eval_order_oracle(g: int, w: Optional[int], ns: range) -> list[Outcome]:
+def _eval_order_oracle(g: int, ws: Sequence[Optional[int]], ns: range) -> list[Outcome]:
     core_arith._require_exponent(ns[-1])
     column = order_engine._order_column(g, ns[0], ns[-1])
     naive = [order_engine.order_naive(g, n).omega for n in ns]
@@ -115,7 +114,7 @@ def _eval_order_oracle(g: int, w: Optional[int], ns: range) -> list[Outcome]:
     ]
 
 
-def _eval_order_doubling(g: int, w: Optional[int], ns: range) -> list[Outcome]:
+def _eval_order_doubling(g: int, ws: Sequence[Optional[int]], ns: range) -> list[Outcome]:
     # the doubling step needs exponent n + 1, which the guard refuses at the
     # limit; read the limit here so a reassigned core_arith.MAX_EXPONENT holds
     if ns[-1] != core_arith.MAX_EXPONENT:
@@ -126,12 +125,12 @@ def _eval_order_doubling(g: int, w: Optional[int], ns: range) -> list[Outcome]:
 
 def _half_order_claim(
     check: Callable[[int, int, int, int], Outcome],
-) -> Callable[[int, Optional[int], range], list[Outcome]]:
+) -> Callable[[int, Sequence[Optional[int]], range], list[Outcome]]:
     """Evaluate a half-order checker on the tuples that meet its hypotheses,
     n >= 3 and g != 1 (mod 2^n), i.e. omega > 1, where a half-order residue
     exists; every n reads its order and residue from one column."""
 
-    def evaluate(g: int, w: Optional[int], ns: range) -> list[Outcome]:
+    def evaluate(g: int, ws: Sequence[Optional[int]], ns: range) -> list[Outcome]:
         core_arith._require_exponent(ns[-1])
         return [
             check(g, n, omega >> 1, residue)
@@ -143,11 +142,10 @@ def _half_order_claim(
     return evaluate
 
 
-def _eval_orbit_vanishing(g: int, w: Optional[int], ns: range) -> list[Outcome]:
-    assert w is not None
-    if g in (-1, 1):
-        return [(Verdict.HYPOTHESIS_NOT_MET, None)] * len(ns)
-    return exp_sum._orbit_vanishing(g, w, ns)
+def _eval_orbit_vanishing(g: int, ws: Sequence[Optional[int]], ns: range) -> list[Outcome]:
+    if g in (-1, 1) or not ws:
+        return [(Verdict.HYPOTHESIS_NOT_MET, None)] * (len(ws) * len(ns))
+    return exp_sum._orbit_vanishing(g, ws, ns)
 
 
 CLAIMS: dict[str, Claim] = {
@@ -219,22 +217,20 @@ def _slices(spec: SweepSpec, claim: Claim) -> list[SweepSpec]:
 
 
 def _run_chunk(spec: SweepSpec) -> tuple[dict[str, int], list[SweepException]]:
-    """Evaluate every tuple of a (sub-)domain: each (g, w) column in one call."""
+    """Evaluate every tuple of a (sub-)domain: each g's slab in one call."""
     claim = CLAIMS[spec.claim]
-    ws = range(spec.w_min, spec.w_max + 1) if claim.needs_w else (None,)
-    tallies = {v.value: 0 for v in Verdict}
+    ws = [w for w in range(spec.w_min, spec.w_max + 1) if w] if claim.needs_w else (None,)
+    tallies = dict.fromkeys(Verdict, 0)
     exceptions: list[SweepException] = []
     for g in _g_range(spec, claim):
         ns = range(spec.n_min if claim.needs_w else max(spec.n_min, g.bit_length()), spec.n_max + 1)
-        for w in ws:
-            if w == 0:
-                continue
-            for n, (verdict, detail) in zip(ns, claim.evaluate(g, w, ns), strict=True):
-                tallies[verdict.value] += 1
-                if verdict in (Verdict.COUNTEREXAMPLE, Verdict.PAPER_EXCEPTION):
-                    observed, expected = detail
-                    exceptions.append(SweepException(g, n, w, observed, expected))
-    return tallies, exceptions
+        outcomes = claim.evaluate(g, ws, ns)
+        for (w, n), (verdict, detail) in zip(product(ws, ns), outcomes, strict=True):
+            tallies[verdict] += 1
+            if verdict in (Verdict.COUNTEREXAMPLE, Verdict.PAPER_EXCEPTION):
+                observed, expected = detail
+                exceptions.append(SweepException(g, n, w, observed, expected))
+    return {verdict.value: count for verdict, count in tallies.items()}, exceptions
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
@@ -252,13 +248,9 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
         workers = min(spec.jobs, len(slices), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, slices))
-    tallies = {v.value: 0 for v in Verdict}
-    exceptions: list[SweepException] = []
-    for chunk_tallies, chunk_exceptions in results:
-        for key, count in chunk_tallies.items():
-            tallies[key] += count
-        exceptions.extend(chunk_exceptions)
-    exceptions.sort(key=lambda e: (e.n, e.g, e.w if e.w is not None else 0))
+    tallies = {v.value: sum(chunk[v.value] for chunk, _ in results) for v in Verdict}
+    exceptions = sorted(chain.from_iterable(chunk for _, chunk in results),
+                        key=lambda e: (e.n, e.g, e.w if e.w is not None else 0))
     domain = {k: v for k, v in asdict(spec).items() if k not in ("claim", "jobs")}
     return SweepReport(
         claim=spec.claim,

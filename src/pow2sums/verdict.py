@@ -21,6 +21,9 @@ class Verdict(enum.Enum):
     PAPER_EXCEPTION = "paper_exception"
     COUNTEREXAMPLE = "counterexample"
 
+    # members are singletons, so hash by identity in C (Enum hashes the name)
+    __hash__ = object.__hash__
+
 
 # One claim evaluation: the verdict, and for COUNTEREXAMPLE and
 # PAPER_EXCEPTION the (observed, expected) strings a sweep report records.

@@ -2,8 +2,8 @@
 
 Most exception-grade branches never fire on real inputs, so each is forced
 by replacing one computational route (an order, the squaring chain, the
-orbit decider or the vanishing bound) and the report must carry the exact
-observed/expected strings built from the values that route returned.
+shared orbit decider or the vanishing bound) and the report must carry the
+exact observed/expected strings built from the values that route returned.
 """
 from __future__ import annotations
 
@@ -86,7 +86,9 @@ def test_classification_records_paper_exception_and_both_counterexamples(monkeyp
 
 
 def test_orbit_vanishing_records_the_unpaired_residue(monkeypatch):
-    monkeypatch.setattr(exp_sum, "_unpaired", lambda g, w, n, omega: (1, 2, 1))
+    monkeypatch.setattr(
+        exp_sum, "_unpaired_run", lambda g, ws, n, omega: [(1, 2, 1)] * len(ws)
+    )
     assert records("theorem6", 3, 4, w=1) == [
         (3, 4, 1, "count(1)=2 != count(9)=1", "equal multiplicities on every antipodal residue pair")
     ]
@@ -133,7 +135,7 @@ def test_per_modulus_sweep_walks_one_column_per_g(monkeypatch, claim):
     assert calls == expected
 
 
-def test_theorem6_sweep_walks_one_column_per_g_and_w(monkeypatch):
+def test_theorem6_sweep_walks_one_column_per_g(monkeypatch):
     real = exp_sum._order_column
     calls: Counter = Counter()
 
@@ -143,26 +145,25 @@ def test_theorem6_sweep_walks_one_column_per_g_and_w(monkeypatch):
 
     monkeypatch.setattr(exp_sum, "_order_column", counted)
     run_sweep(SweepSpec("theorem6", -9, 9, 3, 6, -4, 4, jobs=1))
-    # one chain per (g, w) column that reaches its bound, from the bound on
+    # one chain per g whose slab reaches a bound, from its least bound on
+    ws = (-4, -3, -2, -1, 1, 2, 3, 4)
     expected: Counter = Counter()
     straddling, below = [], []
     for g in (-9, -7, -5, -3, 3, 5, 7, 9):
-        for w in (-4, -3, -2, -1, 1, 2, 3, 4):
-            bound = exp_sum.vanishing_bound(g, w)
-            if bound > 6:
-                below.append((g, w))
-                continue
-            expected[g, max(bound, 3), 6] += 1
-            if bound > 3:
-                straddling.append((g, w))
+        bounds = [exp_sum.vanishing_bound(g, w) for w in ws]
+        if min(bounds) <= 6:
+            expected[g, max(min(bounds), 3), 6] += 1
+        straddling += [g for bound in bounds if 3 < bound <= 6]
+        below += [g for bound in bounds if bound > 6]
     assert calls == expected
     assert straddling and below
     monkeypatch.undo()
-    for g, w in straddling + below:
-        ns = range(3, 7)
-        assert exp_sum._orbit_vanishing(g, w, ns) == [
-            exp_sum._orbit_vanishing(g, w, range(n, n + 1))[0] for n in ns
-        ], (g, w)
+    # a slab gives, in (w, n) order, the outcome of each weight at each n alone
+    ns = range(3, 7)
+    for g in set(straddling + below):
+        assert exp_sum._orbit_vanishing(g, ws, ns) == [
+            exp_sum._orbit_vanishing(g, (w,), range(n, n + 1))[0] for w in ws for n in ns
+        ], g
 
 
 def test_theorem6_guards_its_top_exponent_before_any_table(monkeypatch):
@@ -189,25 +190,47 @@ def test_antipodal_shift_is_decided_by_its_congruence(monkeypatch, g, w, n):
     assert check_antipodal_shift(g, w, n) is Verdict.COUNTEREXAMPLE
 
 
+def orbit_multiset(g, w, n):
+    """The multiset {w * g^k mod 2^n : k = 1..omega}, from pow alone."""
+    m = 1 << n
+    omega = next(k for k in range(1, m + 1) if pow(g, k, m) == 1)
+    return frozenset(Counter(w * pow(g, k, m) % m for k in range(1, omega + 1)).items())
+
+
 def test_orbit_sweep_builds_at_most_one_orbit_per_tuple(monkeypatch):
-    real = exp_sum._unpaired
-    calls: Counter = Counter()
+    real_table, real_run = exp_sum._orbit_table, exp_sum._unpaired_run
+    tables: Counter = Counter()
 
     def counted(g, w, n, omega):
-        calls[g, w, n] += 1
-        unpaired = real(g, w, n, omega)
-        if (g, w, n) == (3, 1, 4):
-            # one extra copy of the first residue breaks its pairing
-            assert unpaired is None
-            return 3, 2, 1
-        return unpaired
+        tables[g, w, n] += 1
+        return real_table(g, w, n, omega)
+
+    def forced(g, ws, n, omega):
+        found = real_run(g, ws, n, omega)
+        if (g, n) == (3, 4):
+            # one extra copy of the first residue breaks the pairing of w = 1
+            assert found[ws.index(1)] is None
+            found[ws.index(1)] = 3, 2, 1
+        return found
 
     def unbuilt(g, w, n):
         raise AssertionError("the table decides below the cap; no multiset is built")
 
-    monkeypatch.setattr(exp_sum, "_unpaired", counted)
+    monkeypatch.setattr(exp_sum, "_orbit_table", counted)
+    monkeypatch.setattr(exp_sum, "_unpaired_run", forced)
     monkeypatch.setattr(exp_sum, "residue_orbit", unbuilt)
-    report = run_sweep(SweepSpec("theorem6", -7, 7, 1, 6, -4, 4, jobs=1))
+    report = run_sweep(SweepSpec("theorem6", -7, 7, 1, 8, -8, 8, jobs=1))
     assert report.tallies["counterexample"] == 1
     assert report.exceptions[0].g == 3 and report.exceptions[0].n == 4
-    assert calls and max(calls.values()) == 1
+    assert tables and max(tables.values()) == 1
+    # at each (g, n), one table per distinct multiset among the weights that
+    # have reached their bound
+    per_g_n = Counter((g, n) for g, _, n in tables)
+    expected = Counter()
+    for g in (-7, -5, -3, 3, 5, 7):
+        for n in range(1, 9):
+            ws = [w for w in range(-8, 9) if w and exp_sum.vanishing_bound(g, w) <= n]
+            if ws:
+                expected[g, n] = len({orbit_multiset(g, w, n) for w in ws})
+    assert per_g_n == expected
+    assert sum(per_g_n.values()) < report.tallies["holds"] + report.tallies["counterexample"]

@@ -286,6 +286,24 @@ def test_dense_decider_agrees_with_the_multiset_route():
     assert failures > 0
 
 
+def test_shared_tables_decide_each_weight_as_its_own_table():
+    # every n <= 12 of odd |g| < 64 and 0 < |w| <= 40, in both orders, so the
+    # first weight of a run differs; below the bound the weights of one
+    # (g, n) split between vanishing and not, which a table reused across
+    # orbits would merge
+    bases = [g for g in range(-63, 64, 2) if g not in (-1, 1)]
+    weights = [w for w in range(-40, 41) if w != 0]
+    mixed = 0
+    for g in bases:
+        for n in range(1, 13):
+            omega = order_fast(g, n).omega
+            own = [exp_sum._unpaired(g, w, n, omega) for w in weights]
+            assert exp_sum._unpaired_run(g, weights, n, omega) == own, (g, n)
+            assert exp_sum._unpaired_run(g, weights[::-1], n, omega) == own[::-1], (g, n)
+            mixed += None in own and own.count(None) < len(own)
+    assert mixed > 0
+
+
 def test_dense_decider_switches_route_above_the_cap(monkeypatch):
     cap = LITERAL_EXPONENT_CAP
     # short orbits on both sides of the cap (orders 4 and 2 modulo 2^n),

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Mutation gate: small deliberate bugs that named tests must catch.
 
-Usage: python tools/mutants.py
+Usage: python tools/mutants.py [NAME ...]
 
-Each mutant is an exact (file, old text, new text) replacement plus the
+With names, only those mutants run; the stale-text check still covers
+the whole table.  Each mutant is an exact (file, old text, new text) replacement plus the
 pytest node ids that must kill it.  The gate checks that every old text
 occurs exactly once, runs every named test on an unmutated copy of src/
 and tests/, and then applies each mutant in a fresh temporary copy and
@@ -12,8 +13,9 @@ fail.  The known equivalent mutants change no result, each for the
 reason given; they run as controls and must survive.
 
 Exit 1 on a surviving mutant, a killed equivalent, an old text that does
-not occur exactly once, or a named test that does not pass unmutated.  A
-survivor is fixed by a test, not by dropping the mutant.  Stdlib only.
+not occur exactly once, or a named test that does not pass unmutated, and
+exit 2 on a NAME that is not in the table.  A survivor is fixed by a test,
+not by dropping the mutant.  Stdlib only.
 """
 from __future__ import annotations
 
@@ -43,18 +45,21 @@ class Mutant(NamedTuple):
 EXP = "src/pow2sums/exp_sum.py"
 CLI = "src/pow2sums/cli.py"
 SWEEP = "src/pow2sums/sweep.py"
+ORDER = "src/pow2sums/order_engine.py"
 T_EXP = "tests/test_exp_sum.py::"
 T_CLI = "tests/test_cli.py::"
 T_SWEEP = "tests/test_sweep.py::"
 DENSE = T_EXP + "test_dense_decider_agrees_with_the_multiset_route"
 SWITCH = T_EXP + "test_dense_decider_switches_route_above_the_cap"
+SHARED = T_EXP + "test_shared_tables_decide_each_weight_as_its_own_table"
+PER_ORBIT = "tests/test_claim_records.py::test_orbit_sweep_builds_at_most_one_orbit_per_tuple"
 
 MUTANTS = [
     # the dense table decider and the expsum certificate
     Mutant("decider-half-split-off-by-one", EXP,
-           "    if table[:half] == table[half:]:\n        return None",
-           "    if table[:half - 1] == table[half:-1]:\n        return None",
-           (DENSE,)),
+           "paired = table[:half] == table[half:]",
+           "paired = table[:half - 1] == table[half:-1]",
+           (DENSE, SHARED)),
     Mutant("certificate-half-split-off-by-one", EXP,
            "    if table[:half] == table[half:]:\n        # a vanishing",
            "    if table[:half - 1] == table[half:-1]:\n        # a vanishing",
@@ -63,23 +68,36 @@ MUTANTS = [
            "    cur = w & mask\n", "    cur = 1\n",
            (DENSE,)),
     Mutant("decider-route-switch-at-the-cap", EXP,
-           "    if n > LITERAL_EXPONENT_CAP:\n        orbit = residue_orbit(g, w, n)\n        if",
-           "    if n >= LITERAL_EXPONENT_CAP:\n        orbit = residue_orbit(g, w, n)\n        if",
+           "    if n <= LITERAL_EXPONENT_CAP:\n        return _unpaired_run(",
+           "    if n < LITERAL_EXPONENT_CAP:\n        return _unpaired_run(",
            (SWITCH,)),
     Mutant("certificate-route-switch-at-the-cap", EXP,
            "    if n > LITERAL_EXPONENT_CAP:\n        orbit = residue_orbit(g, w, n)\n        value",
            "    if n >= LITERAL_EXPONENT_CAP:\n        orbit = residue_orbit(g, w, n)\n        value",
            (SWITCH,)),
     Mutant("decider-offender-is-the-weight", EXP,
-           "    r = w * g & ((1 << n) - 1)\n", "    r = w & ((1 << n) - 1)\n",
+           "            r = ws[i] * g & mask\n", "            r = ws[i] & mask\n",
            (DENSE,)),
+    Mutant("multiset-offender-is-the-weight", EXP,
+           "    r = w * g & ((1 << n) - 1)\n", "    r = w & ((1 << n) - 1)\n",
+           (SWITCH,)),
     Mutant("certificate-offender-is-the-weight", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=w & (m - 1)",
            (T_CLI + "test_expsum_command_nonzero_case", DENSE)),
     Mutant("decider-offender-is-the-least-residue", EXP,
-           "    return r, table[r], table[r ^ half]",
-           "    r = table.index(next(filter(None, table)))\n    return r, table[r], table[r ^ half]",
+           "                found[i] = r, table[r], table[r ^ half]",
+           "                r = table.index(next(filter(None, table)))\n"
+           "                found[i] = r, table[r], table[r ^ half]",
            (DENSE,)),
+    # the shared decider: one table per distinct orbit at each (g, n)
+    Mutant("shared-membership-filter-dropped", EXP,
+           "            if not table[r] and i != pending[0]:\n", "            if False:\n",
+           (SHARED,)),
+    Mutant("shared-table-reused-across-n", EXP,
+           "        table = _orbit_table(g, ws[pending[0]], n, omega)\n",
+           "        table = _orbit_table.__dict__.setdefault(\n"
+           "            (g, ws[pending[0]]), _orbit_table(g, ws[pending[0]], n, omega))\n",
+           (SHARED, DENSE)),
     Mutant("certificate-offender-is-the-least-residue", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=residues[0]",
            (T_CLI + "test_table_format", DENSE)),
@@ -109,6 +127,18 @@ MUTANTS = [
            "if omega > 1 << (LITERAL_EXPONENT_CAP - 2):",
            "if omega >= 1 << (LITERAL_EXPONENT_CAP - 2):",
            (T_EXP + "test_literal_orbit_is_capped",)),
+    # the order column and the doubling law
+    Mutant("column-loop-off-by-one", ORDER,
+           "for n in range(n_lo, n_hi + 1):", "for n in range(n_lo, n_hi + 2):",
+           ("tests/test_order_engine.py::test_order_column_equals_one_chain_per_exponent",
+            "tests/test_order_engine.py::test_order_column_at_the_exponent_limit")),
+    Mutant("column-wrong-chain-residue", ORDER,
+           "column.append((omega, half & low))", "column.append((omega, s & low))",
+           ("tests/test_half_order.py::test_half_order_residue_examples",)),
+    Mutant("doubling-drops-the-plus-minus-one-check", ORDER,
+           "        if g & ((1 << n) - 1) in (1, (1 << n) - 1):\n            outcomes",
+           "        if False:\n            outcomes",
+           (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
     # the single-query cell rule
     Mutant("cell-rule-drops-tuples", CLI,
            "isinstance(v, (list, tuple))", "isinstance(v, list)",
@@ -136,6 +166,10 @@ MUTANTS = [
     Mutant("top-g-dropped", SWEEP,
            "return range(lo | 1, hi + 1, 2)", "return range(lo | 1, hi, 2)",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
+    Mutant("row-template-takes-a-bool-leaf", SWEEP,
+           "set(map(type, chain.from_iterable(value))) == {int}",
+           "all(isinstance(v, int) for v in chain.from_iterable(value))",
+           (T_SWEEP + "test_canonical_json_is_the_bytes_of_json_dumps",)),
     # known equivalents: run as controls, they must survive
     Mutant("table-multiplier-unreduced", EXP,
            "    s = g & mask\n    cur = w & mask\n", "    s = g\n    cur = w & mask\n",
@@ -148,6 +182,12 @@ MUTANTS = [
             T_EXP + "test_is_exact_zero_matches_the_pairwise_walk"),
            equivalent="each matched lower residue pairs with a distinct occupied upper "
                       "residue, so twice the matched count never exceeds the occupied count"),
+    Mutant("shared-membership-read-at-the-weight", EXP,
+           "            if not table[r] and i != pending[0]:\n",
+           "            if not table[ws[i] & mask] and i != pending[0]:\n",
+           (SHARED, DENSE, PER_ORBIT),
+           equivalent="an orbit is closed under multiplication by g, so v lies on the "
+                      "table's orbit exactly when its first term v * g does"),
 ]
 
 
@@ -172,22 +212,27 @@ def run_tests(tree: Path, tests: tuple[str, ...]) -> Optional[int]:
         return None
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {m.name for m in MUTANTS})
+    if unknown:
+        print(f"no such mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
     problems = stale(MUTANTS)
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 1
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     start = time.perf_counter()
     failed = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp, "clean")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, clean / part, ignore=shutil.ignore_patterns("__pycache__"))
-        code = run_tests(clean, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
+        code = run_tests(clean, tuple(dict.fromkeys(t for m in chosen for t in m.tests)))
         if code != 0:
             print(f"the named tests do not pass unmutated (pytest exit {code})", file=sys.stderr)
             return 1
-        for m in MUTANTS:
+        for m in chosen:
             tree = Path(tmp, m.name)
             shutil.copytree(clean, tree)
             target = tree / m.path
@@ -206,9 +251,9 @@ def main() -> int:
                 bad = not killed
             failed += bad
             print(f"{'FAIL' if bad else 'ok  '}  {m.name}: {outcome} in {time.perf_counter() - t0:.1f} s")
-    print(f"{len(MUTANTS)} mutants, {failed} failed, {time.perf_counter() - start:.1f} s")
+    print(f"{len(chosen)} mutants, {failed} failed, {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
