@@ -8,12 +8,14 @@ from pow2sums import (
     LITERAL_EXPONENT_CAP,
     DomainError,
     FloatPrecisionError,
+    InvolutionClass,
     MinVanishing,
     ResidueMultiset,
     Verdict,
     check_antipodal_shift,
     check_orbit_vanishing,
     float_sum,
+    half_order_residue,
     is_exact_zero,
     min_vanishing_n,
     odd_part,
@@ -22,7 +24,7 @@ from pow2sums import (
     residue_orbit,
     vanishing_bound,
 )
-from pow2sums import exp_sum
+from pow2sums import exp_sum, order_engine
 
 
 def reduced_coefficients(multiset: ResidueMultiset) -> list[int]:
@@ -499,6 +501,24 @@ def test_antipodal_shift_matches_power_route_on_grid():
 )
 def test_antipodal_shift_matches_power_route_at_large_n_and_d(g, w, n):
     assert check_antipodal_shift(g, w, n) is antipodal_shift_by_powers(g, w, n)
+
+
+@pytest.mark.parametrize("n", [order_engine._SHIFTED_WALK_ABOVE + 1, 2048, 4096])
+@pytest.mark.parametrize("high, low", [(0, 3), (0, -5), (1, -1), (1, 3)])
+def test_half_order_and_antipodal_shift_above_the_walk_switch(high, low, n):
+    # the callers of the t-walk: g = 3, -5, 2^(n-1) - 1, 2^(n-1) + 3
+    g = (high << (n - 1)) + low
+    result = half_order_residue(g, n)
+    omega = 2 * result.half_exponent
+    assert omega & (omega - 1) == 0
+    assert result.residue == pow(g, omega // 2, 1 << n)
+    # g^omega = 1 and g^(omega/2) != 1 with omega a power of two: the order
+    assert result.residue != 1 and pow(result.residue, 2, 1 << n) == 1
+    if (high, low) == (1, -1):
+        assert result.involution is InvolutionClass.HALF_MINUS_ONE
+    else:
+        assert result.involution is InvolutionClass.HALF_PLUS_ONE
+    assert check_antipodal_shift(g, 1, n) is antipodal_shift_by_powers(g, 1, n)
 
 
 def test_exact_zero_iff_float_small_on_random_orbits():

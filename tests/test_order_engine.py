@@ -147,6 +147,23 @@ def test_order_column_equals_the_scan_exhaustively_to_n10():
         for n, (omega, residue) in enumerate(_order_column(g, 1, 10), start=1):
             assert omega == order_naive(g, n).omega, (g, n)
             assert residue == pow(g, omega // 2, 1 << n), (g, n)
+            assert _order_column(g, n, n) == [(omega, residue)], (g, n)
+
+
+def test_order_column_t_walk_equals_the_chain(monkeypatch):
+    # every column on the t-walk, at every top exponent to 10: a square that
+    # keeps one bit too few errs only at a top of 3 (t_0^2 for g = 3 mod 4)
+    monkeypatch.setattr(order_engine, "_SHIFTED_WALK_ABOVE", 0)
+    test_order_column_equals_one_chain_per_exponent()
+    test_order_column_equals_the_scan_exhaustively_to_n10()
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_order_column_straddles_the_walk_switch(step):
+    hi = order_engine._SHIFTED_WALK_ABOVE + step
+    for g in [3, -5, 28363, -1859, (1 << (hi - 1)) - 1, (1 << 100) + 1, (1 << hi) + 1]:
+        assert _order_column(g, hi, hi) == [_one_exponent(g, hi)], g
+        assert _order_column(g, 1, hi) == [_one_exponent(g, n) for n in range(1, hi + 1)], g
 
 
 @pytest.mark.parametrize("g", [3, -5, (1 << 4095) - 1, (1 << 4094) + 1])

@@ -49,9 +49,13 @@ ORDER = "src/pow2sums/order_engine.py"
 T_EXP = "tests/test_exp_sum.py::"
 T_CLI = "tests/test_cli.py::"
 T_SWEEP = "tests/test_sweep.py::"
+T_ORDER = "tests/test_order_engine.py::"
 DENSE = T_EXP + "test_dense_decider_agrees_with_the_multiset_route"
 SWITCH = T_EXP + "test_dense_decider_switches_route_above_the_cap"
 SHARED = T_EXP + "test_shared_tables_decide_each_weight_as_its_own_table"
+T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
+STRADDLE = T_ORDER + "test_order_column_straddles_the_walk_switch"
+ABOVE = T_EXP + "test_half_order_and_antipodal_shift_above_the_walk_switch"
 PER_ORBIT = "tests/test_claim_records.py::test_orbit_sweep_builds_at_most_one_orbit_per_tuple"
 
 MUTANTS = [
@@ -129,9 +133,24 @@ MUTANTS = [
            (T_EXP + "test_literal_orbit_is_capped",)),
     # the order column and the doubling law
     Mutant("column-loop-off-by-one", ORDER,
-           "for n in range(n_lo, n_hi + 1):", "for n in range(n_lo, n_hi + 2):",
-           ("tests/test_order_engine.py::test_order_column_equals_one_chain_per_exponent",
-            "tests/test_order_engine.py::test_order_column_at_the_exponent_limit")),
+           "    for n in range(n_lo, n_hi + 1):\n        low = (1 << n) - 1\n        while (s - 1)",
+           "    for n in range(n_lo, n_hi + 2):\n        low = (1 << n) - 1\n        while (s - 1)",
+           (T_ORDER + "test_order_column_equals_one_chain_per_exponent", STRADDLE)),
+    Mutant("t-walk-loop-off-by-one", ORDER,
+           "        for n in range(n_lo, n_hi + 1):\n            low = (1 << n) - 1\n            while t",
+           "        for n in range(n_lo, n_hi + 2):\n            low = (1 << n) - 1\n            while t",
+           (T_ORDER + "test_order_column_at_the_exponent_limit", STRADDLE)),
+    Mutant("t-walk-square-one-bit-short", ORDER,
+           "t, k, sq, half = (g - 1) & mask, 1, mask >> 2, 0",
+           "t, k, sq, half = (g - 1) & mask, 1, mask >> 3, 0",
+           (T_WALK,)),
+    Mutant("t-walk-residue-is-t", ORDER,
+           "column.append((1 << (k - 1), (half + 1) & low))",
+           "column.append((1 << (k - 1), half & low))",
+           (STRADDLE, ABOVE)),
+    Mutant("t-walk-k-advanced-by-2", ORDER,
+           "                k += 1\n", "                k += 2\n",
+           (STRADDLE, ABOVE)),
     Mutant("column-wrong-chain-residue", ORDER,
            "column.append((omega, half & low))", "column.append((omega, s & low))",
            ("tests/test_half_order.py::test_half_order_residue_examples",)),
@@ -188,6 +207,16 @@ MUTANTS = [
            (SHARED, DENSE, PER_ORBIT),
            equivalent="an orbit is closed under multiplication by g, so v lies on the "
                       "table's orbit exactly when its first term v * g does"),
+    Mutant("t-walk-square-keeps-extra-bits", ORDER,
+           "                sq >>= 2\n", "                sq >>= 1\n",
+           (T_WALK, STRADDLE, ABOVE),
+           equivalent="bits of t >> k at or above 2^(n_hi - 2k) enter u * u << 2k only "
+                      "at 2^n_hi and above, where the mask drops them"),
+    Mutant("walk-switch-at-or-above", ORDER,
+           "if n_hi > _SHIFTED_WALK_ABOVE:", "if n_hi >= _SHIFTED_WALK_ABOVE:",
+           (STRADDLE,),
+           equivalent="both walks give the same column, so the top exponent on the "
+                      "switch may take either"),
 ]
 
 
