@@ -15,18 +15,17 @@ resulting pairing (or the first violating residue) is the certificate.
 
 Two exact routes apply that criterion.  Up to LITERAL_EXPONENT_CAP the
 orbit is counted into a table of 2^n counters whose lower half is compared
-with its upper half; theorem6, min_vanishing_n and orbit_certificate (the
-expsum command) decide there, and the pairing is read from the lower half
-in ascending order.  Above the cap residue_orbit builds the multiset, at
-most 2^(LITERAL_EXPONENT_CAP - 2) terms, and is_exact_zero pairs it; that
-route is also the tests' reference.  A sum that does not vanish is named
-by its first term, w * g mod 2^n, which no such sum pairs (_unpaired).
+with its upper half.  Above it residue_orbit builds the multiset, at most
+2^(LITERAL_EXPONENT_CAP - 2) terms, and is_exact_zero pairs it; that route
+is also the tests' reference.  _unpaired_run, the one decider of theorem6
+and min_vanishing_n, picks the route and names a sum that does not vanish
+by its first term, w * g mod 2^n.  orbit_certificate (the expsum command)
+takes the same routes and reads its pairing from the table's lower half.
 
 theorem6 takes a slab, one g with a run of weights at a run of n: every
-order comes from one squaring chain, and at each n one table serves every
-weight whose first term it holds, since that weight's orbit is the same
-orbit shifted cyclically (_unpaired_run).  check_antipodal_shift decides
-by a single congruence read from the chain.
+order comes from one squaring chain, and at each n one table serves each
+weight whose orbit it holds.  check_antipodal_shift decides by a single
+congruence read from the chain.
 
 A floating evaluation is provided as a diagnostic cross-check only; the
 exact routes are authoritative wherever the orbit is within that bound.
@@ -222,7 +221,7 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
         k = len(residues) >> 1
         cert = ZeroCertificate(is_zero=True, pairing=tuple(zip(residues[:k], counts[:k])))
     else:
-        # the first term is unpaired in every sum that does not vanish (_unpaired)
+        # the first term is unpaired in every sum that does not vanish (_unpaired_run)
         cert = ZeroCertificate(is_zero=False, violating_residue=w * g & (m - 1))
     value = sum(c * cmath.exp(2j * math.pi * r / m) for r, c in zip(residues, counts))
     return OrbitCertificate(omega, cert, value)
@@ -286,39 +285,30 @@ def _orbit_vanishing(g: int, ws: Sequence[int], ns: range) -> list[Outcome]:
     return outcomes
 
 
-def _unpaired(g: int, w: int, n: int, omega: int) -> Unpaired:
-    """None when S(g, w, n) = 0; otherwise (r, count(r), count(r ^ 2^(n-1)))
-    for the orbit's first term r = w * g mod 2^n.  The caller has validated
-    g, w and n, and omega is the order of g modulo 2^n.
-
-    Up to LITERAL_EXPONENT_CAP the orbit's table decides (_unpaired_run);
-    above it the multiset route, within residue_orbit's bound.  The first
-    term only names the offender: with w = 2^d * w0 (w0 odd) and m = n - d,
-    the orbit is 2^d times a coset of <g> modulo 2^m with one count on
-    every residue, and adding 2^(n-1) multiplies that coset by 1 + 2^(m-1),
-    so either every occupied residue is paired or none is."""
-    if n <= LITERAL_EXPONENT_CAP:
-        return _unpaired_run(g, (w,), n, omega)[0]
-    r = w * g & ((1 << n) - 1)
-    orbit = residue_orbit(g, w, n)
-    if is_exact_zero(orbit).is_zero:
-        return None
-    return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ (1 << (n - 1)), 0)
-
-
 def _unpaired_run(g: int, ws: Sequence[int], n: int, omega: int) -> list[Unpaired]:
-    """_unpaired(g, w, n, omega) for each w of ws, one table per distinct orbit.
+    """For each w of ws, None when S(g, w, n) = 0, else (r, count(r),
+    count(r ^ 2^(n-1))) at the orbit's first term r = w * g mod 2^n; the
+    caller has validated g, ws and n, and omega is the order of g mod 2^n.
+    The first term names the offender: with w = 2^d * w0 (w0 odd) and
+    m = n - d, the orbit is 2^d times a coset of <g> mod 2^m with one count
+    on every residue, and adding 2^(n-1) multiplies it by 1 + 2^(m-1), so
+    every occupied residue is paired or none is.
 
-    The table of the first undecided w, compared half to half, decides it
-    and every undecided v whose first term v * g it holds: v * g = w * g^k
-    gives v = w * g^(k-1), so v's orbit is w's shifted by k - 1 steps, the
-    same multiset.  That needs only g^omega = 1 (mod 2^n), and the counts
-    are read at v's own first term.  One table is alive at a time.  Above
-    LITERAL_EXPONENT_CAP each w takes the multiset route (_unpaired)."""
-    if n > LITERAL_EXPONENT_CAP:
-        return [_unpaired(g, w, n, omega) for w in ws]
+    Above LITERAL_EXPONENT_CAP each w takes the multiset route, within
+    residue_orbit's bound.  Up to it the table of the first undecided w,
+    compared half to half, decides it and every undecided v whose first
+    term v * g it holds: v * g = w * g^k gives v = w * g^(k-1), so v's
+    orbit is w's shifted by k - 1 steps, the same multiset (this needs only
+    g^omega = 1 mod 2^n), and the counts are read at v's own first term.
+    One table is alive at a time."""
     mask, half = (1 << n) - 1, 1 << (n - 1)
     found: list[Unpaired] = [None] * len(ws)
+    if n > LITERAL_EXPONENT_CAP:
+        for i, w in enumerate(ws):
+            orbit, r = residue_orbit(g, w, n), w * g & mask
+            if not is_exact_zero(orbit).is_zero:
+                found[i] = r, orbit.counts.get(r, 0), orbit.counts.get(r ^ half, 0)
+        return found
     pending = range(len(ws))
     while pending:
         table = _orbit_table(g, ws[pending[0]], n, omega)
@@ -361,7 +351,7 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
 
     Vanishing is not monotone in n (g=3, w=1 vanishes at n=2, fails at
     n=3, then vanishes from n=4 on), so every exponent from d(w) + 2 on is
-    probed with theorem6's decider, _unpaired.  Below d(w) + 2 every term
+    probed with theorem6's decider, _unpaired_run.  Below d(w) + 2 every term
     sits on 0 or 2^(n-1), so no sum vanishes there.  slack =
     vanishing_bound(g, w) - n measures how far below the guaranteed bound
     the first zero appears; the bound's sharpness is an empirical
@@ -369,7 +359,7 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
     _require_exponent(n_max)
     bound = vanishing_bound(g, w)
     for n in range(two_adic_valuation(w) + 2, n_max + 1):
-        if _unpaired(g, w, n, _order_column(g, n, n)[0][0]) is None:
+        if _unpaired_run(g, (w,), n, _order_column(g, n, n)[0][0])[0] is None:
             return MinVanishing(n=n, slack=bound - n)
     return None
 

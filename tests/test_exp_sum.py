@@ -241,7 +241,7 @@ def test_orbit_vanishing_small_grid_never_fails():
 
 def by_multiset(g: int, w: int, n: int):
     """The multiset route's answers for S(g, w, n): the orbit, its
-    certificate, and the offender exp_sum._unpaired must name."""
+    certificate, and the offender exp_sum._unpaired_run must name."""
     orbit = residue_orbit(g, w, n)
     cert = is_exact_zero(orbit)
     r = cert.violating_residue
@@ -273,7 +273,8 @@ def test_dense_decider_agrees_with_the_multiset_route():
         for w in weights:
             for n in range(1, 13):
                 orbit, cert, expected = by_multiset(g, w, n)
-                assert exp_sum._unpaired(g, w, n, order_fast(g, n).omega) == expected, (g, w, n)
+                omega = order_fast(g, n).omega
+                assert exp_sum._unpaired_run(g, (w,), n, omega)[0] == expected, (g, w, n)
                 if expected is not None:
                     # the orbit is a scaled coset of <g>: a sum that does not
                     # vanish pairs none of its residues, so the first term,
@@ -299,7 +300,7 @@ def test_shared_tables_decide_each_weight_as_its_own_table():
     for g in bases:
         for n in range(1, 13):
             omega = order_fast(g, n).omega
-            own = [exp_sum._unpaired(g, w, n, omega) for w in weights]
+            own = [exp_sum._unpaired_run(g, (w,), n, omega)[0] for w in weights]
             assert exp_sum._unpaired_run(g, weights, n, omega) == own, (g, n)
             assert exp_sum._unpaired_run(g, weights[::-1], n, omega) == own[::-1], (g, n)
             mixed += None in own and own.count(None) < len(own)
@@ -322,10 +323,46 @@ def test_dense_decider_switches_route_above_the_cap(monkeypatch):
     )
     for g, w, n in cases:
         omega = order_fast(g, n).omega
-        assert exp_sum._unpaired(g, w, n, omega) == expected[g, w, n], (g, w, n)
+        assert exp_sum._unpaired_run(g, (w,), n, omega)[0] == expected[g, w, n], (g, w, n)
         assert_certificate_matches(g, w, n, *reference[g, w, n][:2])
     # the table decides at the cap; the multiset route only above it
     assert calls == [cap + 1] * len(cases)
+
+
+def test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap(monkeypatch):
+    # with the cap at 10 these short orbits stay within residue_orbit's bound
+    # at n = 11 and 12, so each call decides a run of weights above the cap;
+    # some of their sums vanish there and some do not
+    monkeypatch.setattr(exp_sum, "LITERAL_EXPONENT_CAP", 10)
+    weights = [1, -3, 6, 12, -40, 1 << 9, 3 << 10, 5 << 11]
+    bases = (15, 17, -15, 33)
+    expected = {(g, n): [by_multiset(g, w, n)[2] for w in weights]
+                for g in bases for n in range(8, 13)}
+    # each base's theorem6 slab crosses the cap at n = 10; with the bound
+    # lowered to d(w) + 1, a met sum that vanishes holds (or fails only its
+    # collapse guard) and one that does not is named by its first term
+    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: odd_part(w).d + 1)
+    for g in bases:
+        for n in (11, 12):
+            omega = order_fast(g, n).omega
+            own = expected[g, n]
+            assert None in own[1:] and any(own[1:]), (g, n)
+            assert exp_sum._unpaired_run(g, weights, n, omega) == own, (g, n)
+            assert exp_sum._unpaired_run(g, weights[::-1], n, omega) == own[::-1], (g, n)
+        outcomes = iter(exp_sum._orbit_vanishing(g, weights, range(8, 13)))
+        for i, w in enumerate(weights):
+            for n in range(8, 13):
+                verdict, detail = next(outcomes)
+                unpaired = expected[g, n][i]
+                if n <= odd_part(w).d:
+                    assert verdict is Verdict.HYPOTHESIS_NOT_MET, (g, w, n)
+                elif unpaired is None:
+                    assert detail is None or detail[0].startswith("exact zero"), (g, w, n)
+                else:
+                    r, count, antipode = unpaired
+                    assert verdict is Verdict.COUNTEREXAMPLE, (g, w, n)
+                    other = r ^ (1 << (n - 1))
+                    assert detail[0] == f"count({r})={count} != count({other})={antipode}", (g, w, n)
 
 
 def test_literal_orbit_is_capped(monkeypatch):

@@ -9,8 +9,10 @@ pytest node ids that must kill it.  The gate checks that every old text
 occurs exactly once, runs every named test on an unmutated copy of src/
 and tests/, and then applies each mutant in a fresh temporary copy and
 runs `pytest -x -q` on its ids.  A mutant is killed when those tests
-fail.  The known equivalent mutants change no result, each for the
-reason given; they run as controls and must survive.
+fail, or when they run longer than twice the unmutated run (at most
+TIMEOUT_S), which is taken for a hang.  The known equivalent mutants
+change no result, each for the reason given; they run as controls and
+must survive.
 
 Exit 1 on a surviving mutant, a killed equivalent, an old text that does
 not occur exactly once, or a named test that does not pass unmutated, and
@@ -29,7 +31,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-# a mutant whose tests run longer than this is counted as killed (a hang)
+# a mutant whose tests run longer than twice the unmutated run of every
+# named test, or than this, is counted as killed (a hang)
 TIMEOUT_S = 300
 
 
@@ -53,6 +56,7 @@ T_ORDER = "tests/test_order_engine.py::"
 DENSE = T_EXP + "test_dense_decider_agrees_with_the_multiset_route"
 SWITCH = T_EXP + "test_dense_decider_switches_route_above_the_cap"
 SHARED = T_EXP + "test_shared_tables_decide_each_weight_as_its_own_table"
+ONE_DECIDER = T_EXP + "test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap"
 T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
 STRADDLE = T_ORDER + "test_order_column_straddles_the_walk_switch"
 ABOVE = T_EXP + "test_half_order_and_antipodal_shift_above_the_walk_switch"
@@ -72,8 +76,8 @@ MUTANTS = [
            "    cur = w & mask\n", "    cur = 1\n",
            (DENSE,)),
     Mutant("decider-route-switch-at-the-cap", EXP,
-           "    if n <= LITERAL_EXPONENT_CAP:\n        return _unpaired_run(",
-           "    if n < LITERAL_EXPONENT_CAP:\n        return _unpaired_run(",
+           "    if n > LITERAL_EXPONENT_CAP:\n        for i, w in enumerate(ws):",
+           "    if n >= LITERAL_EXPONENT_CAP:\n        for i, w in enumerate(ws):",
            (SWITCH,)),
     Mutant("certificate-route-switch-at-the-cap", EXP,
            "    if n > LITERAL_EXPONENT_CAP:\n        orbit = residue_orbit(g, w, n)\n        value",
@@ -83,8 +87,11 @@ MUTANTS = [
            "            r = ws[i] * g & mask\n", "            r = ws[i] & mask\n",
            (DENSE,)),
     Mutant("multiset-offender-is-the-weight", EXP,
-           "    r = w * g & ((1 << n) - 1)\n", "    r = w & ((1 << n) - 1)\n",
-           (SWITCH,)),
+           "residue_orbit(g, w, n), w * g & mask", "residue_orbit(g, w, n), w & mask",
+           (SWITCH, ONE_DECIDER)),
+    Mutant("multiset-route-decides-the-first-weight-only", EXP,
+           "        for i, w in enumerate(ws):\n", "        for i, w in enumerate(ws[:1]):\n",
+           (ONE_DECIDER,)),
     Mutant("certificate-offender-is-the-weight", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=w & (m - 1)",
            (T_CLI + "test_expsum_command_nonzero_case", DENSE)),
@@ -117,7 +124,7 @@ MUTANTS = [
            "return OrbitCertificate(len(residues), cert, value)",
            (DENSE,)),
     Mutant("min-vanishing-on-the-multiset-route", EXP,
-           "if _unpaired(g, w, n, _order_column(g, n, n)[0][0]) is None:",
+           "if _unpaired_run(g, (w,), n, _order_column(g, n, n)[0][0])[0] is None:",
            "if is_exact_zero(residue_orbit(g, w, n)).is_zero:",
            (T_EXP + "test_min_vanishing_n_decides_from_the_table_below_the_cap",)),
     Mutant("min-vanishing-starts-one-late", EXP,
@@ -230,13 +237,13 @@ def stale(mutants: list[Mutant]) -> list[str]:
     return messages
 
 
-def run_tests(tree: Path, tests: tuple[str, ...]) -> Optional[int]:
-    """pytest's exit code for the tests in tree, or None past TIMEOUT_S."""
+def run_tests(tree: Path, tests: tuple[str, ...], timeout: float = TIMEOUT_S) -> Optional[int]:
+    """pytest's exit code for the tests in tree, or None past timeout seconds."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
     except subprocess.TimeoutExpired:
         return None
 
@@ -257,17 +264,22 @@ def main(names: list[str]) -> int:
         clean = Path(tmp, "clean")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, clean / part, ignore=shutil.ignore_patterns("__pycache__"))
+        t0 = time.perf_counter()
         code = run_tests(clean, tuple(dict.fromkeys(t for m in chosen for t in m.tests)))
         if code != 0:
             print(f"the named tests do not pass unmutated (pytest exit {code})", file=sys.stderr)
             return 1
+        # each mutant runs a subset of those tests, so twice their time is a hang
+        unmutated = time.perf_counter() - t0
+        timeout = min(TIMEOUT_S, 2 * unmutated)
+        print(f"named tests pass unmutated in {unmutated:.1f} s; a mutant gets {timeout:.1f} s")
         for m in chosen:
             tree = Path(tmp, m.name)
             shutil.copytree(clean, tree)
             target = tree / m.path
             target.write_text(target.read_text().replace(m.old, m.new))
             t0 = time.perf_counter()
-            code = run_tests(tree, m.tests)
+            code = run_tests(tree, m.tests, timeout)
             shutil.rmtree(tree)
             # pytest exits 1 when a test fails; a hang counts as a kill
             killed = code in (None, 1)
