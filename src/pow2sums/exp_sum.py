@@ -46,7 +46,7 @@ from .core_arith import (
     two_adic_valuation,
 )
 from .order_engine import _order_column, order_fast
-from .verdict import Outcome, Verdict
+from .verdict import HOLDS, NOT_MET, Outcome, Verdict
 
 # Beyond this exponent 2*pi*r/2^n loses the argument precision a float can
 # carry; callers are directed to the exact certificate instead.
@@ -223,7 +223,10 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
     else:
         # the first term is unpaired in every sum that does not vanish (_unpaired_run)
         cert = ZeroCertificate(is_zero=False, violating_residue=w * g & (m - 1))
-    value = sum(c * cmath.exp(2j * math.pi * r / m) for r, c in zip(residues, counts))
+    # rect(c, phi) is (c cos phi, c sin phi), the products that
+    # c * cmath.exp(2j * math.pi * r / m) forms, at its angle fl(2 pi r) / m
+    # and summed in the same order: the same bits without complex arithmetic
+    value = sum(map(cmath.rect, counts, (2 * math.pi * r / m for r in residues)))
     return OrbitCertificate(omega, cert, value)
 
 
@@ -260,7 +263,7 @@ def _orbit_vanishing(g: int, ws: Sequence[int], ns: range) -> list[Outcome]:
     top = ns[-1]
     _require_exponent(top)
     bounds = [vanishing_bound(g, w) for w in ws]
-    outcomes: list[Outcome] = [(Verdict.HYPOTHESIS_NOT_MET, None)] * (len(ws) * len(ns))
+    outcomes: list[Outcome] = [NOT_MET] * (len(ws) * len(ns))
     lo = max(min(bounds), ns[0])
     if lo > top:
         return outcomes
@@ -272,7 +275,7 @@ def _orbit_vanishing(g: int, ws: Sequence[int], ns: range) -> list[Outcome]:
             guard_holds = g & low not in (1, low)
             at = i * len(ns) + n - ns[0]
             if unpaired is None and guard_holds:
-                outcomes[at] = (Verdict.HOLDS, None)
+                outcomes[at] = HOLDS
             elif unpaired is None:
                 outcomes[at] = (Verdict.COUNTEREXAMPLE, (
                     "exact zero (collapse guard failed)",

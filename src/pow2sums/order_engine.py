@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core_arith import DomainError, _require_exponent, _require_odd, canonical_residue
-from .verdict import Outcome, Verdict
+from .verdict import HOLDS, NOT_MET, Outcome, Verdict
 
 # The scan is a cross-validation oracle, not a production path; beyond this
 # many multiplications it reports a resource error instead of grinding on.
@@ -67,16 +67,12 @@ def order_naive(g: int, n: int) -> OrderRecord:
     mask = (1 << n) - 1
     s = g & mask
     x = s
-    k = 1
     cap = NAIVE_SCAN_CAP
-    while x != 1:
-        k += 1
-        if k > cap:
-            raise ScanBudgetExceeded(
-                f"order scan for g={g} mod 2^{n} exceeded {cap} iterations"
-            )
+    for k in range(1, cap + 1):  # x = g^k mod 2^n
+        if x == 1:
+            return OrderRecord(g=s, n=n, omega=k, path="naive")
         x = x * s & mask
-    return OrderRecord(g=s, n=n, omega=k, path="naive")
+    raise ScanBudgetExceeded(f"order scan for g={g} mod 2^{n} exceeded {cap} iterations")
 
 
 def _order_column(g: int, n_lo: int, n_hi: int) -> list[tuple[int, int]]:
@@ -161,21 +157,18 @@ def _order_doubling(g: int, ns: range) -> list[Outcome]:
     _require_exponent(top)
     if g & ((1 << top) - 1) in (1, (1 << top) - 1):
         # then g = +-1 modulo every lower power of two too, and no column is read
-        return [(Verdict.HYPOTHESIS_NOT_MET, None)] * len(ns)
+        return [NOT_MET] * len(ns)
     _require_exponent(top + 1)
     omegas = [omega for omega, _ in _order_column(g, ns[0], top + 1)]
-    outcomes: list[Outcome] = []
-    for n, base, above in zip(ns, omegas, omegas[1:]):
-        if g & ((1 << n) - 1) in (1, (1 << n) - 1):
-            outcomes.append((Verdict.HYPOTHESIS_NOT_MET, None))
-        elif above == 2 * base:
-            outcomes.append((Verdict.HOLDS, None))
-        else:
-            outcomes.append((Verdict.COUNTEREXAMPLE, (
-                f"omega at exponent {n + 1} = {above}",
-                f"2 * omega at exponent {n} = {2 * base}",
-            )))
-    return outcomes
+    return [
+        NOT_MET if g & ((1 << n) - 1) in (1, (1 << n) - 1)
+        else HOLDS if above == 2 * base
+        else (Verdict.COUNTEREXAMPLE, (
+            f"omega at exponent {n + 1} = {above}",
+            f"2 * omega at exponent {n} = {2 * base}",
+        ))
+        for n, base, above in zip(ns, omegas, omegas[1:])
+    ]
 
 
 def check_order_scaling(g: int, n: int, d: int) -> Verdict:

@@ -4,7 +4,9 @@ Each sweepable claim is one evaluate callable in the CLAIMS registry,
 under a stable id.  It takes one slab, a g with its run of weights at
 every n of a run, applies the claim's hypothesis filter and returns each
 tuple's verdict with the report's (observed, expected) strings, built
-from the values that decided it.  A per-modulus claim (weights (None,))
+from the values that decided it; a tuple without them is the shared
+verdict.HOLDS or verdict.NOT_MET, so each slab is tallied in C and only a
+slab with a detail walks its tuples.  A per-modulus claim (weights (None,))
 reads every n's order and half-order residue from one squaring chain per
 g; the orbit-sum claim walks one chain per g from its least vanishing
 bound on, and one orbit table per distinct orbit at each n.  The ids,
@@ -33,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
 from . import core_arith, exp_sum, half_order, order_engine
-from .verdict import Outcome, Verdict
+from .verdict import HOLDS, NOT_MET, Outcome, Verdict
 
 _CHUNK_TUPLES = 4096
 
@@ -48,10 +50,10 @@ class Claim:
 
     evaluate(g, ws, ns) takes a slab of a sweep domain, g with each weight
     of ws ((None,) for a per-modulus claim) at every n of the non-empty
-    range ns, filters hypotheses itself, and returns one (verdict, detail)
-    per tuple in (w, n) order, each from one evaluation: detail is the
-    (observed, expected) pair of strings for the report when the verdict
-    is COUNTEREXAMPLE or PAPER_EXCEPTION, and None otherwise.
+    range ns, filters hypotheses itself, and returns a list of one (verdict,
+    detail) per tuple in (w, n) order, each from one evaluation: detail is
+    the report's (observed, expected) strings for COUNTEREXAMPLE and
+    PAPER_EXCEPTION; a detail-free outcome should be verdict.HOLDS or NOT_MET.
     """
 
     name: str
@@ -108,7 +110,7 @@ def _eval_order_oracle(g: int, ws: Sequence[Optional[int]], ns: range) -> list[O
     column = order_engine._order_column(g, ns[0], ns[-1])
     naive = [order_engine.order_naive(g, n).omega for n in ns]
     return [
-        (Verdict.HOLDS, None) if slow == fast
+        HOLDS if slow == fast
         else (Verdict.COUNTEREXAMPLE, (f"fast path omega={fast}", f"naive scan omega={slow}"))
         for slow, (fast, _) in zip(naive, column)
     ]
@@ -120,7 +122,7 @@ def _eval_order_doubling(g: int, ws: Sequence[Optional[int]], ns: range) -> list
     if ns[-1] != core_arith.MAX_EXPONENT:
         return order_engine._order_doubling(g, ns)
     below = order_engine._order_doubling(g, ns[:-1]) if len(ns) > 1 else []
-    return below + [(Verdict.HYPOTHESIS_NOT_MET, None)]
+    return below + [NOT_MET]
 
 
 def _half_order_claim(
@@ -135,7 +137,7 @@ def _half_order_claim(
         return [
             check(g, n, omega >> 1, residue)
             if n >= 3 and omega > 1
-            else (Verdict.HYPOTHESIS_NOT_MET, None)
+            else NOT_MET
             for n, (omega, residue) in zip(ns, order_engine._order_column(g, ns[0], ns[-1]))
         ]
 
@@ -144,7 +146,7 @@ def _half_order_claim(
 
 def _eval_orbit_vanishing(g: int, ws: Sequence[Optional[int]], ns: range) -> list[Outcome]:
     if g in (-1, 1) or not ws:
-        return [(Verdict.HYPOTHESIS_NOT_MET, None)] * (len(ws) * len(ns))
+        return [NOT_MET] * (len(ws) * len(ns))
     return exp_sum._orbit_vanishing(g, ws, ns)
 
 
@@ -217,7 +219,9 @@ def _slices(spec: SweepSpec, claim: Claim) -> list[SweepSpec]:
 
 
 def _run_chunk(spec: SweepSpec) -> tuple[dict[str, int], list[SweepException]]:
-    """Evaluate every tuple of a (sub-)domain: each g's slab in one call."""
+    """Evaluate every tuple of a (sub-)domain: each g's slab in one call,
+    counted with list.count; only a slab with a detail or of the wrong
+    length walks its tuples, skipping what the counts took."""
     claim = CLAIMS[spec.claim]
     ws = [w for w in range(spec.w_min, spec.w_max + 1) if w] if claim.needs_w else (None,)
     tallies = dict.fromkeys(Verdict, 0)
@@ -225,11 +229,18 @@ def _run_chunk(spec: SweepSpec) -> tuple[dict[str, int], list[SweepException]]:
     for g in _g_range(spec, claim):
         ns = range(spec.n_min if claim.needs_w else max(spec.n_min, g.bit_length()), spec.n_max + 1)
         outcomes = claim.evaluate(g, ws, ns)
-        for (w, n), (verdict, detail) in zip(product(ws, ns), outcomes, strict=True):
+        held, unmet = outcomes.count(HOLDS), outcomes.count(NOT_MET)
+        tallies[Verdict.HOLDS] += held
+        tallies[Verdict.HYPOTHESIS_NOT_MET] += unmet
+        if held + unmet == len(outcomes) == len(ws) * len(ns):
+            continue
+        for (w, n), outcome in zip(product(ws, ns), outcomes, strict=True):
+            if outcome == HOLDS or outcome == NOT_MET:
+                continue
+            verdict, detail = outcome
             tallies[verdict] += 1
             if verdict in (Verdict.COUNTEREXAMPLE, Verdict.PAPER_EXCEPTION):
-                observed, expected = detail
-                exceptions.append(SweepException(g, n, w, observed, expected))
+                exceptions.append(SweepException(g, n, w, *detail))
     return {verdict.value: count for verdict, count in tallies.items()}, exceptions
 
 

@@ -28,3 +28,8 @@ class Verdict(enum.Enum):
 # One claim evaluation: the verdict, and for COUNTEREXAMPLE and
 # PAPER_EXCEPTION the (observed, expected) strings a sweep report records.
 Outcome = tuple[Verdict, Optional[tuple[str, str]]]
+
+# The detail-free outcomes: every checker returns these shared objects, so
+# a sweep tallies a slab's outcomes in C with list.count.
+HOLDS: Outcome = (Verdict.HOLDS, None)
+NOT_MET: Outcome = (Verdict.HYPOTHESIS_NOT_MET, None)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import cmath
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,6 +290,20 @@ def test_dense_decider_agrees_with_the_multiset_route():
                 assert_certificate_matches(g, w, n, orbit, cert, floats=n <= 10)
                 failures += expected is not None
     assert failures > 0
+
+
+def test_float_value_is_the_bits_of_the_complex_exponential_sum():
+    # one c * exp(2 pi i r / 2^n) per occupied residue, in ascending order:
+    # the products and the order that orbit_certificate's rect terms keep
+    for g in range(-31, 32, 2):
+        if g in (-1, 1):
+            continue
+        for w in [w for w in range(-16, 17) if w != 0]:
+            for n in range(1, 13):
+                m = 1 << n
+                table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
+                old = sum(c * cmath.exp(2j * math.pi * r / m) for r, c in enumerate(table) if c)
+                assert repr(orbit_certificate(g, w, n).value) == repr(old), (g, w, n)
 
 
 def test_shared_tables_decide_each_weight_as_its_own_table():

@@ -81,6 +81,13 @@ def test_naive_scan_cap(monkeypatch):
     monkeypatch.setattr(order_engine, "NAIVE_SCAN_CAP", 16)
     with pytest.raises(ScanBudgetExceeded, match="g=3 mod 2\\^8"):
         order_naive(3, 8)
+    # the order of 3 modulo 2^8 is 64: a cap of 64 multiplications reaches it
+    monkeypatch.setattr(order_engine, "NAIVE_SCAN_CAP", 64)
+    assert order_naive(3, 8).omega == 64
+    monkeypatch.setattr(order_engine, "NAIVE_SCAN_CAP", 63)
+    with pytest.raises(ScanBudgetExceeded) as raised:
+        order_naive(3, 8)
+    assert str(raised.value) == "order scan for g=3 mod 2^8 exceeded 63 iterations"
 
 
 def test_fast_equals_naive_exhaustively_to_n10():

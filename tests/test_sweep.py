@@ -15,6 +15,7 @@ from pow2sums import (
     CLAIMS,
     Claim,
     DomainError,
+    SweepException,
     SweepSpec,
     UsageError,
     Verdict,
@@ -24,6 +25,7 @@ from pow2sums import (
     run_sweep,
 )
 from pow2sums import core_arith, sweep
+from pow2sums.verdict import HOLDS
 
 
 def spec(**kwargs) -> SweepSpec:
@@ -349,3 +351,33 @@ def test_injected_claim_reaches_the_report():
         assert report.exceptions[0].observed == "it failed"
     finally:
         del CLAIMS["always_fails"]
+
+
+def test_a_slab_one_outcome_short_raises(monkeypatch):
+    # list.count takes every outcome of the short slab, so only its length
+    # tells it from a whole one
+    short = Claim("short", False, lambda g, ws, ns: [HOLDS] * (len(ns) - 1))
+    monkeypatch.setitem(CLAIMS, short.name, short)
+    with pytest.raises(ValueError):
+        run_sweep(spec(claim="short"))
+
+
+def test_fresh_detail_free_outcomes_are_tallied_once_each(monkeypatch):
+    # fresh tuples equal to the shared outcomes, and one counterexample as
+    # the last outcome of every slab
+    def evaluate(g, ws, ns):
+        outcomes = [(Verdict.HOLDS if n % 2 else Verdict.HYPOTHESIS_NOT_MET, None) for n in ns]
+        outcomes[-1] = (Verdict.COUNTEREXAMPLE, (f"g={g}", "none"))
+        return outcomes
+
+    monkeypatch.setitem(CLAIMS, "fresh", Claim("fresh", False, evaluate))
+    report = run_sweep(spec(claim="fresh"))
+    gs = range(1, 64, 2)
+    below_top = [n for g in gs for n in range(g.bit_length(), 6)]
+    assert report.tallies == dict(
+        holds=sum(n % 2 for n in below_top),
+        hypothesis_not_met=sum(1 - n % 2 for n in below_top),
+        paper_exception=0,
+        counterexample=len(gs),
+    )
+    assert report.exceptions == [SweepException(g, 6, None, f"g={g}", "none") for g in gs]

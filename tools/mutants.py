@@ -49,10 +49,12 @@ EXP = "src/pow2sums/exp_sum.py"
 CLI = "src/pow2sums/cli.py"
 SWEEP = "src/pow2sums/sweep.py"
 ORDER = "src/pow2sums/order_engine.py"
+HALF = "src/pow2sums/half_order.py"
 T_EXP = "tests/test_exp_sum.py::"
 T_CLI = "tests/test_cli.py::"
 T_SWEEP = "tests/test_sweep.py::"
 T_ORDER = "tests/test_order_engine.py::"
+T_HALF = "tests/test_half_order.py::"
 DENSE = T_EXP + "test_dense_decider_agrees_with_the_multiset_route"
 SWITCH = T_EXP + "test_dense_decider_switches_route_above_the_cap"
 SHARED = T_EXP + "test_shared_tables_decide_each_weight_as_its_own_table"
@@ -116,9 +118,9 @@ MUTANTS = [
            "k = len(residues) >> 1", "k = (len(residues) >> 1) + 1",
            (T_CLI + "test_table_format", DENSE)),
     Mutant("float-without-multiplicities", EXP,
-           "sum(c * cmath.exp(2j * math.pi * r / m) for r, c in zip(residues, counts))",
-           "sum(cmath.exp(2j * math.pi * r / m) for r, c in zip(residues, counts))",
-           (DENSE,)),
+           "sum(map(cmath.rect, counts, ",
+           "sum(map(cmath.rect, [1] * len(counts), ",
+           (DENSE, T_EXP + "test_float_value_is_the_bits_of_the_complex_exponential_sum")),
     Mutant("terms-as-distinct-residues", EXP,
            "return OrbitCertificate(omega, cert, value)",
            "return OrbitCertificate(len(residues), cert, value)",
@@ -162,9 +164,25 @@ MUTANTS = [
            "column.append((omega, half & low))", "column.append((omega, s & low))",
            ("tests/test_half_order.py::test_half_order_residue_examples",)),
     Mutant("doubling-drops-the-plus-minus-one-check", ORDER,
-           "        if g & ((1 << n) - 1) in (1, (1 << n) - 1):\n            outcomes",
-           "        if False:\n            outcomes",
+           "        NOT_MET if g & ((1 << n) - 1) in (1, (1 << n) - 1)\n",
+           "        NOT_MET if False\n",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
+    Mutant("scan-range-one-short-of-the-cap", ORDER,
+           "for k in range(1, cap + 1):", "for k in range(1, cap):",
+           (T_ORDER + "test_naive_scan_cap",)),
+    # the half-order checkers' direct residue tests
+    Mutant("membership-drops-half-minus-one", HALF,
+           "if residue in (2 * top - 1, top - 1, top + 1):",
+           "if residue in (2 * top - 1, top + 1):",
+           (T_HALF + "test_involution_membership_examples",)),
+    Mutant("minus-one-case-tests-half-plus-one", HALF,
+           "    if residue != (1 << n) - 1:\n",
+           "    if residue != (1 << (n - 1)) + 1:\n",
+           (T_HALF + "test_minus_one_case_examples",)),
+    Mutant("classification-wants-half-minus-one", HALF,
+           "want = g if g == (1 << n) - 1 else (1 << (n - 1)) + 1",
+           "want = g if g == (1 << n) - 1 else (1 << (n - 1)) - 1",
+           (T_HALF + "test_classification_checker_examples",)),
     # the single-query cell rule
     Mutant("cell-rule-drops-tuples", CLI,
            "isinstance(v, (list, tuple))", "isinstance(v, list)",
@@ -192,6 +210,14 @@ MUTANTS = [
     Mutant("top-g-dropped", SWEEP,
            "return range(lo | 1, hi + 1, 2)", "return range(lo | 1, hi, 2)",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
+    Mutant("slab-length-check-dropped", SWEEP,
+           "        if held + unmet == len(outcomes) == len(ws) * len(ns):\n",
+           "        if held + unmet == len(outcomes):\n",
+           (T_SWEEP + "test_a_slab_one_outcome_short_raises",)),
+    Mutant("slab-with-one-exception-skipped", SWEEP,
+           "        if held + unmet == len(outcomes) == len(ws) * len(ns):\n",
+           "        if held + unmet + 1 >= len(outcomes) == len(ws) * len(ns):\n",
+           (T_SWEEP + "test_fresh_detail_free_outcomes_are_tallied_once_each",)),
     Mutant("row-template-takes-a-bool-leaf", SWEEP,
            "set(map(type, chain.from_iterable(value))) == {int}",
            "all(isinstance(v, int) for v in chain.from_iterable(value))",
