@@ -15,20 +15,21 @@ resulting pairing (or the first violating residue) is the certificate.
 
 Two exact routes apply that criterion.  Up to LITERAL_EXPONENT_CAP the
 orbit is counted into a table of 2^n counters whose lower half is compared
-with its upper half.  Above it residue_orbit builds the multiset, at most
-2^(LITERAL_EXPONENT_CAP - 2) terms, and is_exact_zero pairs it; that route
-is also the tests' reference.  _unpaired_run, the one decider of theorem6
-and min_vanishing_n, picks the route and names a sum that does not vanish
-by its first term, w * g mod 2^n.  orbit_certificate (the expsum command)
+with its upper half.  Above it the paper's congruence decides: with
+w = 2^d * w0 (w0 odd) and m = n - d, S = 0 exactly when m >= 2 and the
+order column's half-order residue g^(omega_g(2^m)/2) mod 2^m is
+2^(m-1) + 1.  _unpaired_run, the one decider of theorem6 and
+min_vanishing_n, picks the route and names a sum that does not vanish by
+its first term, w * g mod 2^n.  orbit_certificate (the expsum command)
 takes the same routes and reads its pairing from the table's lower half.
+residue_orbit, is_exact_zero and float_sum build the literal multiset,
+pair it and sum it in floating point; they have no production caller and
+are the tests' reference.
 
 theorem6 takes a slab, one g with a run of weights at a run of n: every
 order comes from one squaring chain, and at each n one table serves each
 weight whose orbit it holds.  check_antipodal_shift decides by a single
 congruence read from the chain.
-
-A floating evaluation is provided as a diagnostic cross-check only; the
-exact routes are authoritative wherever the orbit is within that bound.
 """
 from __future__ import annotations
 
@@ -99,7 +100,8 @@ class ZeroCertificate:
     When is_zero, pairing lists (r, multiplicity) for every occupied
     residue r < 2^(n-1); each of those terms cancels one copy at
     r + 2^(n-1).  Otherwise violating_residue is a residue whose antipode
-    carries a different multiplicity.
+    carries a different multiplicity.  orbit_certificate gives no pairing
+    above LITERAL_EXPONENT_CAP.
     """
 
     is_zero: bool
@@ -187,8 +189,8 @@ def float_sum(multiset: ResidueMultiset) -> complex:
 
 class OrbitCertificate(NamedTuple):
     """Everything the expsum command reports about S(g, w, n): the number of
-    terms, the exact certificate, and the floating cross-check (None above
-    FLOAT_EXPONENT_CAP)."""
+    terms, the exact certificate, and the floating cross-check.  Above
+    LITERAL_EXPONENT_CAP the certificate's pairing and the value are None."""
 
     terms: int
     certificate: ZeroCertificate
@@ -198,17 +200,19 @@ class OrbitCertificate(NamedTuple):
 def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
     """The orbit sum S(g, w, n) with its exact certificate.
 
-    Same domain, errors and certificate as is_exact_zero(residue_orbit(g,
-    w, n)).  Up to LITERAL_EXPONENT_CAP both are read from the orbit's
-    table, and the floating value is summed over the occupied residues in
-    ascending order, so only its last digits can differ from float_sum's.
+    The terms and verdict of is_exact_zero(residue_orbit(g, w, n)), with no
+    cap on the orbit.  Up to LITERAL_EXPONENT_CAP the pairing is read from
+    the orbit's table and the floating value summed over the occupied
+    residues in ascending order, so only its last digits can differ from
+    float_sum's; above it _unpaired_run decides and names the offender.
     """
-    if n > LITERAL_EXPONENT_CAP:
-        orbit = residue_orbit(g, w, n)
-        value = float_sum(orbit) if n <= FLOAT_EXPONENT_CAP else None
-        return OrbitCertificate(orbit.total, is_exact_zero(orbit), value)
     _require_orbit(g, w, n)
-    omega = _order_column(g, n, n)[0][0]
+    column = _order_column(g, 1, n)
+    omega = column[-1][0]
+    if n > LITERAL_EXPONENT_CAP:
+        unpaired = _unpaired_run(g, (w,), n, column)[0]
+        r = None if unpaired is None else unpaired[0]
+        return OrbitCertificate(omega, ZeroCertificate(r is None, violating_residue=r), None)
     table = _orbit_table(g, w, n, omega)
     m = len(table)
     half = m >> 1
@@ -256,21 +260,21 @@ def check_orbit_vanishing(g: int, w: int, n: int) -> Verdict:
 
 def _orbit_vanishing(g: int, ws: Sequence[int], ns: range) -> list[Outcome]:
     """theorem6 on a slab, one g with each weight of ws at each n of a run,
-    in (w, n) order.  The n below a weight's bound are not met; from the
-    least bound on every order comes from one column, and each n decides its
-    weights together (_unpaired_run).  A failed collapse guard is reported
-    as such while the sum still vanishes, else by the unpaired residue."""
+    in (w, n) order.  The n below a weight's bound are not met; the others
+    read one column from exponent 1, and each n decides its weights together
+    (_unpaired_run).  A failed collapse guard is reported as such while the
+    sum still vanishes, else by the unpaired residue."""
     top = ns[-1]
     _require_exponent(top)
     bounds = [vanishing_bound(g, w) for w in ws]
     outcomes: list[Outcome] = [NOT_MET] * (len(ws) * len(ns))
-    lo = max(min(bounds), ns[0])
-    if lo > top:
+    if min(bounds) > top:
         return outcomes
     ds = list(map(two_adic_valuation, ws))
-    for n, (omega, _) in zip(range(lo, top + 1), _order_column(g, lo, top)):
+    column = _order_column(g, 1, top)
+    for n in ns:
         met = [i for i, bound in enumerate(bounds) if bound <= n]
-        for i, unpaired in zip(met, _unpaired_run(g, [ws[i] for i in met], n, omega)):
+        for i, unpaired in zip(met, _unpaired_run(g, [ws[i] for i in met], n, column)):
             low = (1 << (n - ds[i])) - 1
             guard_holds = g & low not in (1, low)
             at = i * len(ns) + n - ns[0]
@@ -288,29 +292,33 @@ def _orbit_vanishing(g: int, ws: Sequence[int], ns: range) -> list[Outcome]:
     return outcomes
 
 
-def _unpaired_run(g: int, ws: Sequence[int], n: int, omega: int) -> list[Unpaired]:
+def _unpaired_run(g: int, ws: Sequence[int], n: int, column: Sequence[tuple]) -> list[Unpaired]:
     """For each w of ws, None when S(g, w, n) = 0, else (r, count(r),
     count(r ^ 2^(n-1))) at the orbit's first term r = w * g mod 2^n; the
-    caller has validated g, ws and n, and omega is the order of g mod 2^n.
-    The first term names the offender: with w = 2^d * w0 (w0 odd) and
-    m = n - d, the orbit is 2^d times a coset of <g> mod 2^m with one count
-    on every residue, and adding 2^(n-1) multiplies it by 1 + 2^(m-1), so
-    every occupied residue is paired or none is.
+    caller has validated g, ws and n, and column[k - 1] is (omega_k,
+    g^(omega_k / 2) mod 2^k) for k <= n, as _order_column(g, 1, n) gives.
+    With w = 2^d * w0 (w0 odd) and m = n - d, the orbit is 2^d times the
+    coset w0 <g> mod 2^m with omega_n / omega_m counts on each residue (for
+    m <= 1 every term sits on 0 or 2^(n-1)), and adding 2^(n-1) multiplies
+    it by 1 + 2^(m-1), so every occupied residue is paired or none is.
 
-    Above LITERAL_EXPONENT_CAP each w takes the multiset route, within
-    residue_orbit's bound.  Up to it the table of the first undecided w,
-    compared half to half, decides it and every undecided v whose first
-    term v * g it holds: v * g = w * g^k gives v = w * g^(k-1), so v's
-    orbit is w's shifted by k - 1 steps, the same multiset (this needs only
-    g^omega = 1 mod 2^n), and the counts are read at v's own first term.
-    One table is alive at a time."""
+    Above LITERAL_EXPONENT_CAP that decides: for m >= 2, 1 + 2^(m-1) has
+    order 2, so it maps the coset onto itself exactly when it is the one
+    involution g^(omega_m / 2) of the cyclic 2-group <g>, and else onto a
+    disjoint coset, where the antipode counts 0.  Up to the cap the table of
+    the first undecided w, compared half to half, decides it and every
+    undecided v whose first term v * g it holds: v * g = w * g^k gives
+    v = w * g^(k-1), so v's orbit is w's shifted by k - 1 steps, the same
+    multiset (this needs only g^omega = 1 mod 2^n), and the counts are read
+    at v's own first term.  One table is alive at a time."""
     mask, half = (1 << n) - 1, 1 << (n - 1)
+    omega = column[n - 1][0]
     found: list[Unpaired] = [None] * len(ws)
     if n > LITERAL_EXPONENT_CAP:
         for i, w in enumerate(ws):
-            orbit, r = residue_orbit(g, w, n), w * g & mask
-            if not is_exact_zero(orbit).is_zero:
-                found[i] = r, orbit.counts.get(r, 0), orbit.counts.get(r ^ half, 0)
+            m = n - two_adic_valuation(w)
+            if m < 2 or column[m - 1][1] != (1 << (m - 1)) + 1:
+                found[i] = w * g & mask, omega // column[m - 1][0] if m > 0 else omega, 0
         return found
     pending = range(len(ws))
     while pending:
@@ -354,15 +362,16 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
 
     Vanishing is not monotone in n (g=3, w=1 vanishes at n=2, fails at
     n=3, then vanishes from n=4 on), so every exponent from d(w) + 2 on is
-    probed with theorem6's decider, _unpaired_run.  Below d(w) + 2 every term
-    sits on 0 or 2^(n-1), so no sum vanishes there.  slack =
-    vanishing_bound(g, w) - n measures how far below the guaranteed bound
-    the first zero appears; the bound's sharpness is an empirical
-    observation only, nothing is asserted about minimality."""
+    probed with theorem6's decider, _unpaired_run, on one column to n_max.
+    Below d(w) + 2 every term sits on 0 or 2^(n-1), so no sum vanishes
+    there.  slack = vanishing_bound(g, w) - n measures how far below the
+    guaranteed bound the first zero appears; the bound's sharpness is an
+    empirical observation only, nothing is asserted about minimality."""
     _require_exponent(n_max)
     bound = vanishing_bound(g, w)
+    column = _order_column(g, 1, n_max)
     for n in range(two_adic_valuation(w) + 2, n_max + 1):
-        if _unpaired_run(g, (w,), n, _order_column(g, n, n)[0][0])[0] is None:
+        if _unpaired_run(g, (w,), n, column)[0] is None:
             return MinVanishing(n=n, slack=bound - n)
     return None
 

@@ -87,7 +87,7 @@ def test_classification_records_paper_exception_and_both_counterexamples(monkeyp
 
 def test_orbit_vanishing_records_the_unpaired_residue(monkeypatch):
     monkeypatch.setattr(
-        exp_sum, "_unpaired_run", lambda g, ws, n, omega: [(1, 2, 1)] * len(ws)
+        exp_sum, "_unpaired_run", lambda g, ws, n, column: [(1, 2, 1)] * len(ws)
     )
     assert records("theorem6", 3, 4, w=1) == [
         (3, 4, 1, "count(1)=2 != count(9)=1", "equal multiplicities on every antipodal residue pair")
@@ -145,14 +145,15 @@ def test_theorem6_sweep_walks_one_column_per_g(monkeypatch):
 
     monkeypatch.setattr(exp_sum, "_order_column", counted)
     run_sweep(SweepSpec("theorem6", -9, 9, 3, 6, -4, 4, jobs=1))
-    # one chain per g whose slab reaches a bound, from its least bound on
+    # one chain per g whose slab reaches a bound, from exponent 1, so that
+    # the congruence can read every collapsed exponent n - d(w)
     ws = (-4, -3, -2, -1, 1, 2, 3, 4)
     expected: Counter = Counter()
     straddling, below = [], []
     for g in (-9, -7, -5, -3, 3, 5, 7, 9):
         bounds = [exp_sum.vanishing_bound(g, w) for w in ws]
         if min(bounds) <= 6:
-            expected[g, max(min(bounds), 3), 6] += 1
+            expected[g, 1, 6] += 1
         straddling += [g for bound in bounds if 3 < bound <= 6]
         below += [g for bound in bounds if bound > 6]
     assert calls == expected
@@ -205,8 +206,8 @@ def test_orbit_sweep_builds_at_most_one_orbit_per_tuple(monkeypatch):
         tables[g, w, n] += 1
         return real_table(g, w, n, omega)
 
-    def forced(g, ws, n, omega):
-        found = real_run(g, ws, n, omega)
+    def forced(g, ws, n, column):
+        found = real_run(g, ws, n, column)
         if (g, n) == (3, 4):
             # one extra copy of the first residue breaks the pairing of w = 1
             assert found[ws.index(1)] is None

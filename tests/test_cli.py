@@ -84,11 +84,13 @@ def test_expsum_command_nonzero_case(capsys):
 
 def test_expsum_command_beyond_float_cap(capsys):
     # g = 2^52 + 1 is an involution mod 2^53, so the orbit has two terms and
-    # pairs antipodally; the float cross-check is skipped above the cap
+    # pairs antipodally; above the literal cap the record has no pairing and
+    # no float cross-check
     g = str((1 << 52) + 1)
     record = run_json(capsys, "expsum", "--g", g, "--w", "1", "--n", "53")
     assert record["terms"] == 2
     assert record["is_zero"] is True
+    assert record["pairing"] is None
     assert record["float_sum"] is None
 
 
@@ -249,25 +251,38 @@ def test_domain_error_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, expected",
     [
-        (["expsum", "--g", "3", "--w", "1", "--n", "64"], 2),
+        (["expsum", "--g", "3", "--w", "1", "--n", "64"],
+         {"terms": 1 << 62, "is_zero": True, "pairing": None, "violating_residue": None,
+          "float_sum": None}),
         (["sweep", "--claim", "theorem6", "--g-min", "3", "--g-max", "3",
-          "--n-min", "40", "--n-max", "40", "--w-min", "1", "--w-max", "1"], 2),
-        (["min-vanishing-n", "--g", "3", "--w", str(1 << 40), "--n-max", "64"], 2),
-        # a two-term orbit far above the cap is still answered
-        (["expsum", "--g", str((1 << 52) + 1), "--w", "1", "--n", "53"], 0),
+          "--n-min", "40", "--n-max", "40", "--w-min", "1", "--w-max", "1"],
+         {"cases_checked": 1, "tallies": {"holds": 1, "hypothesis_not_met": 0,
+                                          "paper_exception": 0, "counterexample": 0}}),
+        (["min-vanishing-n", "--g", "3", "--w", str(1 << 40), "--n-max", "64"],
+         {"found": True, "n": 42, "bound": 44, "slack": 2}),
+        # a two-term orbit far above the cap
+        (["expsum", "--g", str((1 << 52) + 1), "--w", "1", "--n", "53"],
+         {"terms": 2, "is_zero": True, "pairing": None, "float_sum": None}),
+        # n = 20..22 decided by the table, n = 23 by the congruence
+        (["sweep", "--claim", "theorem6", "--g-min", "-3", "--g-max", "3",
+          "--n-min", "20", "--n-max", "23", "--w-min", "1", "--w-max", "1"],
+         {"cases_checked": 16, "tallies": {"holds": 8, "hypothesis_not_met": 8,
+                                           "paper_exception": 0, "counterexample": 0}}),
     ],
-    ids=["expsum-n64", "theorem6-n40", "min-vanishing-sparse", "expsum-short-orbit-n53"],
+    ids=["expsum-n64", "theorem6-n40", "min-vanishing-sparse", "expsum-short-orbit-n53",
+         "theorem6-across-the-cap"],
 )
-def test_orbit_commands_are_bounded_by_the_literal_cap(argv, code):
-    # without the cap the three refused orbits have 2^21 to 2^62 terms
+def test_orbit_commands_are_bounded_by_the_literal_cap(argv, expected):
+    # the literal orbits here have up to 2^62 terms; above the cap the
+    # congruence answers without them
     proc = subprocess.run(
         [sys.executable, "-m", "pow2sums", *argv], capture_output=True, text=True, timeout=20
     )
-    assert proc.returncode == code, proc.stderr
-    if code == 2:
-        assert "LITERAL_EXPONENT_CAP = 22" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert {key: record[key] for key in expected} == expected
 
 
 _OVER = str(MAX_EXPONENT + 1)

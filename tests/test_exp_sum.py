@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -256,9 +257,13 @@ def by_multiset(g: int, w: int, n: int):
 def assert_certificate_matches(g: int, w: int, n: int, orbit, cert, floats: bool = True) -> None:
     """orbit_certificate gives the multiset route's terms and certificate,
     and (if floats) its float within 1e-9 per term of float_sum, which sums
-    in another order."""
+    in another order; above the cap it gives no pairing and no float."""
     got = orbit_certificate(g, w, n)
     assert got.terms == orbit.total, (g, w, n)
+    if n > exp_sum.LITERAL_EXPONENT_CAP:
+        assert got.certificate == replace(cert, pairing=None), (g, w, n)
+        assert got.value is None, (g, w, n)
+        return
     assert got.certificate == cert, (g, w, n)
     if floats:
         assert abs(got.value - float_sum(orbit)) <= 1e-9 * orbit.total, (g, w, n)
@@ -273,11 +278,11 @@ def test_dense_decider_agrees_with_the_multiset_route():
     weights = [w for w in range(-40, 41) if w != 0] + [1 << 12, -(3 << 9), 5 << 20]
     failures = 0
     for g in bases:
+        column = order_engine._order_column(g, 1, 12)
         for w in weights:
             for n in range(1, 13):
                 orbit, cert, expected = by_multiset(g, w, n)
-                omega = order_fast(g, n).omega
-                assert exp_sum._unpaired_run(g, (w,), n, omega)[0] == expected, (g, w, n)
+                assert exp_sum._unpaired_run(g, (w,), n, column)[0] == expected, (g, w, n)
                 if expected is not None:
                     # the orbit is a scaled coset of <g>: a sum that does not
                     # vanish pairs none of its residues, so the first term,
@@ -315,13 +320,17 @@ def test_shared_tables_decide_each_weight_as_its_own_table():
     weights = [w for w in range(-40, 41) if w != 0]
     mixed = 0
     for g in bases:
+        column = order_engine._order_column(g, 1, 12)
         for n in range(1, 13):
-            omega = order_fast(g, n).omega
-            own = [exp_sum._unpaired_run(g, (w,), n, omega)[0] for w in weights]
-            assert exp_sum._unpaired_run(g, weights, n, omega) == own, (g, n)
-            assert exp_sum._unpaired_run(g, weights[::-1], n, omega) == own[::-1], (g, n)
+            own = [exp_sum._unpaired_run(g, (w,), n, column)[0] for w in weights]
+            assert exp_sum._unpaired_run(g, weights, n, column) == own, (g, n)
+            assert exp_sum._unpaired_run(g, weights[::-1], n, column) == own[::-1], (g, n)
             mixed += None in own and own.count(None) < len(own)
     assert mixed > 0
+
+
+def unbuilt(*args):
+    raise AssertionError("the multiset route has no production caller")
 
 
 def test_dense_decider_switches_route_above_the_cap(monkeypatch):
@@ -333,17 +342,97 @@ def test_dense_decider_switches_route_above_the_cap(monkeypatch):
     reference = {case: by_multiset(*case) for case in cases}
     expected = {case: ref[2] for case, ref in reference.items()}
     assert None in expected.values() and len(set(expected.values())) > 2
-    calls = []
-    real = exp_sum.residue_orbit
+    tables = []
+    real = exp_sum._orbit_table
     monkeypatch.setattr(
-        exp_sum, "residue_orbit", lambda g, w, n: calls.append(n) or real(g, w, n)
+        exp_sum, "_orbit_table", lambda g, w, n, omega: tables.append(n) or real(g, w, n, omega)
     )
+    monkeypatch.setattr(exp_sum, "residue_orbit", unbuilt)
+    monkeypatch.setattr(exp_sum, "is_exact_zero", unbuilt)
     for g, w, n in cases:
-        omega = order_fast(g, n).omega
-        assert exp_sum._unpaired_run(g, (w,), n, omega)[0] == expected[g, w, n], (g, w, n)
+        column = order_engine._order_column(g, 1, n)
+        assert exp_sum._unpaired_run(g, (w,), n, column)[0] == expected[g, w, n], (g, w, n)
         assert_certificate_matches(g, w, n, *reference[g, w, n][:2])
-    # the table decides at the cap; the multiset route only above it
-    assert calls == [cap + 1] * len(cases)
+    # the table decides at the cap, in the decider and in the certificate;
+    # the congruence only above it
+    assert tables == [cap] * len(cases)
+
+
+def test_structural_decider_agrees_with_the_multiset_route(monkeypatch):
+    # with the cap at 0 every n takes the congruence.  Odd |g| < 64 hold the
+    # family g = 2^(m-1) - 1 (mod 2^m) for m <= 6; 2^12 and 5 * 2^20 give
+    # m <= 0, and -3 * 2^9 gives m = 1 at n = 10
+    bases = [g for g in range(-63, 64, 2) if g not in (-1, 1)]
+    weights = [w for w in range(-40, 41) if w != 0] + [1 << 12, -(3 << 9), 5 << 20]
+    ns = range(1, 11)
+    reference = {(g, n): [by_multiset(g, w, n) for w in weights] for g in bases for n in ns}
+    monkeypatch.setattr(exp_sum, "LITERAL_EXPONENT_CAP", 0)
+    monkeypatch.setattr(exp_sum, "_orbit_table", unbuilt)
+    seen = set()
+    for g in bases:
+        column = order_engine._order_column(g, 1, ns[-1])
+        for n in ns:
+            expected = [unpaired for _, _, unpaired in reference[g, n]]
+            assert exp_sum._unpaired_run(g, weights, n, column) == expected, (g, n)
+            if None in expected and expected.count(None) < len(expected):
+                seen.add("both verdicts in one run")
+            for w, (orbit, cert, unpaired) in zip(weights, reference[g, n]):
+                assert_certificate_matches(g, w, n, orbit, cert)
+                m = n - odd_part(w).d
+                if m <= 1:
+                    seen.add("m <= 0" if m <= 0 else "m = 1")
+                elif m >= 3 and g % (1 << m) == (1 << (m - 1)) - 1:
+                    seen.add("2^(m-1) - 1")
+                    # omega_m = 2: each residue of the orbit holds half of it
+                    assert unpaired is not None and 2 * unpaired[1] == orbit.total, (g, w, n)
+    assert seen == {"both verdicts in one run", "m <= 0", "m = 1", "2^(m-1) - 1"}
+
+
+def by_exact_value(g: int, w: int, n: int, omega: int):
+    """S(g, w, n) from its exact value, with m = n - d(w), zeta = e^(2 pi i / 2^n)
+    and omega the order of g mod 2^n: None when S = 0, else the count on its
+    first term, the coefficient of zeta^w.
+      g = 1 (mod 2^m), and every g for m <= 0:  S = omega zeta^w
+      g = -1 (mod 2^m):                         S = (omega / 2)(zeta^w + zeta^-w)
+      g = 2^(m-1) - 1 (mod 2^m):                S = (omega / 2)(zeta^w - zeta^-w)
+      any other g:                              S = 0
+    zeta^w = +-i exactly when m = 2, and zeta^w is real only for m <= 1."""
+    m = n - odd_part(w).d
+    low = (1 << max(m, 0)) - 1
+    if m <= 0 or g & low == 1:
+        return omega
+    if g & low == low:
+        return None if m == 2 else omega // 2
+    if g & low == (1 << (m - 1)) - 1:
+        return omega // 2
+    return None
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_structural_decider_matches_the_exact_value(n):
+    # bases in each family of the formula at collapsed exponents from 2 to n,
+    # and weights with m from n down to -1
+    ks = sorted({2, 3, 5, n // 2, n - 3, n - 1, n})
+    bases = [3, -3, 5, 7, -9, 15]
+    bases += [b for k in ks for b in (1 + (3 << k), -1 + (1 << k), (1 << (k - 1)) - 1,
+                                      (1 << (k - 1)) + 1) if b != 1]
+    ds = sorted({0, 1, 2, n // 2, n - 5, n - 3, n - 2, n - 1, n, n + 1})
+    weights = [s * (1 << d) for d in ds for s in (1, -1, 3, -5)]
+    branches = set()
+    for g in bases:
+        omega = order_fast(g, n).omega
+        expected = [by_exact_value(g, w, n, omega) for w in weights]
+        got = exp_sum._unpaired_run(g, weights, n, order_engine._order_column(g, 1, n))
+        for w, count, unpaired in zip(weights, expected, got):
+            if count is None:
+                assert unpaired is None, (g, w)
+            else:
+                assert unpaired == (w * g % (1 << n), count, 0), (g, w)
+            branches.add((count is None, count == omega))
+        cert = orbit_certificate(g, weights[0], n).certificate
+        assert cert.is_zero is (expected[0] is None) and cert.pairing is None
+    # vanishing sums, and counts of omega and of omega / 2
+    assert branches == {(True, False), (False, True), (False, False)}
 
 
 def test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap(monkeypatch):
@@ -360,12 +449,12 @@ def test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap(monkeypatch):
     # collapse guard) and one that does not is named by its first term
     monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: odd_part(w).d + 1)
     for g in bases:
+        column = order_engine._order_column(g, 1, 12)
         for n in (11, 12):
-            omega = order_fast(g, n).omega
             own = expected[g, n]
             assert None in own[1:] and any(own[1:]), (g, n)
-            assert exp_sum._unpaired_run(g, weights, n, omega) == own, (g, n)
-            assert exp_sum._unpaired_run(g, weights[::-1], n, omega) == own[::-1], (g, n)
+            assert exp_sum._unpaired_run(g, weights, n, column) == own, (g, n)
+            assert exp_sum._unpaired_run(g, weights[::-1], n, column) == own[::-1], (g, n)
         outcomes = iter(exp_sum._orbit_vanishing(g, weights, range(8, 13)))
         for i, w in enumerate(weights):
             for n in range(8, 13):
@@ -385,11 +474,9 @@ def test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap(monkeypatch):
 def test_literal_orbit_is_capped(monkeypatch):
     with pytest.raises(DomainError, match="LITERAL_EXPONENT_CAP"):
         residue_orbit(3, 1, LITERAL_EXPONENT_CAP + 1)
-    with pytest.raises(DomainError, match="LITERAL_EXPONENT_CAP"):
-        check_orbit_vanishing(3, 1, 64)
-    # at the bound the orbit is literal and too long; below it nothing is built
-    with pytest.raises(DomainError, match="LITERAL_EXPONENT_CAP"):
-        check_orbit_vanishing(3, 1 << 60, 64)
+    # the decider builds no literal orbit above the cap: the congruence answers
+    assert check_orbit_vanishing(3, 1, 64) is Verdict.HOLDS
+    assert check_orbit_vanishing(3, 1 << 60, 64) is Verdict.HOLDS
     assert check_orbit_vanishing(3, 1 << 61, 64) is Verdict.HYPOTHESIS_NOT_MET
     # the longest orbit modulo 2^cap is built, one twice as long is refused
     monkeypatch.setattr(exp_sum, "LITERAL_EXPONENT_CAP", 10)
@@ -428,18 +515,16 @@ def test_min_vanishing_n_decides_from_the_table_below_the_cap(monkeypatch):
     expected = {case: first_zero_by_multiset(*case) for case in cases}
     assert expected[(short, 1, 60)] == MinVanishing(n=53, slack=1)
     assert None in expected.values()
-    calls = []
-    real = exp_sum.residue_orbit
-
-    def orbit_above_the_cap(g, w, n):
-        assert n > LITERAL_EXPONENT_CAP, (g, w, n)
-        calls.append(n)
-        return real(g, w, n)
-
-    monkeypatch.setattr(exp_sum, "residue_orbit", orbit_above_the_cap)
+    tables = []
+    real = exp_sum._orbit_table
+    monkeypatch.setattr(
+        exp_sum, "_orbit_table", lambda g, w, n, omega: tables.append(n) or real(g, w, n, omega)
+    )
+    monkeypatch.setattr(exp_sum, "residue_orbit", unbuilt)
     for case in cases:
         assert min_vanishing_n(*case) == expected[case], case
-    assert calls == list(range(LITERAL_EXPONENT_CAP + 1, 54))
+    # the short orbit is decided by the table up to the cap, then by the congruence
+    assert max(tables) == LITERAL_EXPONENT_CAP
 
 
 def test_min_vanishing_n_builds_no_orbit_below_two_above_the_valuation(monkeypatch):

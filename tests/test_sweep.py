@@ -92,6 +92,21 @@ def test_per_modulus_sweep_beyond_the_exponent_limit_raises(claim):
         run_sweep(SweepSpec(claim, 1, 1, 3, core_arith.MAX_EXPONENT + 1))
 
 
+def test_sweep_validates_the_top_exponent_before_sizing_the_domain(monkeypatch):
+    top = core_arith.MAX_EXPONENT + 1
+    # g = +-1 is tallied without any chain, so only the validation sees n_max
+    with pytest.raises(DomainError, match="MAX_EXPONENT"):
+        run_sweep(SweepSpec("theorem6", -1, 1, top, top, 1, 1))
+
+    def unsized(spec, claim):
+        raise AssertionError("a g range below 2^n_max was sized before validation")
+
+    monkeypatch.setattr(sweep, "_g_range", unsized)
+    for jobs in (1, 2):
+        with pytest.raises(DomainError, match="MAX_EXPONENT"):
+            run_sweep(SweepSpec("lemma2", 1, 3, 1, top, jobs=jobs))
+
+
 def test_run_sweep_theorem6_domain():
     report = run_sweep(
         spec(claim="theorem6", g_min=-7, g_max=7, n_min=1, n_max=8, w_min=-4, w_max=4)

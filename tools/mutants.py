@@ -57,6 +57,7 @@ T_ORDER = "tests/test_order_engine.py::"
 T_HALF = "tests/test_half_order.py::"
 DENSE = T_EXP + "test_dense_decider_agrees_with_the_multiset_route"
 SWITCH = T_EXP + "test_dense_decider_switches_route_above_the_cap"
+STRUCT = T_EXP + "test_structural_decider_agrees_with_the_multiset_route"
 SHARED = T_EXP + "test_shared_tables_decide_each_weight_as_its_own_table"
 ONE_DECIDER = T_EXP + "test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap"
 T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
@@ -82,15 +83,15 @@ MUTANTS = [
            "    if n >= LITERAL_EXPONENT_CAP:\n        for i, w in enumerate(ws):",
            (SWITCH,)),
     Mutant("certificate-route-switch-at-the-cap", EXP,
-           "    if n > LITERAL_EXPONENT_CAP:\n        orbit = residue_orbit(g, w, n)\n        value",
-           "    if n >= LITERAL_EXPONENT_CAP:\n        orbit = residue_orbit(g, w, n)\n        value",
+           "    if n > LITERAL_EXPONENT_CAP:\n        unpaired = ",
+           "    if n >= LITERAL_EXPONENT_CAP:\n        unpaired = ",
            (SWITCH,)),
     Mutant("decider-offender-is-the-weight", EXP,
            "            r = ws[i] * g & mask\n", "            r = ws[i] & mask\n",
            (DENSE,)),
     Mutant("multiset-offender-is-the-weight", EXP,
-           "residue_orbit(g, w, n), w * g & mask", "residue_orbit(g, w, n), w & mask",
-           (SWITCH, ONE_DECIDER)),
+           "found[i] = w * g & mask, ", "found[i] = w & mask, ",
+           (SWITCH, ONE_DECIDER, STRUCT)),
     Mutant("multiset-route-decides-the-first-weight-only", EXP,
            "        for i, w in enumerate(ws):\n", "        for i, w in enumerate(ws[:1]):\n",
            (ONE_DECIDER,)),
@@ -126,13 +127,23 @@ MUTANTS = [
            "return OrbitCertificate(len(residues), cert, value)",
            (DENSE,)),
     Mutant("min-vanishing-on-the-multiset-route", EXP,
-           "if _unpaired_run(g, (w,), n, _order_column(g, n, n)[0][0])[0] is None:",
+           "if _unpaired_run(g, (w,), n, column)[0] is None:",
            "if is_exact_zero(residue_orbit(g, w, n)).is_zero:",
            (T_EXP + "test_min_vanishing_n_decides_from_the_table_below_the_cap",)),
     Mutant("min-vanishing-starts-one-late", EXP,
            "range(two_adic_valuation(w) + 2, n_max + 1)",
            "range(two_adic_valuation(w) + 3, n_max + 1)",
            (T_EXP + "test_min_vanishing_n_examples", T_CLI + "test_min_vanishing_command")),
+    # the congruence above the cap
+    Mutant("structural-involution-is-half-minus-one", EXP,
+           "column[m - 1][1] != (1 << (m - 1)) + 1", "column[m - 1][1] != (1 << (m - 1)) - 1",
+           (STRUCT,)),
+    Mutant("structural-exponent-not-collapsed", EXP,
+           "            m = n - two_adic_valuation(w)\n", "            m = n\n",
+           (STRUCT,)),
+    Mutant("structural-count-is-the-order", EXP,
+           "omega // column[m - 1][0] if m > 0 else omega, 0", "omega, 0",
+           (STRUCT,)),
     Mutant("orbit-decision-and-to-or", EXP,
            "if unpaired is None and guard_holds:", "if unpaired is None or guard_holds:",
            ("tests/test_claim_records.py::test_orbit_vanishing_records_the_unpaired_residue",)),
