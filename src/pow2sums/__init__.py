@@ -13,7 +13,7 @@ Library layout:
 * ``sweep``        -- exhaustive claim sweeps with machine-readable reports
 * ``cli``          -- the ``pow2sums`` command-line tool
 """
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 from .core_arith import (
     MAX_EXPONENT,
@@ -77,54 +77,6 @@ from .verdict import Verdict
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_EXPONENT",
-    "NAIVE_SCAN_CAP",
-    "FLOAT_EXPONENT_CAP",
-    "LITERAL_EXPONENT_CAP",
-    "DomainError",
-    "FloatPrecisionError",
-    "ScanBudgetExceeded",
-    "UsageError",
-    "Verdict",
-    "ValuationDecomposition",
-    "OrderRecord",
-    "InvolutionClass",
-    "HalfOrderResult",
-    "ResidueMultiset",
-    "ZeroCertificate",
-    "MinVanishing",
-    "OrbitCertificate",
-    "Claim",
-    "SweepSpec",
-    "SweepException",
-    "SweepReport",
-    "canonical_residue",
-    "mod_pow",
-    "two_adic_valuation",
-    "odd_part",
-    "threshold_exponent",
-    "order_naive",
-    "order_fast",
-    "order_table",
-    "check_order_doubling",
-    "check_order_scaling",
-    "classify_involution",
-    "half_order_exponent",
-    "half_order_residue",
-    "check_involution_membership",
-    "check_minus_one_case",
-    "check_half_order_classification",
-    "residue_orbit",
-    "is_exact_zero",
-    "float_sum",
-    "orbit_certificate",
-    "vanishing_bound",
-    "check_orbit_vanishing",
-    "check_antipodal_shift",
-    "min_vanishing_n",
-    "CLAIMS",
-    "run_sweep",
-    "format_report",
-    "canonical_json",
-]
+# the public names are the ones imported above, without the submodules
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -362,15 +362,19 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
 
     Vanishing is not monotone in n (g=3, w=1 vanishes at n=2, fails at
     n=3, then vanishes from n=4 on), so every exponent from d(w) + 2 on is
-    probed with theorem6's decider, _unpaired_run, on one column to n_max.
-    Below d(w) + 2 every term sits on 0 or 2^(n-1), so no sum vanishes
-    there.  slack = vanishing_bound(g, w) - n measures how far below the
-    guaranteed bound the first zero appears; the bound's sharpness is an
-    empirical observation only, nothing is asserted about minimality."""
+    probed with theorem6's decider, _unpaired_run, on one column.  Below
+    d(w) + 2 every term sits on 0 or 2^(n-1), so no sum vanishes there.
+    theorem6 puts a zero at vanishing_bound(g, w), so the column is walked
+    that far; only past a bound whose zero failed is it walked on to n_max.
+    slack = vanishing_bound(g, w) - n measures how far below the guaranteed
+    bound the first zero appears; the bound's sharpness is an empirical
+    observation only, nothing is asserted about minimality."""
     _require_exponent(n_max)
     bound = vanishing_bound(g, w)
-    column = _order_column(g, 1, n_max)
+    column = _order_column(g, 1, min(bound, n_max))
     for n in range(two_adic_valuation(w) + 2, n_max + 1):
+        if n > len(column):
+            column = _order_column(g, 1, n_max)
         if _unpaired_run(g, (w,), n, column)[0] is None:
             return MinVanishing(n=n, slack=bound - n)
     return None

@@ -26,9 +26,10 @@ Both walks are validated against the scan exhaustively in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core_arith import DomainError, _require_exponent, _require_odd, canonical_residue
-from .verdict import HOLDS, NOT_MET, Outcome, Verdict
+from .verdict import Run, Verdict
 
 # The scan is a cross-validation oracle, not a production path; beyond this
 # many multiplications it reports a resource error instead of grinding on.
@@ -87,7 +88,9 @@ def _order_column(g: int, n_lo: int, n_hi: int) -> list[tuple[int, int]]:
     (1 + t)^2 = 1 + 2t + t^2 alone, with no order law: t_(j+1) = t_j^2 +
     2 t_j, and t_0 = g - 1 is even, so 2^k divides t_j for k = j + 1 and
     t_j^2 = ((t_j >> k) mod 2^(n_hi - 2k))^2 << 2k (mod 2^n_hi), a square
-    of n_hi - 2k bits instead of n_hi.
+    of n_hi - 2k bits instead of n_hi.  Once 2k >= n_hi that square is 0 and
+    each step doubles t, so the r = n - v_2(t) steps still due at an n are
+    one shift, with t << (r - 1) the last t before 1 + t = 1 (mod 2^n).
     """
     mask = (1 << n_hi) - 1
     column = []
@@ -95,12 +98,15 @@ def _order_column(g: int, n_lo: int, n_hi: int) -> list[tuple[int, int]]:
         t, k, sq, half = (g - 1) & mask, 1, mask >> 2, 0
         for n in range(n_lo, n_hi + 1):
             low = (1 << n) - 1
-            while t & low:  # until 1 + t = 1 (mod 2^n)
+            while sq and t & low:  # until 1 + t = 1 (mod 2^n)
                 half = t
                 u = (t >> k) & sq
                 t = ((u * u << 2 * k) + (t << 1)) & mask
                 k += 1
                 sq >>= 2
+            if t & low:  # sq = 0: the remaining steps double t
+                r = n + 1 - (t & -t).bit_length()
+                half, t, k = t << (r - 1), t << r & mask, k + r
             column.append((1 << (k - 1), (half + 1) & low))
         return column
     s = g & mask
@@ -143,32 +149,43 @@ def check_order_doubling(g: int, n: int) -> Verdict:
     """Does the order double when the modulus exponent steps from n to n+1?
 
     Asserted only for g != +-1 (mod 2^n); those bases make the hypothesis
-    fail (for g = -1 the order is stuck at 2, for g = 1 at 1).
-    Sweep claim id: lemma1.
+    fail (for g = -1 the order is stuck at 2, for g = 1 at 1).  This is the
+    run of one g at one n.  Sweep claim id: lemma1.
     """
-    return _order_doubling(g, range(n, n + 1))[0][0]
+    _require_odd(g)  # an even base is named before a bad exponent, as by order_fast
+    held, unmet, details = _order_doubling(((g, n),), n)
+    return Verdict.HOLDS if held else Verdict.HYPOTHESIS_NOT_MET if unmet else details[0][3][0]
 
 
-def _order_doubling(g: int, ns: range) -> list[Outcome]:
-    """lemma1 at each n of a run: omega_n and omega_(n+1) are both read, by
-    their definition, from one column walked to exponent ns[-1] + 1."""
-    top = ns[-1]
-    _require_odd(g)
+def _order_doubling(firsts: Iterable[tuple[int, int]], top: int) -> Run:
+    """lemma1 on a run of (g, first n) pairs, each g at every n from its
+    first (at most top + 1) to top: omega_n and omega_(n+1) are both read,
+    by their definition, from one column per g walked to exponent top + 1."""
     _require_exponent(top)
-    if g & ((1 << top) - 1) in (1, (1 << top) - 1):
-        # then g = +-1 modulo every lower power of two too, and no column is read
-        return [NOT_MET] * len(ns)
-    _require_exponent(top + 1)
-    omegas = [omega for omega, _ in _order_column(g, ns[0], top + 1)]
-    return [
-        NOT_MET if g & ((1 << n) - 1) in (1, (1 << n) - 1)
-        else HOLDS if above == 2 * base
-        else (Verdict.COUNTEREXAMPLE, (
-            f"omega at exponent {n + 1} = {above}",
-            f"2 * omega at exponent {n} = {2 * base}",
-        ))
-        for n, base, above in zip(ns, omegas, omegas[1:])
-    ]
+    mask = (1 << top) - 1
+    held = unmet = 0
+    details = []
+    for g, lo in firsts:
+        _require_odd(g)
+        if lo > top or g & mask in (1, mask):
+            # then g = +-1 modulo every lower power of two too (or the run is
+            # empty), and no column is read
+            unmet += top + 1 - lo
+            continue
+        _require_exponent(top + 1)
+        column = _order_column(g, lo, top + 1)
+        for n, (base, _), (above, _) in zip(range(lo, top + 1), column, column[1:]):
+            low = (1 << n) - 1
+            if g & low in (1, low):
+                unmet += 1
+            elif above == 2 * base:
+                held += 1
+            else:
+                details.append((g, n, None, (Verdict.COUNTEREXAMPLE, (
+                    f"omega at exponent {n + 1} = {above}",
+                    f"2 * omega at exponent {n} = {2 * base}",
+                ))))
+    return held, unmet, details
 
 
 def check_order_scaling(g: int, n: int, d: int) -> Verdict:

@@ -1,18 +1,16 @@
 """Exhaustive claim sweeps over (g, n[, w]) domains, with reports.
 
 Each sweepable claim is one evaluate callable in the CLAIMS registry,
-under a stable id.  It takes one slab, a g with its run of weights at
-every n of a run, applies the claim's hypothesis filter and returns each
-tuple's verdict with the report's (observed, expected) strings, built
-from the values that decided it; a tuple without them is the shared
-verdict.HOLDS or verdict.NOT_MET, so each slab is tallied in C and only a
-slab with a detail walks its tuples.  A per-modulus claim (weights (None,))
-reads every n's order and half-order residue from one squaring chain per
-g; the orbit-sum claim walks one chain per g from its least vanishing
-bound on, and one orbit table per distinct orbit at each n.  The ids,
-verdict tallies and the JSON report schema are the machine interface;
-the registry is mutable so a harness (or the test suite) can inject
-extra claims.
+under a stable id.  It takes a run of the domain, the odd g of a range,
+applies the claim's hypothesis filter, and returns the run's counts of
+tuples that held and that were not met, with the report's (observed,
+expected) strings for each other tuple, built from the values that
+decided it; the sweep only adds runs up.  A per-modulus claim reads every
+n's order and half-order residue from one squaring chain per g; the
+orbit-sum claim walks one chain per g, and one orbit table per distinct
+orbit at each n.  The ids, verdict tallies and the JSON report schema are
+the machine interface; the registry is mutable so a harness (or the test
+suite) can inject extra claims.
 
 Per-modulus claims take each odd g in the range at every n with g < 2^n,
 i.e. the canonical residues of each modulus; the orbit-sum claim takes
@@ -32,12 +30,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import core_arith, exp_sum, half_order, order_engine
-from .verdict import HOLDS, NOT_MET, Outcome, Verdict
+from .verdict import HOLDS, NOT_MET, Outcome, Run, Verdict
 
 _CHUNK_TUPLES = 4096
+
+# a per-modulus checker: (g, n, omega, residue) -> the tuple's outcome
+_Check = Callable[[int, int, int, int], Outcome]
 
 
 class UsageError(ValueError):
@@ -48,17 +49,18 @@ class UsageError(ValueError):
 class Claim:
     """One sweepable claim.
 
-    evaluate(g, ws, ns) takes a slab of a sweep domain, g with each weight
-    of ws ((None,) for a per-modulus claim) at every n of the non-empty
-    range ns, filters hypotheses itself, and returns a list of one (verdict,
-    detail) per tuple in (w, n) order, each from one evaluation: detail is
-    the report's (observed, expected) strings for COUNTEREXAMPLE and
-    PAPER_EXCEPTION; a detail-free outcome should be verdict.HOLDS or NOT_MET.
+    evaluate(gs, ws, ns) takes a run: each g of the range gs with each
+    weight of ws ((None,) for a per-modulus claim) at every n of the range
+    ns, for a per-modulus claim only the n with g < 2^n.  It evaluates each
+    tuple once and returns the Run (held, unmet, details), details holding
+    (g, n, w, (verdict, (observed, expected))) for each COUNTEREXAMPLE and
+    PAPER_EXCEPTION; unless the three count each tuple once, the sweep
+    raises ValueError.
     """
 
     name: str
     needs_w: bool
-    evaluate: Callable[[int, Sequence[Optional[int]], range], list[Outcome]]
+    evaluate: Callable[[range, Sequence[Optional[int]], range], Run]
 
 
 @dataclass(frozen=True)
@@ -105,57 +107,82 @@ class SweepReport:
 # Claim catalog
 # ---------------------------------------------------------------------------
 
-def _eval_order_oracle(g: int, ws: Sequence[Optional[int]], ns: range) -> list[Outcome]:
-    column = order_engine._order_column(g, ns[0], ns[-1])
-    naive = [order_engine.order_naive(g, n).omega for n in ns]
-    return [
-        HOLDS if slow == fast
-        else (Verdict.COUNTEREXAMPLE, (f"fast path omega={fast}", f"naive scan omega={slow}"))
-        for slow, (fast, _) in zip(naive, column)
-    ]
+def _modulus_runs(gs: range, ns: range) -> Iterator[tuple[int, int]]:
+    """Each g of a per-modulus run with its first n: the claim takes it at
+    every n of ns with g < 2^n."""
+    for g in gs:
+        yield g, max(ns.start, g.bit_length())
 
 
-def _eval_order_doubling(g: int, ws: Sequence[Optional[int]], ns: range) -> list[Outcome]:
-    # the doubling step needs exponent n + 1, which the guard refuses at the
-    # limit; read the limit here so a reassigned core_arith.MAX_EXPONENT holds
-    if ns[-1] != core_arith.MAX_EXPONENT:
-        return order_engine._order_doubling(g, ns)
-    below = order_engine._order_doubling(g, ns[:-1]) if len(ns) > 1 else []
-    return below + [NOT_MET]
+def _column_claim(check: _Check) -> Callable[..., Run]:
+    """A per-modulus claim on a run of g: every n of a g reads its order and
+    half-order residue from one column, and check(g, n, omega, residue)
+    decides the tuple."""
 
-
-def _half_order_claim(
-    check: Callable[[int, int, int, int], Outcome],
-) -> Callable[[int, Sequence[Optional[int]], range], list[Outcome]]:
-    """Evaluate a half-order checker on the tuples that meet its hypotheses,
-    n >= 3 and g != 1 (mod 2^n), i.e. omega > 1, where a half-order residue
-    exists; every n reads its order and residue from one column."""
-
-    def evaluate(g: int, ws: Sequence[Optional[int]], ns: range) -> list[Outcome]:
-        return [
-            check(g, n, omega >> 1, residue)
-            if n >= 3 and omega > 1
-            else NOT_MET
-            for n, (omega, residue) in zip(ns, order_engine._order_column(g, ns[0], ns[-1]))
-        ]
+    def evaluate(gs: range, ws: Sequence[Optional[int]], ns: range) -> Run:
+        column = order_engine._order_column
+        held = unmet = 0
+        details = []
+        for g, lo in _modulus_runs(gs, ns):
+            for n, (omega, residue) in zip(range(lo, ns.stop), column(g, lo, ns[-1])):
+                outcome = check(g, n, omega, residue)
+                if outcome is HOLDS:
+                    held += 1
+                elif outcome is NOT_MET:
+                    unmet += 1
+                else:
+                    details.append((g, n, None, outcome))
+        return held, unmet, details
 
     return evaluate
 
 
-def _eval_orbit_vanishing(g: int, ws: Sequence[Optional[int]], ns: range) -> list[Outcome]:
-    if g in (-1, 1) or not ws:
-        return [NOT_MET] * (len(ws) * len(ns))
-    return exp_sum._orbit_vanishing(g, ws, ns)
+def _order_oracle(g: int, n: int, omega: int, residue: int) -> Outcome:
+    slow = order_engine.order_naive(g, n).omega
+    if slow == omega:
+        return HOLDS
+    return Verdict.COUNTEREXAMPLE, (f"fast path omega={omega}", f"naive scan omega={slow}")
+
+
+def _half_order(check: _Check) -> _Check:
+    """A half-order checker on the tuples that meet its hypotheses, n >= 3
+    and g != 1 (mod 2^n), i.e. omega > 1, where a half-order residue exists."""
+    return lambda g, n, omega, residue: (
+        check(g, n, omega >> 1, residue) if n >= 3 and omega > 1 else NOT_MET)
+
+
+def _eval_order_doubling(gs: range, ws: Sequence[Optional[int]], ns: range) -> Run:
+    # lemma1 reads exponent n + 1, which the guard refuses at the limit, so
+    # the limit is not met; it is read here, so a reassigned
+    # core_arith.MAX_EXPONENT holds
+    top = min(ns[-1], core_arith.MAX_EXPONENT - 1)
+    held, unmet, details = order_engine._order_doubling(_modulus_runs(gs, ns), top)
+    return held, unmet + len(gs) * (ns[-1] - top), details
+
+
+def _eval_orbit_vanishing(gs: range, ws: Sequence[Optional[int]], ns: range) -> Run:
+    held = unmet = 0
+    details = []
+    for g in gs:
+        outcomes = (exp_sum._orbit_vanishing(g, ws, ns) if g not in (-1, 1) and ws
+                    else [NOT_MET] * (len(ws) * len(ns)))
+        # a slab of hundreds of tuples: counted in C, and walked only for a detail
+        ok, no = outcomes.count(HOLDS), outcomes.count(NOT_MET)
+        held, unmet = held + ok, unmet + no
+        if ok + no < len(outcomes):
+            details += [(g, n, w, outcome) for (w, n), outcome in zip(product(ws, ns), outcomes)
+                        if outcome not in (HOLDS, NOT_MET)]
+    return held, unmet, details
 
 
 CLAIMS: dict[str, Claim] = {
     c.name: c
     for c in (
-        Claim("order_oracle", False, _eval_order_oracle),
+        Claim("order_oracle", False, _column_claim(_order_oracle)),
         Claim("lemma1", False, _eval_order_doubling),
-        Claim("lemma2", False, _half_order_claim(half_order._involution_membership)),
-        Claim("lemma3", False, _half_order_claim(half_order._minus_one_case)),
-        Claim("lemma4_theorem5", False, _half_order_claim(half_order._classification)),
+        Claim("lemma2", False, _column_claim(_half_order(half_order._involution_membership))),
+        Claim("lemma3", False, _column_claim(_half_order(half_order._minus_one_case))),
+        Claim("lemma4_theorem5", False, _column_claim(_half_order(half_order._classification))),
         Claim("theorem6", True, _eval_orbit_vanishing),
     )
 }
@@ -218,29 +245,20 @@ def _slices(spec: SweepSpec, claim: Claim) -> list[SweepSpec]:
 
 
 def _run_chunk(spec: SweepSpec) -> tuple[dict[str, int], list[SweepException]]:
-    """Evaluate every tuple of a (sub-)domain: each g's slab in one call,
-    counted with list.count; only a slab with a detail or of the wrong
-    length walks its tuples, skipping what the counts took."""
+    """Evaluate every tuple of a (sub-)domain, its run of g in one call."""
     claim = CLAIMS[spec.claim]
+    gs, ns = _g_range(spec, claim), range(spec.n_min, spec.n_max + 1)
     ws = [w for w in range(spec.w_min, spec.w_max + 1) if w] if claim.needs_w else (None,)
-    tallies = dict.fromkeys(Verdict, 0)
-    exceptions: list[SweepException] = []
-    for g in _g_range(spec, claim):
-        ns = range(spec.n_min if claim.needs_w else max(spec.n_min, g.bit_length()), spec.n_max + 1)
-        outcomes = claim.evaluate(g, ws, ns)
-        held, unmet = outcomes.count(HOLDS), outcomes.count(NOT_MET)
-        tallies[Verdict.HOLDS] += held
-        tallies[Verdict.HYPOTHESIS_NOT_MET] += unmet
-        if held + unmet == len(outcomes) == len(ws) * len(ns):
-            continue
-        for (w, n), outcome in zip(product(ws, ns), outcomes, strict=True):
-            if outcome == HOLDS or outcome == NOT_MET:
-                continue
-            verdict, detail = outcome
-            tallies[verdict] += 1
-            if verdict in (Verdict.COUNTEREXAMPLE, Verdict.PAPER_EXCEPTION):
-                exceptions.append(SweepException(g, n, w, *detail))
-    return {verdict.value: count for verdict, count in tallies.items()}, exceptions
+    held, unmet, details = claim.evaluate(gs, ws, ns)
+    tallies = {v.value: 0 for v in Verdict} | {"holds": held, "hypothesis_not_met": unmet}
+    for *_, (verdict, _) in details:
+        tallies[verdict.value] += 1
+    # the run's size: each n of a per-modulus claim takes the g below 2^n
+    size = len(gs) * len(ws) * len(ns) if claim.needs_w else sum(
+        len(range(gs.start, min(gs.stop, 1 << n), 2)) for n in ns)
+    if sum(tallies.values()) != size:
+        raise ValueError(f"claim {claim.name!r} does not count each of its {size} tuples once")
+    return tallies, [SweepException(g, n, w, *detail) for g, n, w, (_, detail) in details]
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:

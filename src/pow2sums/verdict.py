@@ -30,6 +30,10 @@ class Verdict(enum.Enum):
 Outcome = tuple[Verdict, Optional[tuple[str, str]]]
 
 # The detail-free outcomes: every checker returns these shared objects, so
-# a sweep tallies a slab's outcomes in C with list.count.
+# a run tells them apart by identity (or in C, with list.count).
 HOLDS: Outcome = (Verdict.HOLDS, None)
 NOT_MET: Outcome = (Verdict.HYPOTHESIS_NOT_MET, None)
+
+# One claim evaluated on a run of g: how many tuples held, how many were
+# outside the hypotheses, and (g, n, w, outcome) for each of the others.
+Run = tuple[int, int, list[tuple[int, int, Optional[int], Outcome]]]

@@ -213,7 +213,10 @@ def test_criterion_9_determinism_and_exit_codes(capsys):
     claim = Claim(
         name="acceptance_forced_failure",
         needs_w=False,
-        evaluate=lambda g, w, ns: [(Verdict.COUNTEREXAMPLE, ("forced", "never"))] * len(ns),
+        evaluate=lambda gs, ws, ns: (0, 0, [
+            (g, n, None, (Verdict.COUNTEREXAMPLE, ("forced", "never")))
+            for g in gs for n in ns if g < 1 << n
+        ]),
     )
     CLAIMS[claim.name] = claim
     try:

@@ -85,6 +85,25 @@ def test_classification_records_paper_exception_and_both_counterexamples(monkeyp
     ]
 
 
+@pytest.mark.parametrize(
+    "claim, force, observed, expected",
+    [
+        ("lemma1",
+         lambda g, n, omega, residue: (6 if n == 5 and g in (3, 13) else omega, residue),
+         "omega at exponent 5 = 6", "2 * omega at exponent 4 = 8"),
+        ("lemma2", lambda g, n, omega, residue: (omega, 5 if g in (3, 13) else residue),
+         "half-order residue 5 outside the candidate set", "residue in {15, 7, 9}"),
+    ],
+)
+def test_a_run_reports_its_first_and_its_last_g(monkeypatch, claim, force, observed, expected):
+    # g = 3 .. 13 at n = 4 is one run of a jobs=1 sweep
+    forced_column(monkeypatch, force)
+    assert records(claim, (3, 13), 4) == [
+        (3, 4, None, observed, expected),
+        (13, 4, None, observed, expected),
+    ]
+
+
 def test_orbit_vanishing_records_the_unpaired_residue(monkeypatch):
     monkeypatch.setattr(
         exp_sum, "_unpaired_run", lambda g, ws, n, column: [(1, 2, 1)] * len(ws)

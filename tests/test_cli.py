@@ -396,9 +396,10 @@ def test_sweep_injected_counterexample_exits_1(capsys):
     claim = Claim(
         name="test_only_failure",
         needs_w=False,
-        evaluate=lambda g, w, ns: [
-            (Verdict.COUNTEREXAMPLE, ("forced failure", "forced success"))
-        ] * len(ns),
+        evaluate=lambda gs, ws, ns: (0, 0, [
+            (g, n, None, (Verdict.COUNTEREXAMPLE, ("forced failure", "forced success")))
+            for g in gs for n in ns if g < 1 << n
+        ]),
     )
     CLAIMS[claim.name] = claim
     try:

@@ -545,6 +545,25 @@ def test_min_vanishing_n_builds_no_orbit_below_two_above_the_valuation(monkeypat
     assert calls == []
 
 
+def test_min_vanishing_n_walks_its_column_only_to_the_bound(monkeypatch):
+    real = exp_sum._order_column
+    walks = []
+    monkeypatch.setattr(
+        exp_sum, "_order_column", lambda g, lo, hi: walks.append((g, lo, hi)) or real(g, lo, hi)
+    )
+    # the first zero is at n = 2, and theorem6 puts one at the bound n = 4
+    assert min_vanishing_n(3, 1, 4096) == MinVanishing(n=2, slack=2)
+    assert walks == [(3, 1, 4)]
+    walks.clear()
+    # a bound below the first zero (5 vanishes first at n = 3) takes a
+    # second walk on to n_max, with the answer of the probe from d(w) + 2
+    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: 2)
+    assert not is_exact_zero(residue_orbit(5, 1, 2)).is_zero
+    assert is_exact_zero(residue_orbit(5, 1, 3)).is_zero
+    assert min_vanishing_n(5, 1, 10) == MinVanishing(n=3, slack=-1)
+    assert walks == [(5, 1, 2), (5, 1, 10)]
+
+
 def test_min_vanishing_n_slack_accounting():
     found = min_vanishing_n(9, 1, 10)
     assert found == MinVanishing(n=4, slack=1)  # bound(9, 1) = 5, first zero at 4

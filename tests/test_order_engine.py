@@ -173,6 +173,15 @@ def test_order_column_straddles_the_walk_switch(step):
         assert _order_column(g, 1, hi) == [_one_exponent(g, n) for n in range(1, hi + 1)], g
 
 
+@pytest.mark.parametrize("g", [3, -5, 28363, (1 << 300) + 1])
+def test_order_column_t_walk_shifts_once_its_square_vanishes(monkeypatch, g):
+    # the t-walk's square vanishes from 2k >= 1024 on: for g = 3 (mod 4)
+    # at n = 513, for 2^300 + 1 near n = 811, the middle of the column
+    shifted = _order_column(g, 1, 1024)
+    monkeypatch.setattr(order_engine, "_SHIFTED_WALK_ABOVE", 1024)
+    assert shifted == _order_column(g, 1, 1024)
+
+
 @pytest.mark.parametrize("g", [3, -5, (1 << 4095) - 1, (1 << 4094) + 1])
 def test_order_column_at_the_exponent_limit(g):
     assert _order_column(g, 4096, 4096) == [_one_exponent(g, 4096)]

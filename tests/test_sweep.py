@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,12 +21,16 @@ from pow2sums import (
     UsageError,
     Verdict,
     canonical_json,
+    check_half_order_classification,
+    check_involution_membership,
+    check_minus_one_case,
     check_order_doubling,
     format_report,
+    order_fast,
+    order_naive,
     run_sweep,
 )
 from pow2sums import core_arith, sweep
-from pow2sums.verdict import HOLDS
 
 
 def spec(**kwargs) -> SweepSpec:
@@ -357,7 +362,10 @@ def test_injected_claim_reaches_the_report():
     always_fails = Claim(
         name="always_fails",
         needs_w=False,
-        evaluate=lambda g, w, ns: [(Verdict.COUNTEREXAMPLE, ("it failed", "it should hold"))] * len(ns),
+        evaluate=lambda gs, ws, ns: (0, 0, [
+            (g, n, None, (Verdict.COUNTEREXAMPLE, ("it failed", "it should hold")))
+            for g in gs for n in ns if g < 1 << n
+        ]),
     )
     CLAIMS[always_fails.name] = always_fails
     try:
@@ -368,22 +376,30 @@ def test_injected_claim_reaches_the_report():
         del CLAIMS["always_fails"]
 
 
-def test_a_slab_one_outcome_short_raises(monkeypatch):
-    # list.count takes every outcome of the short slab, so only its length
-    # tells it from a whole one
-    short = Claim("short", False, lambda g, ws, ns: [HOLDS] * (len(ns) - 1))
-    monkeypatch.setitem(CLAIMS, short.name, short)
+def test_a_run_one_tally_short_raises(monkeypatch):
+    # a run's counts must add up to its tuples: one short is a tuple that no
+    # verdict took
+    def short(gs, ws, ns):
+        return sum(g < 1 << n for g in gs for n in ns) - 1, 0, []
+
+    monkeypatch.setitem(CLAIMS, "short", Claim("short", False, short))
     with pytest.raises(ValueError):
         run_sweep(spec(claim="short"))
 
 
 def test_fresh_detail_free_outcomes_are_tallied_once_each(monkeypatch):
-    # fresh tuples equal to the shared outcomes, and one counterexample as
-    # the last outcome of every slab
-    def evaluate(g, ws, ns):
-        outcomes = [(Verdict.HOLDS if n % 2 else Verdict.HYPOTHESIS_NOT_MET, None) for n in ns]
-        outcomes[-1] = (Verdict.COUNTEREXAMPLE, (f"g={g}", "none"))
-        return outcomes
+    # each g holds at its odd n and is outside the hypotheses at its even n,
+    # and its top tuple is a counterexample: the run's counts and its details
+    # each reach the tallies once
+    def evaluate(gs, ws, ns):
+        held = unmet = 0
+        details = []
+        for g in gs:
+            run = range(max(ns.start, g.bit_length()), ns.stop)
+            held += sum(n % 2 for n in run[:-1])
+            unmet += sum(1 - n % 2 for n in run[:-1])
+            details.append((g, run[-1], None, (Verdict.COUNTEREXAMPLE, (f"g={g}", "none"))))
+        return held, unmet, details
 
     monkeypatch.setitem(CLAIMS, "fresh", Claim("fresh", False, evaluate))
     report = run_sweep(spec(claim="fresh"))
@@ -396,3 +412,50 @@ def test_fresh_detail_free_outcomes_are_tallied_once_each(monkeypatch):
         counterexample=len(gs),
     )
     assert report.exceptions == [SweepException(g, 6, None, f"g={g}", "none") for g in gs]
+
+
+def _public_verdict(claim, g, n):
+    """The verdict of the claim's public checker at one tuple of its sweep
+    domain; a half-order claim is not met where no half-order residue is."""
+    if claim == "order_oracle":
+        same = order_fast(g, n).omega == order_naive(g, n).omega
+        return Verdict.HOLDS if same else Verdict.COUNTEREXAMPLE
+    if claim == "lemma1":
+        return check_order_doubling(g, n)
+    if n < 3 or g == 1:
+        return Verdict.HYPOTHESIS_NOT_MET
+    return {
+        "lemma2": check_involution_membership,
+        "lemma3": check_minus_one_case,
+        "lemma4_theorem5": check_half_order_classification,
+    }[claim](g, n)
+
+
+def _verdicts(run) -> list:
+    held, unmet, details = run
+    return [Verdict.HOLDS] * held + [Verdict.HYPOTHESIS_NOT_MET] * unmet + [
+        outcome[0] for *_, outcome in details
+    ]
+
+
+@pytest.mark.parametrize("claim", ["order_oracle", "lemma1", "lemma2", "lemma3", "lemma4_theorem5"])
+def test_per_modulus_runs_agree_with_the_public_checks(claim):
+    evaluate = CLAIMS[claim].evaluate
+    gs, ns = range(1, 1 << 8, 2), range(1, 10)
+    expected = {}
+    for g in gs:
+        for n in ns:
+            if g < 1 << n:
+                expected[g, n] = _public_verdict(claim, g, n)
+                # the run of one g at one n
+                assert _verdicts(evaluate(range(g, g + 1), (None,), range(n, n + 1))) == [
+                    expected[g, n]
+                ], (g, n)
+    run = evaluate(gs, (None,), ns)
+    assert Counter(_verdicts(run)) == Counter(expected.values())
+    assert {(g, n): outcome[0] for g, n, _, outcome in run[2]} == {
+        tuple_: verdict for tuple_, verdict in expected.items()
+        if verdict not in (Verdict.HOLDS, Verdict.HYPOTHESIS_NOT_MET)
+    }
+    if claim == "lemma4_theorem5":
+        assert len(run[2]) == 7  # g = 2^(n-1) - 1 at each n from 3 to 9

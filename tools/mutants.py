@@ -64,6 +64,9 @@ T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
 STRADDLE = T_ORDER + "test_order_column_straddles_the_walk_switch"
 ABOVE = T_EXP + "test_half_order_and_antipodal_shift_above_the_walk_switch"
 PER_ORBIT = "tests/test_claim_records.py::test_orbit_sweep_builds_at_most_one_orbit_per_tuple"
+SHIFT = T_ORDER + "test_order_column_t_walk_shifts_once_its_square_vanishes"
+SHORT = T_SWEEP + "test_a_run_one_tally_short_raises"
+AGREE = T_SWEEP + "test_per_modulus_runs_agree_with_the_public_checks"
 
 MUTANTS = [
     # the dense table decider and the expsum certificate
@@ -134,6 +137,9 @@ MUTANTS = [
            "range(two_adic_valuation(w) + 2, n_max + 1)",
            "range(two_adic_valuation(w) + 3, n_max + 1)",
            (T_EXP + "test_min_vanishing_n_examples", T_CLI + "test_min_vanishing_command")),
+    Mutant("min-vanishing-never-walks-past-the-bound", EXP,
+           "        if n > len(column):\n", "        if False:\n",
+           (T_EXP + "test_min_vanishing_n_walks_its_column_only_to_the_bound",)),
     # the congruence above the cap
     Mutant("structural-involution-is-half-minus-one", EXP,
            "column[m - 1][1] != (1 << (m - 1)) + 1", "column[m - 1][1] != (1 << (m - 1)) - 1",
@@ -157,8 +163,8 @@ MUTANTS = [
            "    for n in range(n_lo, n_hi + 2):\n        low = (1 << n) - 1\n        while (s - 1)",
            (T_ORDER + "test_order_column_equals_one_chain_per_exponent", STRADDLE)),
     Mutant("t-walk-loop-off-by-one", ORDER,
-           "        for n in range(n_lo, n_hi + 1):\n            low = (1 << n) - 1\n            while t",
-           "        for n in range(n_lo, n_hi + 2):\n            low = (1 << n) - 1\n            while t",
+           "        for n in range(n_lo, n_hi + 1):\n            low = (1 << n) - 1\n            while sq",
+           "        for n in range(n_lo, n_hi + 2):\n            low = (1 << n) - 1\n            while sq",
            (T_ORDER + "test_order_column_at_the_exponent_limit", STRADDLE)),
     Mutant("t-walk-square-one-bit-short", ORDER,
            "t, k, sq, half = (g - 1) & mask, 1, mask >> 2, 0",
@@ -168,6 +174,10 @@ MUTANTS = [
            "column.append((1 << (k - 1), (half + 1) & low))",
            "column.append((1 << (k - 1), half & low))",
            (STRADDLE, ABOVE)),
+    Mutant("t-walk-shift-one-step-too-far", ORDER,
+           "half, t, k = t << (r - 1), t << r & mask, k + r",
+           "half, t, k = t << r, t << r & mask, k + r",
+           (SHIFT, STRADDLE)),
     Mutant("t-walk-k-advanced-by-2", ORDER,
            "                k += 1\n", "                k += 2\n",
            (STRADDLE, ABOVE)),
@@ -175,8 +185,8 @@ MUTANTS = [
            "column.append((omega, half & low))", "column.append((omega, s & low))",
            ("tests/test_half_order.py::test_half_order_residue_examples",)),
     Mutant("doubling-drops-the-plus-minus-one-check", ORDER,
-           "        NOT_MET if g & ((1 << n) - 1) in (1, (1 << n) - 1)\n",
-           "        NOT_MET if False\n",
+           "            if g & low in (1, low):\n                unmet += 1\n",
+           "            if False:\n                unmet += 1\n",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
     Mutant("scan-range-one-short-of-the-cap", ORDER,
            "for k in range(1, cap + 1):", "for k in range(1, cap):",
@@ -216,19 +226,26 @@ MUTANTS = [
            "min(spec.jobs, len(slices), os.cpu_count() or 1)", "min(spec.jobs, len(slices))",
            (T_SWEEP + "test_pool_size_is_bounded_by_the_cpu_count",)),
     Mutant("wrong-first-n", SWEEP,
-           "max(spec.n_min, g.bit_length())", "max(spec.n_min, g.bit_length() + 1)",
+           "max(ns.start, g.bit_length())", "max(ns.start, g.bit_length() + 1)",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
+    Mutant("run-skips-its-last-g", SWEEP,
+           "    for g in gs:\n        yield g, ", "    for g in gs[:-1]:\n        yield g, ",
+           (T_SWEEP + "test_run_sweep_counts_whole_domain", AGREE)),
     Mutant("top-g-dropped", SWEEP,
            "return range(lo | 1, hi + 1, 2)", "return range(lo | 1, hi, 2)",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
+    # the count check: a run's tallies count each of its tuples once
     Mutant("slab-length-check-dropped", SWEEP,
-           "        if held + unmet == len(outcomes) == len(ws) * len(ns):\n",
-           "        if held + unmet == len(outcomes):\n",
-           (T_SWEEP + "test_a_slab_one_outcome_short_raises",)),
+           "    if sum(tallies.values()) != size:\n",
+           "    if sum(tallies.values()) != held + unmet + len(details):\n",
+           (SHORT,)),
+    Mutant("count-check-dropped", SWEEP,
+           "    if sum(tallies.values()) != size:\n", "    if False:\n",
+           (SHORT,)),
     Mutant("slab-with-one-exception-skipped", SWEEP,
-           "        if held + unmet == len(outcomes) == len(ws) * len(ns):\n",
-           "        if held + unmet + 1 >= len(outcomes) == len(ws) * len(ns):\n",
-           (T_SWEEP + "test_fresh_detail_free_outcomes_are_tallied_once_each",)),
+           "    for *_, (verdict, _) in details:\n", "    for *_, (verdict, _) in details[1:]:\n",
+           (T_SWEEP + "test_fresh_detail_free_outcomes_are_tallied_once_each",
+            "tests/test_claim_records.py::test_a_run_reports_its_first_and_its_last_g")),
     Mutant("row-template-takes-a-bool-leaf", SWEEP,
            "set(map(type, chain.from_iterable(value))) == {int}",
            "all(isinstance(v, int) for v in chain.from_iterable(value))",
