@@ -6,7 +6,8 @@ one-row csv); sweeps print a report in the selected format.
 
 Exit codes: 0 success / no counterexamples; 1 counterexamples found (or,
 under --strict-paper, documented exceptions found); 2 usage or domain
-error, or an output pipe closed by its reader.
+error, a sweep claim whose counts do not cover its tuples, or an output
+pipe closed by its reader.
 """
 from __future__ import annotations
 
@@ -19,11 +20,11 @@ from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
 from . import __version__
-from .core_arith import DomainError, odd_part, threshold_exponent
+from .core_arith import odd_part, threshold_exponent
 from .exp_sum import min_vanishing_n, orbit_certificate, vanishing_bound
 from .half_order import half_order_residue
 from .order_engine import ScanBudgetExceeded, order_fast, order_naive, order_table
-from .sweep import CLAIMS, SweepSpec, UsageError, canonical_json, format_report, run_sweep
+from .sweep import CLAIMS, SweepSpec, canonical_json, format_report, run_sweep
 
 _FORMATS = ("json", "csv", "table")
 
@@ -209,7 +210,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, UsageError, ScanBudgetExceeded) as exc:
+    except (ValueError, ScanBudgetExceeded) as exc:
+        # DomainError, UsageError and a sweep run's failed count check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,10 +26,10 @@ residue_orbit, is_exact_zero and float_sum build the literal multiset,
 pair it and sum it in floating point; they have no production caller and
 are the tests' reference.
 
-theorem6 takes a slab, one g with a run of weights at a run of n: every
-order comes from one squaring chain, and at each n one table serves each
-weight whose orbit it holds.  check_antipodal_shift decides by a single
-congruence read from the chain.
+theorem6 takes a run, each g of a range with a run of weights at a run
+of n: every order of a g comes from one squaring chain, and at each n one
+table serves each weight whose orbit it holds.  check_antipodal_shift
+decides by a single congruence read from the chain.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from .core_arith import (
     two_adic_valuation,
 )
 from .order_engine import _order_column, order_fast
-from .verdict import HOLDS, NOT_MET, Outcome, Verdict
+from .verdict import Run, Verdict
 
 # Beyond this exponent 2*pi*r/2^n loses the argument precision a float can
 # carry; callers are directed to the exact certificate instead.
@@ -252,44 +252,51 @@ def check_orbit_vanishing(g: int, w: int, n: int) -> Verdict:
     there).  At or above it, the collapse of the orbit to the odd part of
     w requires g != +-1 modulo 2^(n - d(w)); that guard is implied by the
     bound, and a failure of it would invalidate the whole argument, so it
-    is reported as a counterexample too.  This is the slab of one weight
-    and one n.  Sweep claim id: theorem6.
+    is reported as a counterexample too.  This is the run of one g, one
+    weight and one n.  Sweep claim id: theorem6.
     """
-    return _orbit_vanishing(g, (w,), range(n, n + 1))[0][0]
+    _require_exponent(n)
+    # names w = 0, then an even g, then g = +-1, which the run counts as not met
+    vanishing_bound(g, w)
+    held, unmet, details = _orbit_vanishing(range(g, g + 1), (w,), range(n, n + 1))
+    return Verdict.HOLDS if held else Verdict.HYPOTHESIS_NOT_MET if unmet else details[0][3][0]
 
 
-def _orbit_vanishing(g: int, ws: Sequence[int], ns: range) -> list[Outcome]:
-    """theorem6 on a slab, one g with each weight of ws at each n of a run,
-    in (w, n) order.  The n below a weight's bound are not met; the others
-    read one column from exponent 1, and each n decides its weights together
-    (_unpaired_run).  A failed collapse guard is reported as such while the
-    sum still vanishes, else by the unpaired residue."""
+def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
+    """theorem6 on a run: each g of gs with each weight of ws at every n of
+    ns.  g = +-1, and each n below a weight's bound, are not met; any other
+    g reads one column from exponent 1, and each n decides its met weights
+    together (_unpaired_run).  A failed collapse guard is reported as such
+    while the sum still vanishes, else by the unpaired residue."""
     top = ns[-1]
     _require_exponent(top)
-    bounds = [vanishing_bound(g, w) for w in ws]
-    outcomes: list[Outcome] = [NOT_MET] * (len(ws) * len(ns))
-    if min(bounds) > top:
-        return outcomes
     ds = list(map(two_adic_valuation, ws))
-    column = _order_column(g, 1, top)
-    for n in ns:
-        met = [i for i, bound in enumerate(bounds) if bound <= n]
-        for i, unpaired in zip(met, _unpaired_run(g, [ws[i] for i in met], n, column)):
-            low = (1 << (n - ds[i])) - 1
-            guard_holds = g & low not in (1, low)
-            at = i * len(ns) + n - ns[0]
-            if unpaired is None and guard_holds:
-                outcomes[at] = HOLDS
-            elif unpaired is None:
-                outcomes[at] = (Verdict.COUNTEREXAMPLE, (
-                    "exact zero (collapse guard failed)",
-                    "base not +-1 modulo the collapsed modulus"))
-            else:
-                r, count, antipode = unpaired
-                outcomes[at] = (Verdict.COUNTEREXAMPLE, (
-                    f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
-                    "equal multiplicities on every antipodal residue pair"))
-    return outcomes
+    held = unmet = 0
+    details = []
+    for g in gs:
+        bounds = [vanishing_bound(g, w) for w in ws] if g not in (-1, 1) else []
+        if not bounds or min(bounds) > top:
+            unmet += len(ws) * len(ns)
+            continue
+        column = _order_column(g, 1, top)
+        for n in ns:
+            met = [i for i, bound in enumerate(bounds) if bound <= n]
+            unmet += len(ws) - len(met)
+            for i, unpaired in zip(met, _unpaired_run(g, [ws[i] for i in met], n, column)):
+                low = (1 << (n - ds[i])) - 1
+                guard_holds = g & low not in (1, low)
+                if unpaired is None and guard_holds:
+                    held += 1
+                    continue
+                if unpaired is None:
+                    detail = ("exact zero (collapse guard failed)",
+                              "base not +-1 modulo the collapsed modulus")
+                else:
+                    r, count, antipode = unpaired
+                    detail = (f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
+                              "equal multiplicities on every antipodal residue pair")
+                details.append((g, n, ws[i], (Verdict.COUNTEREXAMPLE, detail)))
+    return held, unmet, details
 
 
 def _unpaired_run(g: int, ws: Sequence[int], n: int, column: Sequence[tuple]) -> list[Unpaired]:

@@ -21,16 +21,13 @@ class Verdict(enum.Enum):
     PAPER_EXCEPTION = "paper_exception"
     COUNTEREXAMPLE = "counterexample"
 
-    # members are singletons, so hash by identity in C (Enum hashes the name)
-    __hash__ = object.__hash__
-
 
 # One claim evaluation: the verdict, and for COUNTEREXAMPLE and
 # PAPER_EXCEPTION the (observed, expected) strings a sweep report records.
 Outcome = tuple[Verdict, Optional[tuple[str, str]]]
 
-# The detail-free outcomes: every checker returns these shared objects, so
-# a run tells them apart by identity (or in C, with list.count).
+# The detail-free outcomes: every per-modulus checker returns these shared
+# objects, so a run tells them apart by identity.
 HOLDS: Outcome = (Verdict.HOLDS, None)
 NOT_MET: Outcome = (Verdict.HYPOTHESIS_NOT_MET, None)
 

@@ -164,7 +164,7 @@ def test_theorem6_sweep_walks_one_column_per_g(monkeypatch):
 
     monkeypatch.setattr(exp_sum, "_order_column", counted)
     run_sweep(SweepSpec("theorem6", -9, 9, 3, 6, -4, 4, jobs=1))
-    # one chain per g whose slab reaches a bound, from exponent 1, so that
+    # one chain per g whose run reaches a bound, from exponent 1, so that
     # the congruence can read every collapsed exponent n - d(w)
     ws = (-4, -3, -2, -1, 1, 2, 3, 4)
     expected: Counter = Counter()
@@ -178,12 +178,16 @@ def test_theorem6_sweep_walks_one_column_per_g(monkeypatch):
     assert calls == expected
     assert straddling and below
     monkeypatch.undo()
-    # a slab gives, in (w, n) order, the outcome of each weight at each n alone
+    # a run of one g counts and reports each weight at each n as it alone does
     ns = range(3, 7)
     for g in set(straddling + below):
-        assert exp_sum._orbit_vanishing(g, ws, ns) == [
-            exp_sum._orbit_vanishing(g, (w,), range(n, n + 1))[0] for w in ws for n in ns
-        ], g
+        alone = [exp_sum._orbit_vanishing(range(g, g + 1), (w,), range(n, n + 1))
+                 for w in ws for n in ns]
+        assert all(held + unmet + len(details) == 1 for held, unmet, details in alone), g
+        held, unmet, details = exp_sum._orbit_vanishing(range(g, g + 1), ws, ns)
+        assert held == sum(run[0] for run in alone), g
+        assert unmet == sum(run[1] for run in alone), g
+        assert sorted(details) == sorted(d for run in alone for d in run[2]), g
 
 
 def test_theorem6_guards_its_top_exponent_before_any_table(monkeypatch):

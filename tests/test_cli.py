@@ -414,6 +414,17 @@ def test_sweep_injected_counterexample_exits_1(capsys):
         del CLAIMS["test_only_failure"]
 
 
+def test_sweep_claim_that_does_not_count_its_tuples_exits_2(capsys, monkeypatch):
+    # a failed count check is an error in the claim, not a counterexample
+    monkeypatch.setitem(CLAIMS, "short", Claim("short", False, lambda gs, ws, ns: (0, 0, [])))
+    code = main(["sweep", "--claim", "short", "--g-min", "1", "--g-max", "3",
+                 "--n-min", "2", "--n-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: claim 'short' does not count each of its 2 tuples once\n"
+    assert captured.out == ""
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pow2sums", "order", "--g", "3", "--n", "5"],

@@ -28,7 +28,7 @@ from pow2sums import (
     residue_orbit,
     vanishing_bound,
 )
-from pow2sums import exp_sum, order_engine
+from pow2sums import core_arith, exp_sum, order_engine
 
 
 def reduced_coefficients(multiset: ResidueMultiset) -> list[int]:
@@ -233,6 +233,29 @@ def test_vanishing_bound_domain_errors():
 )
 def test_orbit_vanishing_examples(g, w, n, verdict):
     assert check_orbit_vanishing(g, w, n) is verdict
+
+
+@pytest.mark.parametrize("n", [5, 0, core_arith.MAX_EXPONENT + 1])
+@pytest.mark.parametrize("w", [2, 0])
+@pytest.mark.parametrize("g", [3, 4, 1, -1])
+def test_orbit_vanishing_names_the_first_bad_argument(g, w, n):
+    # the exponent is named first, then w = 0, then an even g, then g = +-1
+    if n < 1:
+        message = f"modulus exponent must be >= 1, got {n}"
+    elif n > core_arith.MAX_EXPONENT:
+        message = f"modulus exponent {n} exceeds MAX_EXPONENT"
+    elif w == 0:
+        message = "orbit weight w must be nonzero"
+    elif g % 2 == 0:
+        message = f"base must be odd, got {g}"
+    elif g in (-1, 1):
+        message = "threshold exponent is defined only for odd g outside {-1, 1}"
+    else:
+        assert check_orbit_vanishing(g, w, n) is Verdict.HOLDS
+        return
+    with pytest.raises(DomainError) as info:
+        check_orbit_vanishing(g, w, n)
+    assert str(info.value).startswith(message)
 
 
 def test_orbit_vanishing_small_grid_never_fails():
@@ -444,7 +467,7 @@ def test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap(monkeypatch):
     bases = (15, 17, -15, 33)
     expected = {(g, n): [by_multiset(g, w, n)[2] for w in weights]
                 for g in bases for n in range(8, 13)}
-    # each base's theorem6 slab crosses the cap at n = 10; with the bound
+    # each base's theorem6 run crosses the cap at n = 10; with the bound
     # lowered to d(w) + 1, a met sum that vanishes holds (or fails only its
     # collapse guard) and one that does not is named by its first term
     monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: odd_part(w).d + 1)
@@ -455,20 +478,28 @@ def test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap(monkeypatch):
             assert None in own[1:] and any(own[1:]), (g, n)
             assert exp_sum._unpaired_run(g, weights, n, column) == own, (g, n)
             assert exp_sum._unpaired_run(g, weights[::-1], n, column) == own[::-1], (g, n)
-        outcomes = iter(exp_sum._orbit_vanishing(g, weights, range(8, 13)))
+        held, unmet, details = exp_sum._orbit_vanishing(range(g, g + 1), weights, range(8, 13))
+        reported = {(n, w): outcome for _, n, w, outcome in details}
+        assert len(reported) == len(details), g
+        vanished = below = 0
         for i, w in enumerate(weights):
             for n in range(8, 13):
-                verdict, detail = next(outcomes)
                 unpaired = expected[g, n][i]
                 if n <= odd_part(w).d:
-                    assert verdict is Verdict.HYPOTHESIS_NOT_MET, (g, w, n)
+                    assert (n, w) not in reported, (g, w, n)
+                    below += 1
                 elif unpaired is None:
-                    assert detail is None or detail[0].startswith("exact zero"), (g, w, n)
+                    if (n, w) in reported:
+                        assert reported[n, w][1][0].startswith("exact zero"), (g, w, n)
+                    else:
+                        vanished += 1
                 else:
                     r, count, antipode = unpaired
+                    verdict, detail = reported[n, w]
                     assert verdict is Verdict.COUNTEREXAMPLE, (g, w, n)
                     other = r ^ (1 << (n - 1))
                     assert detail[0] == f"count({r})={count} != count({other})={antipode}", (g, w, n)
+        assert (held, unmet) == (vanished, below), g
 
 
 def test_literal_orbit_is_capped(monkeypatch):

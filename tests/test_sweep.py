@@ -25,12 +25,13 @@ from pow2sums import (
     check_involution_membership,
     check_minus_one_case,
     check_order_doubling,
+    check_orbit_vanishing,
     format_report,
     order_fast,
     order_naive,
     run_sweep,
 )
-from pow2sums import core_arith, sweep
+from pow2sums import core_arith, exp_sum, sweep
 
 
 def spec(**kwargs) -> SweepSpec:
@@ -459,3 +460,35 @@ def test_per_modulus_runs_agree_with_the_public_checks(claim):
     }
     if claim == "lemma4_theorem5":
         assert len(run[2]) == 7  # g = 2^(n-1) - 1 at each n from 3 to 9
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["paper-bound", "forced-counterexamples"])
+def test_theorem6_run_agrees_with_the_public_check(monkeypatch, forced):
+    if forced:
+        # with the bound lowered to d(w) + 1, some met sums do not vanish and
+        # some vanish but fail their collapse guard, so the run reports both
+        monkeypatch.setattr(exp_sum, "vanishing_bound",
+                            lambda g, w: core_arith.two_adic_valuation(w) + 1)
+    evaluate = CLAIMS["theorem6"].evaluate
+    gs, ws, ns = range(-15, 16, 2), [w for w in range(-8, 9) if w], range(1, 11)
+    expected, alone = {}, {}
+    for g in gs:
+        for w in ws:
+            for n in ns:
+                # the public check refuses g = +-1, which the run counts as not met
+                expected[g, n, w] = (Verdict.HYPOTHESIS_NOT_MET if g in (-1, 1)
+                                     else check_orbit_vanishing(g, w, n))
+                # the run of one tuple
+                one = evaluate(range(g, g + 1), (w,), range(n, n + 1))
+                assert _verdicts(one) == [expected[g, n, w]], (g, n, w)
+                alone.update((detail[:3], detail[3]) for detail in one[2])
+    run = evaluate(gs, ws, ns)
+    assert Counter(_verdicts(run)) == Counter(expected.values())
+    reported = {(g, n, w): outcome for g, n, w, outcome in run[2]}
+    assert len(reported) == len(run[2])
+    assert reported == alone
+    assert reported.keys() == {
+        tuple_ for tuple_, verdict in expected.items() if verdict is Verdict.COUNTEREXAMPLE
+    }
+    observed = {detail[0].split("(")[0] for _, detail in reported.values()}
+    assert observed == ({"count", "exact zero "} if forced else set())

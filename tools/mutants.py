@@ -153,6 +153,13 @@ MUTANTS = [
     Mutant("orbit-decision-and-to-or", EXP,
            "if unpaired is None and guard_holds:", "if unpaired is None or guard_holds:",
            ("tests/test_claim_records.py::test_orbit_vanishing_records_the_unpaired_residue",)),
+    Mutant("theorem6-unmet-skips-one-n", EXP,
+           "            unmet += len(ws) - len(met)\n",
+           "            unmet += len(ws) - len(met) if n > ns[0] else 0\n",
+           (T_SWEEP + "test_run_sweep_theorem6_domain",)),
+    Mutant("theorem6-detail-names-the-first-weight", EXP,
+           "details.append((g, n, ws[i], ", "details.append((g, n, ws[0], ",
+           (T_SWEEP + "test_theorem6_run_agrees_with_the_public_check",)),
     Mutant("literal-orbit-cap-one-short", EXP,
            "if omega > 1 << (LITERAL_EXPONENT_CAP - 2):",
            "if omega >= 1 << (LITERAL_EXPONENT_CAP - 2):",
