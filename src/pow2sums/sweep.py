@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -280,71 +281,43 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 def canonical_json(obj) -> str:
-    """The canonical JSON form of a report or record.
-
-    Canonical JSON is defined as the bytes of json.dumps(obj,
-    sort_keys=True, indent=2): sorted keys, two-space indent, ASCII only,
-    no trailing whitespace, so parsing and re-serializing is
-    byte-identical.  This encoder is held to those bytes, and the tests
-    compare it with json.dumps, for every value the package emits:
-    str-keyed dicts, lists, tuples, str, int, float (NaN and +-Infinity
-    included), bool and None.  Any other value, or a key that is not a
-    str, raises TypeError.
+    """The canonical JSON form of a report or record: the bytes of
+    json.dumps(obj, sort_keys=True, indent=2), with its errors.
 
     json.dumps does not use its C encoder when indent is set, so it builds
-    a chunk per value.  Here a list of equal-length rows of ints, such as
-    the expsum pairing, is written with one row template in a single
-    formatting pass.
+    a chunk per value.  In a dict, the value of a str key that is a list
+    of equal-length rows of ints, such as the expsum pairing, is written
+    instead with one row template, and the dict in a single formatting
+    pass; each other value is json.dumps's text, indented one level.
     """
-    return _encode(obj, "\n")
+    rows = isinstance(obj, dict) and {
+        k for k, v in obj.items() if isinstance(k, str) and _int_rows(v)}
+    if not rows:
+        return json.dumps(obj, sort_keys=True, indent=2)
+    # one template and one % for the whole dict; keys and the other values
+    # are %s arguments, so a % in their text is not read as a format
+    template, args = [], []
+    for key in sorted(obj):
+        value = obj[key]
+        template.append(",\n  %s: " if template else "{\n  %s: ")
+        args.append((encode_basestring_ascii(key),))
+        if key in rows:
+            row = "[" + ",".join(["\n      %d"] * len(value[0])) + "\n    ]"
+            template += ["[\n    " + row] + [",\n    " + row] * (len(value) - 1) + ["\n  ]"]
+            args.append(chain.from_iterable(value))
+        else:
+            template.append("%s")
+            args.append((json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "),))
+    template.append("\n}")
+    return "".join(template) % tuple(chain.from_iterable(args))
 
 
-_INFINITY = float("inf")
-
-
-def _encode(value, newline: str) -> str:
-    """value as canonical JSON; newline is the line break and indent that
-    close it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    inner = newline + "  "
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) <= {list, tuple}:
-            widths = set(map(len, value))
-            # %d would print a bool as 1 and truncate a float, so only rows
-            # of exact ints take the template
-            if len(widths) == 1 and set(map(type, chain.from_iterable(value))) == {int}:
-                cell = inner + "  "
-                row = f"[{cell}" + f",{cell}".join(["%d"] * widths.pop()) + f"{inner}]"
-                rows = sep.join([row] * len(value)) % tuple(chain.from_iterable(value))
-                return f"[{inner}{rows}{newline}]"
-        return f"[{inner}{sep.join([_encode(v, inner) for v in value])}{newline}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = [f"{encode_basestring_ascii(k)}: {_encode(value[k], inner)}" for k in sorted(value)]
-        return f"{{{inner}{sep.join(items)}{newline}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _int_rows(value) -> bool:
+    """value is a non-empty list or tuple of equal-length rows of exact ints
+    (%d would print a bool as 1 and truncate a float)."""
+    return (isinstance(value, (list, tuple)) and set(map(type, value)) <= {list, tuple}
+            and len(set(map(len, value))) == 1
+            and set(map(type, chain.from_iterable(value))) == {int})
 
 
 def format_report(report: SweepReport, fmt: str = "json") -> str:

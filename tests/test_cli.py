@@ -95,7 +95,8 @@ def test_expsum_command_beyond_float_cap(capsys):
 
 
 def test_expsum_pairing_is_byte_identical_to_json_dumps(capsys):
-    # 2^13 rows of [residue, count]: the pairing takes the encoder's row template
+    # 2^13 rows of [residue, count]: the pairing takes canonical_json's row
+    # template, and float_sum, a list, is json.dumps's text indented one level
     record = run_json(capsys, "expsum", "--g", "3", "--w", "1", "--n", "16")
     assert len(record["pairing"]) == 1 << 13
 

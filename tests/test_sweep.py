@@ -281,7 +281,7 @@ _huge_ints = st.integers(min_value=-(1 << 1000), max_value=1 << 1000)
 _leaves = (
     st.none() | st.booleans() | st.integers() | _huge_ints | st.floats() | st.text()
 )
-# equal-length rows of ints take the encoder's row template
+# equal-length rows of ints that are a record's values take the row template
 _int_rows = st.integers(min_value=1, max_value=4).flatmap(
     lambda k: st.lists(
         st.lists(st.integers() | _huge_ints, min_size=k, max_size=k)
@@ -290,7 +290,7 @@ _int_rows = st.integers(min_value=1, max_value=4).flatmap(
         max_size=8,
     )
 )
-# ragged rows, and rows holding a bool or a float, must take the generic path
+# ragged rows, and rows holding a bool or a float, must take json.dumps
 _other_rows = st.lists(
     st.lists(st.integers() | st.booleans() | st.floats(), max_size=4)
     | st.tuples(st.integers(), st.booleans() | st.floats()),
@@ -315,14 +315,25 @@ _trees = st.recursive(
 @example(value=[[], []])
 @example(value={"k\u00e9\n\"\\\ud83d\ude00": [[-(1 << 200), 0]], "": {}, "a": [(), []]})
 @example(value=[float("nan"), float("inf"), -float("inf"), 1e-310, -0.0])
+# the row template's edge cases as record values, next to a nested dict, a
+# float list and a % in a key and a value, with the keys given out of order
+@example(value={"z": {"b": 1, "a": [[1, 2]]}, "bool": [[1, True], [2, 3]],
+                "float": [[1, 2.5], [3, 4]], "ragged": [[1, 2], [3]],
+                "mixed": [[1, 2], (3, 4), [5, 6]], "empty_rows": [[], []], "empty": (),
+                "rows": [(-(1 << 200), 0), (3, 1)], "f": [0.5, float("nan"), -0.0],
+                "%d": "%s"})
+@example(value={"pairing": [[1, 1], [3, 1]], "w": 1, "n": 4, "is_zero": False, "g": 3})
+@example(value={"a": {"p": [[1, 2]]}})
 def test_canonical_json_is_the_bytes_of_json_dumps(value):
     assert canonical_json(value) == _reference_json(value)
 
 
 @pytest.mark.parametrize(
     "value",
-    [set(), object(), [1, {2}], [[1, object()]], {"k": object()}],
-    ids=["set", "object", "set-in-list", "object-in-row", "object-in-dict"],
+    [set(), object(), [1, {2}], [[1, object()]], {"k": object()},
+     {"p": [[1, 2]], "k": {3}}],
+    ids=["set", "object", "set-in-list", "object-in-row", "object-in-dict",
+         "set-beside-rows"],
 )
 def test_canonical_json_rejects_what_json_rejects(value):
     with pytest.raises(TypeError):
@@ -331,12 +342,16 @@ def test_canonical_json_rejects_what_json_rejects(value):
         canonical_json(value)
 
 
-def test_canonical_json_takes_only_str_keys():
-    # json.dumps would write an int key as a string; no report has one
-    with pytest.raises(TypeError):
-        canonical_json({1: 2})
-    with pytest.raises(TypeError):
-        canonical_json({"a": 1, 2: 3})
+def test_canonical_json_keys_are_those_of_json_dumps():
+    # json.dumps writes a dict of int keys with string keys, and cannot sort
+    # a dict that mixes str and int keys; no report has either
+    for value in ({1: 2}, {1: [[1, 2]]}):
+        assert canonical_json(value) == _reference_json(value)
+    for value in ({"a": 1, 2: 3}, {"a": [[1, 2]], 2: 3}):
+        with pytest.raises(TypeError):
+            _reference_json(value)
+        with pytest.raises(TypeError):
+            canonical_json(value)
 
 
 def test_format_csv_flattens_exceptions():

@@ -257,6 +257,16 @@ MUTANTS = [
            "set(map(type, chain.from_iterable(value))) == {int}",
            "all(isinstance(v, int) for v in chain.from_iterable(value))",
            (T_SWEEP + "test_canonical_json_is_the_bytes_of_json_dumps",)),
+    Mutant("row-template-takes-ragged-rows", SWEEP,
+           "len(set(map(len, value))) == 1", "len(set(map(len, value))) <= 2",
+           (T_SWEEP + "test_canonical_json_is_the_bytes_of_json_dumps",)),
+    Mutant("record-value-indented-one-space", SWEEP,
+           'replace("\\n", "\\n  ")', 'replace("\\n", "\\n ")',
+           (T_SWEEP + "test_canonical_json_is_the_bytes_of_json_dumps",
+            T_CLI + "test_expsum_pairing_is_byte_identical_to_json_dumps")),
+    Mutant("record-keys-in-insertion-order", SWEEP,
+           "for key in sorted(obj):", "for key in obj:",
+           (T_SWEEP + "test_canonical_json_is_the_bytes_of_json_dumps",)),
     # known equivalents: run as controls, they must survive
     Mutant("table-multiplier-unreduced", EXP,
            "    s = g & mask\n    cur = w & mask\n", "    s = g\n    cur = w & mask\n",
