@@ -36,7 +36,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
+from operator import mul, truediv
 from typing import NamedTuple, Optional, Sequence
 
 from .core_arith import (
@@ -229,8 +230,10 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
         cert = ZeroCertificate(is_zero=False, violating_residue=w * g & (m - 1))
     # rect(c, phi) is (c cos phi, c sin phi), the products that
     # c * cmath.exp(2j * math.pi * r / m) forms, at its angle fl(2 pi r) / m
-    # and summed in the same order: the same bits without complex arithmetic
-    value = sum(map(cmath.rect, counts, (2 * math.pi * r / m for r in residues)))
+    # and summed in the same order: the same bits without complex arithmetic;
+    # the angles take the float steps of 2 * math.pi * r / m, mapped in C
+    angles = map(truediv, map(mul, repeat(2 * math.pi), residues), repeat(m))
+    value = sum(map(cmath.rect, counts, angles))
     return OrbitCertificate(omega, cert, value)
 
 

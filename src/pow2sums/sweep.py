@@ -18,7 +18,9 @@ literal signed integers for g and w, since its hypotheses are about g as
 an integer, and skips w = 0.  At jobs > 1 the domain is cut into
 sub-specs mapped over at most min(jobs, CPU count) worker processes;
 tallies add up and exceptions are sorted, so a report is
-byte-deterministic for a given spec at any worker count.
+byte-deterministic for a given spec at any worker count.  The pool
+machinery is imported only when a sweep starts a pool, so importing the
+package, a single query and an inline sweep never load multiprocessing.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -259,6 +260,9 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     if len(slices) <= 1:
         results = [_run_chunk(spec)]
     else:
+        # imported here, so an inline sweep never loads the pool stack
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(spec.jobs, len(slices), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, slices))

@@ -334,6 +334,20 @@ def test_float_value_is_the_bits_of_the_complex_exponential_sum():
                 assert repr(orbit_certificate(g, w, n).value) == repr(old), (g, w, n)
 
 
+@pytest.mark.parametrize(
+    "g, w, n",
+    [(3, 1, 5), (-5, 2, 9), (7, -6, 12), (3, 12, 16), (-13, 1, 16), (3, 1, 18), (5, -10, 18)],
+)
+def test_float_value_is_the_literal_angle_sum(g, w, n):
+    # the angles 2 * math.pi * r / m written as one expression per residue
+    m = 1 << n
+    table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
+    residues = [r for r, c in enumerate(table) if c]
+    counts = [c for c in table if c]
+    literal = sum(map(cmath.rect, counts, (2 * math.pi * r / m for r in residues)))
+    assert orbit_certificate(g, w, n).value == literal
+
+
 def test_shared_tables_decide_each_weight_as_its_own_table():
     # every n <= 12 of odd |g| < 64 and 0 < |w| <= 40, in both orders, so the
     # first weight of a run differs; below the bound the weights of one

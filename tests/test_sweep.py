@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -182,7 +186,9 @@ class RecordingPool:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool class when it starts a pool, so it is
+    # replaced where that import reads it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "made", [])
     return RecordingPool.made
 
@@ -218,6 +224,47 @@ def test_pool_jobs_are_sub_specs(recording_pool, domain):
     assert len(pool.jobs) > 1
     assert all(isinstance(job, SweepSpec) for job in pool.jobs)
     assert json_body(parallel) == json_body(run_sweep(spec(jobs=1, **domain)))
+
+
+_COLD_START = """
+import json, sys
+before = set(sys.modules)
+import pow2sums
+from pow2sums import SweepSpec, cli, run_sweep, sweep
+
+def pool_modules():
+    return sorted(m for m in set(sys.modules) - before
+                  if m.startswith(("concurrent", "multiprocessing", "_multiprocessing")))
+
+def body(spec):
+    report = run_sweep(spec).as_dict()
+    del report["wall_time_ms"]
+    return sweep.canonical_json(report)
+
+run_sweep(SweepSpec("lemma1", 1, 63, 1, 6, jobs=1))
+run_sweep(SweepSpec("lemma1", 1, 63, 1, 6, jobs=2))
+cli.main(["order", "--g", "3", "--n", "64"])
+inline = pool_modules()
+# 4,092 tuples in 6 sub-domains: this sweep starts a pool
+pooled = SweepSpec("lemma4_theorem5", 1, 4095, 3, 12, jobs=2)
+same = body(pooled) == body(SweepSpec("lemma4_theorem5", 1, 4095, 3, 12, jobs=1))
+print(json.dumps({"inline": inline, "pooled": pool_modules(), "same": same}))
+"""
+
+
+def test_only_a_sweep_that_starts_a_pool_imports_the_pool_stack():
+    # a fresh interpreter, so that no other test has loaded the pool stack
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    # import pow2sums, a jobs-1 sweep, a jobs-2 sweep of one sub-domain and
+    # a single query load none of it
+    assert seen["inline"] == []
+    assert "concurrent.futures.process" in seen["pooled"]
+    assert "multiprocessing" in seen["pooled"]
+    assert seen["same"] is True
 
 
 def test_serial_sweep_memory_does_not_grow_with_the_domain():

@@ -232,6 +232,9 @@ MUTANTS = [
     Mutant("pool-not-bounded-by-the-cpu-count", SWEEP,
            "min(spec.jobs, len(slices), os.cpu_count() or 1)", "min(spec.jobs, len(slices))",
            (T_SWEEP + "test_pool_size_is_bounded_by_the_cpu_count",)),
+    Mutant("pool-imported-at-module-level", SWEEP,
+           "import time\n", "import time\nfrom concurrent.futures import ProcessPoolExecutor\n",
+           (T_SWEEP + "test_only_a_sweep_that_starts_a_pool_imports_the_pool_stack",)),
     Mutant("wrong-first-n", SWEEP,
            "max(ns.start, g.bit_length())", "max(ns.start, g.bit_length() + 1)",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
