@@ -40,6 +40,7 @@ from itertools import compress, repeat
 from operator import mul, truediv
 from typing import NamedTuple, Optional, Sequence
 
+from . import core_arith
 from .core_arith import (
     DomainError,
     _require_exponent,
@@ -72,15 +73,17 @@ class ResidueMultiset:
 
     counts maps residue -> multiplicity >= 1; absent residues have
     multiplicity 0.  n = 0 (modulus 1, every root equal to 1) is allowed
-    so the empty-sum edge case has a home.
+    so the empty-sum edge case has a home; n is at most MAX_EXPONENT, like
+    every modulus exponent.
     """
 
     n: int
     counts: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DomainError(f"modulus exponent must be >= 0, got {self.n}")
+        if not 0 <= self.n <= core_arith.MAX_EXPONENT:  # read at call time
+            raise DomainError(
+                f"modulus exponent {self.n} outside [0, MAX_EXPONENT = {core_arith.MAX_EXPONENT}]")
         m = 1 << self.n
         for r, c in self.counts.items():
             if not 0 <= r < m:

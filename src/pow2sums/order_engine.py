@@ -21,15 +21,20 @@ is the run n_lo = n_hi (``order_fast``, ``half_order``,
 the walker carries t = g^(2^j) - 1, which 2^(j+1) divides, so each square
 keeps only the bits that survive the mask.
 
+The order-law checkers decide one tuple each and keep no run loop:
+``_doubling`` is lemma1 at one (g, n), handed the orders at n and n + 1,
+both by their definition; ``check_order_doubling`` reads them from one
+column, and a sweep from the column it walks for each g.
+
 Both walks are validated against the scan exhaustively in the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Optional
 
 from .core_arith import DomainError, _require_exponent, _require_odd, canonical_residue
-from .verdict import Run, Verdict
+from .verdict import HOLDS, NOT_MET, Outcome, Verdict
 
 # The scan is a cross-validation oracle, not a production path; beyond this
 # many multiplications it reports a resource error instead of grinding on.
@@ -149,43 +154,31 @@ def check_order_doubling(g: int, n: int) -> Verdict:
     """Does the order double when the modulus exponent steps from n to n+1?
 
     Asserted only for g != +-1 (mod 2^n); those bases make the hypothesis
-    fail (for g = -1 the order is stuck at 2, for g = 1 at 1).  This is the
-    run of one g at one n.  Sweep claim id: lemma1.
+    fail (for g = -1 the order is stuck at 2, for g = 1 at 1).  Both orders
+    are read from one column and decided by lemma1's checker.  Sweep claim
+    id: lemma1.
     """
     _require_odd(g)  # an even base is named before a bad exponent, as by order_fast
-    held, unmet, details = _order_doubling(((g, n),), n)
-    return Verdict.HOLDS if held else Verdict.HYPOTHESIS_NOT_MET if unmet else details[0][3][0]
+    _require_exponent(n)
+    low = (1 << n) - 1
+    if g & low not in (1, low):
+        _require_exponent(n + 1)  # the order at n + 1 is read
+    (omega, residue), (above, _) = _order_column(g, n, n + 1)
+    return _doubling(g, n, omega, residue, above)[0]
 
 
-def _order_doubling(firsts: Iterable[tuple[int, int]], top: int) -> Run:
-    """lemma1 on a run of (g, first n) pairs, each g at every n from its
-    first (at most top + 1) to top: omega_n and omega_(n+1) are both read,
-    by their definition, from one column per g walked to exponent top + 1."""
-    _require_exponent(top)
-    mask = (1 << top) - 1
-    held = unmet = 0
-    details = []
-    for g, lo in firsts:
-        _require_odd(g)
-        if lo > top or g & mask in (1, mask):
-            # then g = +-1 modulo every lower power of two too (or the run is
-            # empty), and no column is read
-            unmet += top + 1 - lo
-            continue
-        _require_exponent(top + 1)
-        column = _order_column(g, lo, top + 1)
-        for n, (base, _), (above, _) in zip(range(lo, top + 1), column, column[1:]):
-            low = (1 << n) - 1
-            if g & low in (1, low):
-                unmet += 1
-            elif above == 2 * base:
-                held += 1
-            else:
-                details.append((g, n, None, (Verdict.COUNTEREXAMPLE, (
-                    f"omega at exponent {n + 1} = {above}",
-                    f"2 * omega at exponent {n} = {2 * base}",
-                ))))
-    return held, unmet, details
+def _doubling(g: int, n: int, omega: int, residue: int, above: Optional[int]) -> Outcome:
+    """lemma1 at one (g, n): omega_g(2^n) = omega, and above is the order at
+    n + 1, None where that exponent is refused by the guard."""
+    low = (1 << n) - 1
+    if g & low in (1, low) or above is None:
+        return NOT_MET
+    if above == 2 * omega:
+        return HOLDS
+    return Verdict.COUNTEREXAMPLE, (
+        f"omega at exponent {n + 1} = {above}",
+        f"2 * omega at exponent {n} = {2 * omega}",
+    )
 
 
 def check_order_scaling(g: int, n: int, d: int) -> Verdict:

@@ -5,12 +5,14 @@ under a stable id.  It takes a run of the domain, the odd g of a range,
 applies the claim's hypothesis filter, and returns the run's counts of
 tuples that held and that were not met, with the report's (observed,
 expected) strings for each other tuple, built from the values that
-decided it; the sweep only adds runs up.  A per-modulus claim reads every
-n's order and half-order residue from one squaring chain per g; the
-orbit-sum claim, exp_sum's own run, walks one chain per g, and one orbit
-table per distinct orbit at each n.  The ids, verdict tallies and the
-JSON report schema are the machine interface; the registry is mutable so
-a harness (or the test suite) can inject extra claims.
+decided it; the sweep only adds runs up.  One loop serves all five
+per-modulus claims: it reads every n's order and half-order residue from
+one squaring chain per g, with the order one exponent up for lemma1, and
+calls the claim's checker once per tuple.  The orbit-sum claim, exp_sum's
+own run, walks one chain per g, and one orbit table per distinct orbit at
+each n.  The ids, verdict tallies and the JSON report schema are the
+machine interface; the registry is mutable so a harness (or the test
+suite) can inject extra claims.
 
 Per-modulus claims take each odd g in the range at every n with g < 2^n,
 i.e. the canonical residues of each modulus; the orbit-sum claim takes
@@ -39,8 +41,9 @@ from .verdict import HOLDS, NOT_MET, Outcome, Run, Verdict
 
 _CHUNK_TUPLES = 4096
 
-# a per-modulus checker: (g, n, omega, residue) -> the tuple's outcome
-_Check = Callable[[int, int, int, int], Outcome]
+# a per-modulus checker: (g, n, omega, residue, the order at n + its
+# claim's reach or None past the guard) -> the tuple's outcome
+_Check = Callable[[int, int, int, int, Optional[int]], Outcome]
 
 
 class UsageError(ValueError):
@@ -116,18 +119,23 @@ def _modulus_runs(gs: range, ns: range) -> Iterator[tuple[int, int]]:
         yield g, max(ns.start, g.bit_length())
 
 
-def _column_claim(check: _Check) -> Callable[..., Run]:
+def _column_claim(check: _Check, reach: int = 0) -> Callable[..., Run]:
     """A per-modulus claim on a run of g: every n of a g reads its order and
-    half-order residue from one column, and check(g, n, omega, residue)
-    decides the tuple."""
+    half-order residue, and the order at n + reach, from one column, and
+    check(g, n, omega, residue, above) decides the tuple.  The column stops
+    at MAX_EXPONENT, read at call time; an order past it is handed as None."""
 
     def evaluate(gs: range, ws: Sequence[Optional[int]], ns: range) -> Run:
         column = order_engine._order_column
+        top = min(ns[-1] + reach, core_arith.MAX_EXPONENT)
+        beyond = [(None, None)] * (ns[-1] + reach - top)
         held = unmet = 0
         details = []
         for g, lo in _modulus_runs(gs, ns):
-            for n, (omega, residue) in zip(range(lo, ns.stop), column(g, lo, ns[-1])):
-                outcome = check(g, n, omega, residue)
+            rows = column(g, lo, top)
+            ups = rows[reach:] + beyond if reach else rows
+            for n, (omega, residue), (above, _) in zip(range(lo, ns.stop), rows, ups):
+                outcome = check(g, n, omega, residue, above)
                 if outcome is HOLDS:
                     held += 1
                 elif outcome is NOT_MET:
@@ -139,34 +147,25 @@ def _column_claim(check: _Check) -> Callable[..., Run]:
     return evaluate
 
 
-def _order_oracle(g: int, n: int, omega: int, residue: int) -> Outcome:
+def _order_oracle(g: int, n: int, omega: int, residue: int, above: int) -> Outcome:
     slow = order_engine.order_naive(g, n).omega
     if slow == omega:
         return HOLDS
     return Verdict.COUNTEREXAMPLE, (f"fast path omega={omega}", f"naive scan omega={slow}")
 
 
-def _half_order(check: _Check) -> _Check:
+def _half_order(check: Callable[[int, int, int, int], Outcome]) -> _Check:
     """A half-order checker on the tuples that meet its hypotheses, n >= 3
     and g != 1 (mod 2^n), i.e. omega > 1, where a half-order residue exists."""
-    return lambda g, n, omega, residue: (
+    return lambda g, n, omega, residue, above: (
         check(g, n, omega >> 1, residue) if n >= 3 and omega > 1 else NOT_MET)
-
-
-def _eval_order_doubling(gs: range, ws: Sequence[Optional[int]], ns: range) -> Run:
-    # lemma1 reads exponent n + 1, which the guard refuses at the limit, so
-    # the limit is not met; it is read here, so a reassigned
-    # core_arith.MAX_EXPONENT holds
-    top = min(ns[-1], core_arith.MAX_EXPONENT - 1)
-    held, unmet, details = order_engine._order_doubling(_modulus_runs(gs, ns), top)
-    return held, unmet + len(gs) * (ns[-1] - top), details
 
 
 CLAIMS: dict[str, Claim] = {
     c.name: c
     for c in (
         Claim("order_oracle", False, _column_claim(_order_oracle)),
-        Claim("lemma1", False, _eval_order_doubling),
+        Claim("lemma1", False, _column_claim(order_engine._doubling, reach=1)),
         Claim("lemma2", False, _column_claim(_half_order(half_order._involution_membership))),
         Claim("lemma3", False, _column_claim(_half_order(half_order._minus_one_case))),
         Claim("lemma4_theorem5", False, _column_claim(_half_order(half_order._classification))),

@@ -86,6 +86,22 @@ def test_multiset_validation():
         ResidueMultiset(n=3, counts={1: 0})
 
 
+def test_multiset_exponent_is_guarded(monkeypatch):
+    # n = 0 and the limit itself are valid, one above it is refused
+    top = core_arith.MAX_EXPONENT
+    with pytest.raises(DomainError, match="MAX_EXPONENT"):
+        ResidueMultiset(n=top + 1)
+    with pytest.raises(DomainError):
+        ResidueMultiset(n=-1)
+    assert is_exact_zero(ResidueMultiset(n=0)).is_zero
+    assert is_exact_zero(ResidueMultiset(n=top, counts={1: 1, 1 + (1 << (top - 1)): 1})).is_zero
+    # the limit is read at call time
+    monkeypatch.setattr(core_arith, "MAX_EXPONENT", 8)
+    ResidueMultiset(n=8)
+    with pytest.raises(DomainError):
+        ResidueMultiset(n=9)
+
+
 def test_is_exact_zero_examples():
     cert = is_exact_zero(ResidueMultiset(n=4, counts={3: 1, 9: 1, 11: 1, 1: 1}))
     assert cert.is_zero

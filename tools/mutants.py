@@ -67,6 +67,8 @@ PER_ORBIT = "tests/test_claim_records.py::test_orbit_sweep_builds_at_most_one_or
 SHIFT = T_ORDER + "test_order_column_t_walk_shifts_once_its_square_vanishes"
 SHORT = T_SWEEP + "test_a_run_one_tally_short_raises"
 AGREE = T_SWEEP + "test_per_modulus_runs_agree_with_the_public_checks"
+AT_LIMIT = T_SWEEP + "test_lemma1_at_the_exponent_limit_is_tallied_not_raised"
+LIMIT_AT_CALL = T_SWEEP + "test_lemma1_reads_the_exponent_limit_at_call_time"
 
 MUTANTS = [
     # the dense table decider and the expsum certificate
@@ -140,6 +142,10 @@ MUTANTS = [
     Mutant("min-vanishing-never-walks-past-the-bound", EXP,
            "        if n > len(column):\n", "        if False:\n",
            (T_EXP + "test_min_vanishing_n_walks_its_column_only_to_the_bound",)),
+    Mutant("multiset-guard-one-above-the-limit", EXP,
+           "if not 0 <= self.n <= core_arith.MAX_EXPONENT:",
+           "if not 0 <= self.n <= core_arith.MAX_EXPONENT + 1:",
+           (T_EXP + "test_multiset_exponent_is_guarded",)),
     # the congruence above the cap
     Mutant("structural-involution-is-half-minus-one", EXP,
            "column[m - 1][1] != (1 << (m - 1)) + 1", "column[m - 1][1] != (1 << (m - 1)) - 1",
@@ -192,9 +198,11 @@ MUTANTS = [
            "column.append((omega, half & low))", "column.append((omega, s & low))",
            ("tests/test_half_order.py::test_half_order_residue_examples",)),
     Mutant("doubling-drops-the-plus-minus-one-check", ORDER,
-           "            if g & low in (1, low):\n                unmet += 1\n",
-           "            if False:\n                unmet += 1\n",
+           "if g & low in (1, low) or above is None:", "if above is None:",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
+    Mutant("doubling-met-past-the-exponent-limit", ORDER,
+           "if g & low in (1, low) or above is None:", "if g & low in (1, low):",
+           (AT_LIMIT, LIMIT_AT_CALL)),
     Mutant("scan-range-one-short-of-the-cap", ORDER,
            "for k in range(1, cap + 1):", "for k in range(1, cap):",
            (T_ORDER + "test_naive_scan_cap",)),
@@ -240,6 +248,13 @@ MUTANTS = [
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
     Mutant("run-skips-its-last-g", SWEEP,
            "    for g in gs:\n        yield g, ", "    for g in gs[:-1]:\n        yield g, ",
+           (T_SWEEP + "test_run_sweep_counts_whole_domain", AGREE)),
+    Mutant("column-walked-past-the-exponent-limit", SWEEP,
+           "top = min(ns[-1] + reach, core_arith.MAX_EXPONENT)", "top = ns[-1] + reach",
+           (AT_LIMIT, LIMIT_AT_CALL)),
+    Mutant("lemma1-without-its-reach", SWEEP,
+           "_column_claim(order_engine._doubling, reach=1)",
+           "_column_claim(order_engine._doubling, reach=0)",
            (T_SWEEP + "test_run_sweep_counts_whole_domain", AGREE)),
     Mutant("top-g-dropped", SWEEP,
            "return range(lo | 1, hi + 1, 2)", "return range(lo | 1, hi, 2)",
