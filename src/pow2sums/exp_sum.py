@@ -18,18 +18,17 @@ orbit is counted into a table of 2^n counters whose lower half is compared
 with its upper half.  Above it the paper's congruence decides: with
 w = 2^d * w0 (w0 odd) and m = n - d, S = 0 exactly when m >= 2 and the
 order column's half-order residue g^(omega_g(2^m)/2) mod 2^m is
-2^(m-1) + 1.  _unpaired_run, the one decider of theorem6 and
-min_vanishing_n, picks the route and names a sum that does not vanish by
-its first term, w * g mod 2^n.  orbit_certificate (the expsum command)
-takes the same routes and reads its pairing from the table's lower half.
-residue_orbit, is_exact_zero and float_sum build the literal multiset,
-pair it and sum it in floating point; they have no production caller and
-are the tests' reference.
+2^(m-1) + 1.  _unpaired_run, the decider of min_vanishing_n, picks the
+route and names a sum that does not vanish by its first term, w * g mod
+2^n.  orbit_certificate (the expsum command) takes the same routes and
+reads its pairing from the table's lower half.  residue_orbit,
+is_exact_zero and float_sum build the literal multiset, pair it and sum it
+in floating point; they are the tests' reference only.
 
 theorem6 takes a run, each g of a range with a run of weights at a run
-of n: every order of a g comes from one squaring chain, and at each n one
-table serves each weight whose orbit it holds.  check_antipodal_shift
-decides by a single congruence read from the chain.
+of n: every order of a g comes from one squaring chain, and at each n up
+to the cap one table serves each (g, w) of one subgroup <g> whose orbit it
+holds (_subgroup_run).  check_antipodal_shift reads one congruence.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import mul, truediv
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import core_arith
 from .core_arith import (
@@ -271,82 +270,113 @@ def check_orbit_vanishing(g: int, w: int, n: int) -> Verdict:
 def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
     """theorem6 on a run: each g of gs with each weight of ws at every n of
     ns.  g = +-1, and each n below a weight's bound, are not met; any other
-    g reads one column from exponent 1, and each n decides its met weights
-    together (_unpaired_run).  A failed collapse guard is reported as such
-    while the sum still vanishes, else by the unpaired residue."""
+    g reads one column from exponent 1.  Above LITERAL_EXPONENT_CAP each
+    (g, n) decides its met weights (_unpaired_run), and up to it each n
+    decides the run a subgroup at a time (_subgroup_run).  A failed collapse
+    guard is reported while the sum vanishes, else the unpaired residue."""
     top = ns[-1]
     _require_exponent(top)
     ds = list(map(two_adic_valuation, ws))
     held = unmet = 0
     details = []
+    orders = []  # (g, its weights' bounds, its orders from ns[0] to the cap)
+
+    def tally(n: int, decided: Iterable[tuple[int, int, Unpaired]]) -> None:
+        nonlocal held
+        for g, i, unpaired in decided:
+            low = (1 << (n - ds[i])) - 1
+            if unpaired is None and g & low not in (1, low):
+                held += 1
+                continue
+            if unpaired is None:  # the collapse guard failed
+                detail = ("exact zero (collapse guard failed)",
+                          "base not +-1 modulo the collapsed modulus")
+            else:
+                r, count, antipode = unpaired
+                detail = (f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
+                          "equal multiplicities on every antipodal residue pair")
+            details.append((g, n, ws[i], (Verdict.COUNTEREXAMPLE, detail)))
+
     for g in gs:
-        bounds = [vanishing_bound(g, w) for w in ws] if g not in (-1, 1) else []
-        if not bounds or min(bounds) > top:
-            unmet += len(ws) * len(ns)
+        # g = +-1 meets no bound; a weight is not met at each n of ns below its bound
+        bounds = [vanishing_bound(g, w) for w in ws] if g not in (-1, 1) else [top + 1] * len(ws)
+        unmet += sum(min(max(bound, ns.start), ns.stop) - ns.start for bound in bounds)
+        if min(bounds, default=top + 1) > top:
             continue
         column = _order_column(g, 1, top)
-        for n in ns:
+        orders.append((g, bounds, [row[0] for row in column[ns.start - 1:LITERAL_EXPONENT_CAP]]))
+        for n in range(max(ns.start, LITERAL_EXPONENT_CAP + 1), ns.stop):
             met = [i for i, bound in enumerate(bounds) if bound <= n]
-            unmet += len(ws) - len(met)
-            for i, unpaired in zip(met, _unpaired_run(g, [ws[i] for i in met], n, column)):
-                low = (1 << (n - ds[i])) - 1
-                guard_holds = g & low not in (1, low)
-                if unpaired is None and guard_holds:
-                    held += 1
-                    continue
-                if unpaired is None:
-                    detail = ("exact zero (collapse guard failed)",
-                              "base not +-1 modulo the collapsed modulus")
-                else:
-                    r, count, antipode = unpaired
-                    detail = (f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
-                              "equal multiplicities on every antipodal residue pair")
-                details.append((g, n, ws[i], (Verdict.COUNTEREXAMPLE, detail)))
+            tally(n, zip(repeat(g), met, _unpaired_run(g, [ws[i] for i in met], n, column)))
+    for n in range(ns.start, min(ns.stop, LITERAL_EXPONENT_CAP + 1)):
+        tally(n, _subgroup_run([(g, met, omegas[n - ns.start]) for g, bounds, omegas in orders
+                                if (met := [i for i, b in enumerate(bounds) if b <= n])], ws, n))
     return held, unmet, details
 
 
 def _unpaired_run(g: int, ws: Sequence[int], n: int, column: Sequence[tuple]) -> list[Unpaired]:
     """For each w of ws, None when S(g, w, n) = 0, else (r, count(r),
-    count(r ^ 2^(n-1))) at the orbit's first term r = w * g mod 2^n; the
-    caller has validated g, ws and n, and column[k - 1] is (omega_k,
-    g^(omega_k / 2) mod 2^k) for k <= n, as _order_column(g, 1, n) gives.
-    With w = 2^d * w0 (w0 odd) and m = n - d, the orbit is 2^d times the
+    count(r ^ 2^(n-1))) at the orbit's first term r = w * g mod 2^n; g, ws
+    and n are valid and column is _order_column(g, 1, n) or longer.  Up to
+    LITERAL_EXPONENT_CAP, g is a group of one for _subgroup_run.  Above it,
+    with w = 2^d * w0 (w0 odd) and m = n - d, the orbit is 2^d times the
     coset w0 <g> mod 2^m with omega_n / omega_m counts on each residue (for
     m <= 1 every term sits on 0 or 2^(n-1)), and adding 2^(n-1) multiplies
-    it by 1 + 2^(m-1), so every occupied residue is paired or none is.
-
-    Above LITERAL_EXPONENT_CAP that decides: for m >= 2, 1 + 2^(m-1) has
-    order 2, so it maps the coset onto itself exactly when it is the one
-    involution g^(omega_m / 2) of the cyclic 2-group <g>, and else onto a
-    disjoint coset, where the antipode counts 0.  Up to the cap the table of
-    the first undecided w, compared half to half, decides it and every
-    undecided v whose first term v * g it holds: v * g = w * g^k gives
-    v = w * g^(k-1), so v's orbit is w's shifted by k - 1 steps, the same
-    multiset (this needs only g^omega = 1 mod 2^n), and the counts are read
-    at v's own first term.  One table is alive at a time."""
-    mask, half = (1 << n) - 1, 1 << (n - 1)
+    it by 1 + 2^(m-1): for m >= 2 an involution, which maps the coset onto
+    itself exactly when it is the one involution g^(omega_m / 2) of the
+    cyclic 2-group <g>, and else onto a disjoint coset, where the antipode
+    counts 0; so every occupied residue is paired or none is."""
     omega = column[n - 1][0]
+    if n <= LITERAL_EXPONENT_CAP:
+        return [u for _, _, u in sorted(_subgroup_run([(g, range(len(ws)), omega)], ws, n))]
     found: list[Unpaired] = [None] * len(ws)
-    if n > LITERAL_EXPONENT_CAP:
-        for i, w in enumerate(ws):
-            m = n - two_adic_valuation(w)
-            if m < 2 or column[m - 1][1] != (1 << (m - 1)) + 1:
-                found[i] = w * g & mask, omega // column[m - 1][0] if m > 0 else omega, 0
-        return found
-    pending = range(len(ws))
-    while pending:
-        table = _orbit_table(g, ws[pending[0]], n, omega)
-        paired = table[:half] == table[half:]
-        rest = []
-        for i in pending:
-            r = ws[i] * g & mask
-            if not table[r] and i != pending[0]:
-                rest.append(i)
-            elif not paired:
-                found[i] = r, table[r], table[r ^ half]
-        del table
-        pending = rest
+    for i, w in enumerate(ws):
+        m = n - two_adic_valuation(w)
+        if m < 2 or column[m - 1][1] != (1 << (m - 1)) + 1:
+            found[i] = w * g & ((1 << n) - 1), omega // column[m - 1][0] if m > 0 else omega, 0
     return found
+
+
+def _subgroup_run(runs: list[tuple[int, Sequence[int], int]], ws: Sequence[int],
+                  n: int) -> Iterator[tuple[int, int, Unpaired]]:
+    """(g, i, u) for each (g, met, omega) of runs and each i of met, a group
+    at a time, with u for S(g, ws[i], n) as _unpaired_run gives it; omega is
+    g's order modulo 2^n and n <= LITERAL_EXPONENT_CAP.  The first run left
+    leads.  An odd w is a unit, so the table of the leader's first odd weight
+    w holds w * h exactly when h lies in <g>; each run left whose h has g's
+    order generates <g> and joins the group.  A leader with no odd weight is
+    a group of one.  That table, then the table of the first undecided pair,
+    compared half to half, decides each undecided (h, v) whose first term
+    v * h it holds: v * h = w * g^k makes v<h> = w<g> as multisets.  One
+    table is alive at a time."""
+    mask, half = (1 << n) - 1, 1 << (n - 1)
+    while runs:
+        g, met, omega = runs[0]
+        pending = [(g, i) for i in met]
+        odd = next((i for i in met if ws[i] & 1), None)
+        if odd is not None:
+            pending.insert(0, pending.pop(met.index(odd)))
+        table = None if odd is None else _orbit_table(g, ws[odd], n, omega)
+        rest = []
+        for run in runs[1:]:
+            if table and run[2] == omega and table[ws[odd] * run[0] & mask]:
+                pending += [(run[0], i) for i in run[1]]
+            else:
+                rest.append(run)
+        runs = rest
+        while pending:
+            if table is None:
+                table = _orbit_table(pending[0][0], ws[pending[0][1]], n, omega)
+            paired = table[:half] == table[half:]
+            rest = []
+            for h, i in pending:
+                r = ws[i] * h & mask
+                if not table[r] and (h, i) != pending[0]:
+                    rest.append((h, i))
+                else:
+                    yield h, i, None if paired else (r, table[r], table[r ^ half])
+            table = None
+            pending = rest
 
 
 def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:

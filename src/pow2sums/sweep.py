@@ -9,10 +9,10 @@ decided it; the sweep only adds runs up.  One loop serves all five
 per-modulus claims: it reads every n's order and half-order residue from
 one squaring chain per g, with the order one exponent up for lemma1, and
 calls the claim's checker once per tuple.  The orbit-sum claim, exp_sum's
-own run, walks one chain per g, and one orbit table per distinct orbit at
-each n.  The ids, verdict tallies and the JSON report schema are the
-machine interface; the registry is mutable so a harness (or the test
-suite) can inject extra claims.
+own run, walks one chain per g, and at each n one orbit table per distinct
+orbit of a subgroup.  The ids, verdict tallies and the JSON report schema
+are the machine interface; the registry is mutable so a harness (or the
+test suite) can inject extra claims.
 
 Per-modulus claims take each odd g in the range at every n with g < 2^n,
 i.e. the canonical residues of each modulus; the orbit-sum claim takes

@@ -106,7 +106,8 @@ def test_a_run_reports_its_first_and_its_last_g(monkeypatch, claim, force, obser
 
 def test_orbit_vanishing_records_the_unpaired_residue(monkeypatch):
     monkeypatch.setattr(
-        exp_sum, "_unpaired_run", lambda g, ws, n, column: [(1, 2, 1)] * len(ws)
+        exp_sum, "_subgroup_run",
+        lambda runs, ws, n: ((g, i, (1, 2, 1)) for g, met, _ in runs for i in met),
     )
     assert records("theorem6", 3, 4, w=1) == [
         (3, 4, 1, "count(1)=2 != count(9)=1", "equal multiplicities on every antipodal residue pair")
@@ -219,40 +220,54 @@ def orbit_multiset(g, w, n):
     return frozenset(Counter(w * pow(g, k, m) % m for k in range(1, omega + 1)).items())
 
 
+def subgroup(g, n):
+    """<g> modulo 2^n, from pow alone: the order of g divides 2^n."""
+    m = 1 << n
+    return frozenset(pow(g, k, m) for k in range(1, m + 1))
+
+
 def test_orbit_sweep_builds_at_most_one_orbit_per_tuple(monkeypatch):
-    real_table, real_run = exp_sum._orbit_table, exp_sum._unpaired_run
+    real_table, real_run = exp_sum._orbit_table, exp_sum._subgroup_run
     tables: Counter = Counter()
 
     def counted(g, w, n, omega):
         tables[g, w, n] += 1
         return real_table(g, w, n, omega)
 
-    def forced(g, ws, n, column):
-        found = real_run(g, ws, n, column)
-        if (g, n) == (3, 4):
-            # one extra copy of the first residue breaks the pairing of w = 1
-            assert found[ws.index(1)] is None
-            found[ws.index(1)] = 3, 2, 1
-        return found
+    def forced(runs, ws, n):
+        for g, i, unpaired in real_run(runs, ws, n):
+            if (g, ws[i], n) == (3, 1, 4):
+                # one extra copy of the first residue breaks the pairing of w = 1
+                assert unpaired is None
+                unpaired = 3, 2, 1
+            yield g, i, unpaired
 
     def unbuilt(g, w, n):
         raise AssertionError("the table decides below the cap; no multiset is built")
 
     monkeypatch.setattr(exp_sum, "_orbit_table", counted)
-    monkeypatch.setattr(exp_sum, "_unpaired_run", forced)
+    monkeypatch.setattr(exp_sum, "_subgroup_run", forced)
     monkeypatch.setattr(exp_sum, "residue_orbit", unbuilt)
     report = run_sweep(SweepSpec("theorem6", -7, 7, 1, 8, -8, 8, jobs=1))
     assert report.tallies["counterexample"] == 1
     assert report.exceptions[0].g == 3 and report.exceptions[0].n == 4
     assert tables and max(tables.values()) == 1
-    # at each (g, n), one table per distinct multiset among the weights that
-    # have reached their bound
-    per_g_n = Counter((g, n) for g, _, n in tables)
+    # at each n the g that meet a bound form groups in the run's order: a
+    # leader with an odd met weight takes every g left of its subgroup, one
+    # with none is a group of one, and each group counts one table per
+    # distinct multiset among its met tuples
+    per_n = Counter(n for _, _, n in tables)
     expected = Counter()
-    for g in (-7, -5, -3, 3, 5, 7):
-        for n in range(1, 9):
-            ws = [w for w in range(-8, 9) if w and exp_sum.vanishing_bound(g, w) <= n]
-            if ws:
-                expected[g, n] = len({orbit_multiset(g, w, n) for w in ws})
-    assert per_g_n == expected
-    assert sum(per_g_n.values()) < report.tallies["holds"] + report.tallies["counterexample"]
+    per_g = 0  # one table per distinct multiset of each (g, n), with no sharing across g
+    for n in range(1, 9):
+        left = {g: met for g in (-7, -5, -3, 3, 5, 7)
+                if (met := [w for w in range(-8, 9) if w and exp_sum.vanishing_bound(g, w) <= n])}
+        per_g += sum(len({orbit_multiset(g, w, n) for w in met}) for g, met in left.items())
+        while left:
+            g, met = next(iter(left.items()))
+            group = [h for h in left if subgroup(h, n) == subgroup(g, n)] if any(
+                w & 1 for w in met) else [g]
+            expected[n] += len({orbit_multiset(h, w, n) for h in group for w in left.pop(h)})
+    assert per_n == expected
+    assert sum(per_n.values()) < per_g
+    assert sum(per_n.values()) < report.tallies["holds"] + report.tallies["counterexample"]

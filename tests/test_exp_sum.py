@@ -382,6 +382,34 @@ def test_shared_tables_decide_each_weight_as_its_own_table():
     assert mixed > 0
 
 
+def by_own_table(g: int, w: int, n: int):
+    """S(g, w, n) decided from its own table alone, half to half, with the
+    counts read at its first term w * g."""
+    table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
+    half, r = 1 << (n - 1), w * g % (1 << n)
+    return None if table[:half] == table[half:] else (r, table[r], table[r ^ half])
+
+
+def test_subgroup_run_agrees_with_each_tuples_own_table():
+    # odd |g| < 32 hold 3 and 9 = 3^2, which lies in <3> with half its order.
+    # -31 leads every n with even weights only, so it is a group of one, and
+    # 27 = 3^3 has even weights only too and joins the group of <3>; the
+    # weights run below their bounds, where sums vanish and fail to
+    bases = [g for g in range(-31, 32, 2) if g not in (-1, 1)]
+    weights = [w for w in range(-16, 17) if w] + [3 << 9]
+    even = [i for i, w in enumerate(weights) if w % 2 == 0]
+    verdicts = set()
+    for n in range(1, 13):
+        runs = [(g, even if g in (-31, 27) else range(len(weights)), order_fast(g, n).omega)
+                for g in bases]
+        decided = list(exp_sum._subgroup_run(runs, weights, n))
+        assert sorted((g, i) for g, i, _ in decided) == [(g, i) for g, met, _ in runs for i in met]
+        for g, i, unpaired in decided:
+            assert unpaired == by_own_table(g, weights[i], n), (g, weights[i], n)
+            verdicts.add(unpaired is None)
+    assert verdicts == {True, False}
+
+
 def unbuilt(*args):
     raise AssertionError("the multiset route has no production caller")
 

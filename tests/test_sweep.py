@@ -279,6 +279,20 @@ def test_serial_sweep_memory_does_not_grow_with_the_domain():
     assert peak < 250_000
 
 
+def test_theorem6_sweep_keeps_one_orbit_table_alive():
+    # a table of 2^16 counters takes 512 KiB, and comparing its halves copies
+    # them once; a second table alive beside it, such as a membership table
+    # kept next to a decision table, would pass 1.5 MiB
+    tracemalloc.start()
+    try:
+        run_sweep(spec(claim="theorem6", g_min=-63, g_max=63, n_min=16, n_max=16,
+                       w_min=1, w_max=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1400 * 1024
+
+
 @pytest.mark.parametrize(
     "bad",
     [

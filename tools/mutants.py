@@ -59,6 +59,7 @@ DENSE = T_EXP + "test_dense_decider_agrees_with_the_multiset_route"
 SWITCH = T_EXP + "test_dense_decider_switches_route_above_the_cap"
 STRUCT = T_EXP + "test_structural_decider_agrees_with_the_multiset_route"
 SHARED = T_EXP + "test_shared_tables_decide_each_weight_as_its_own_table"
+GROUPED = T_EXP + "test_subgroup_run_agrees_with_each_tuples_own_table"
 ONE_DECIDER = T_EXP + "test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap"
 T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
 STRADDLE = T_ORDER + "test_order_column_straddles_the_walk_switch"
@@ -84,39 +85,53 @@ MUTANTS = [
            "    cur = w & mask\n", "    cur = 1\n",
            (DENSE,)),
     Mutant("decider-route-switch-at-the-cap", EXP,
-           "    if n > LITERAL_EXPONENT_CAP:\n        for i, w in enumerate(ws):",
-           "    if n >= LITERAL_EXPONENT_CAP:\n        for i, w in enumerate(ws):",
+           "    if n <= LITERAL_EXPONENT_CAP:\n        return [u for ",
+           "    if n < LITERAL_EXPONENT_CAP:\n        return [u for ",
            (SWITCH,)),
     Mutant("certificate-route-switch-at-the-cap", EXP,
            "    if n > LITERAL_EXPONENT_CAP:\n        unpaired = ",
            "    if n >= LITERAL_EXPONENT_CAP:\n        unpaired = ",
            (SWITCH,)),
     Mutant("decider-offender-is-the-weight", EXP,
-           "            r = ws[i] * g & mask\n", "            r = ws[i] & mask\n",
+           "                r = ws[i] * h & mask\n", "                r = ws[i] & mask\n",
            (DENSE,)),
     Mutant("multiset-offender-is-the-weight", EXP,
-           "found[i] = w * g & mask, ", "found[i] = w & mask, ",
+           "found[i] = w * g & ((1 << n) - 1), ", "found[i] = w & ((1 << n) - 1), ",
            (SWITCH, ONE_DECIDER, STRUCT)),
     Mutant("multiset-route-decides-the-first-weight-only", EXP,
-           "        for i, w in enumerate(ws):\n", "        for i, w in enumerate(ws[:1]):\n",
+           "    for i, w in enumerate(ws):\n", "    for i, w in enumerate(ws[:1]):\n",
            (ONE_DECIDER,)),
     Mutant("certificate-offender-is-the-weight", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=w & (m - 1)",
            (T_CLI + "test_expsum_command_nonzero_case", DENSE)),
     Mutant("decider-offender-is-the-least-residue", EXP,
-           "                found[i] = r, table[r], table[r ^ half]",
-           "                r = table.index(next(filter(None, table)))\n"
-           "                found[i] = r, table[r], table[r ^ half]",
+           "                    yield h, i, None if paired else (r, table[r], table[r ^ half])",
+           "                    r = table.index(next(filter(None, table)))\n"
+           "                    yield h, i, None if paired else (r, table[r], table[r ^ half])",
            (DENSE,)),
-    # the shared decider: one table per distinct orbit at each (g, n)
+    # the shared decider: one table per distinct orbit of a subgroup at each n
     Mutant("shared-membership-filter-dropped", EXP,
-           "            if not table[r] and i != pending[0]:\n", "            if False:\n",
+           "                if not table[r] and (h, i) != pending[0]:\n",
+           "                if False:\n",
            (SHARED,)),
     Mutant("shared-table-reused-across-n", EXP,
-           "        table = _orbit_table(g, ws[pending[0]], n, omega)\n",
-           "        table = _orbit_table.__dict__.setdefault(\n"
-           "            (g, ws[pending[0]]), _orbit_table(g, ws[pending[0]], n, omega))\n",
+           "                table = _orbit_table(pending[0][0], ws[pending[0][1]], n, omega)\n",
+           "                key = pending[0][0], ws[pending[0][1]]\n"
+           "                table = _orbit_table.__dict__.setdefault(\n"
+           "                    key, _orbit_table(pending[0][0], ws[pending[0][1]], n, omega))\n",
            (SHARED, DENSE)),
+    Mutant("subgroup-order-check-dropped", EXP,
+           "if table and run[2] == omega and table[", "if table and table[",
+           (GROUPED,)),
+    Mutant("subgroup-membership-from-an-even-weight", EXP,
+           "odd = next((i for i in met if ws[i] & 1), None)",
+           "odd = next((i for i in met if not ws[i] & 1), None)",
+           (GROUPED,)),
+    Mutant("subgroup-groups-carried-across-n", EXP,
+           "            if table and run[2] == omega and table[ws[odd] * run[0] & mask]:\n",
+           "            if _subgroup_run.__dict__.setdefault((g, run[0]),\n"
+           "                    table and run[2] == omega and table[ws[odd] * run[0] & mask]):\n",
+           (GROUPED,)),
     Mutant("certificate-offender-is-the-least-residue", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=residues[0]",
            (T_CLI + "test_table_format", DENSE)),
@@ -151,17 +166,18 @@ MUTANTS = [
            "column[m - 1][1] != (1 << (m - 1)) + 1", "column[m - 1][1] != (1 << (m - 1)) - 1",
            (STRUCT,)),
     Mutant("structural-exponent-not-collapsed", EXP,
-           "            m = n - two_adic_valuation(w)\n", "            m = n\n",
+           "        m = n - two_adic_valuation(w)\n", "        m = n\n",
            (STRUCT,)),
     Mutant("structural-count-is-the-order", EXP,
            "omega // column[m - 1][0] if m > 0 else omega, 0", "omega, 0",
            (STRUCT,)),
     Mutant("orbit-decision-and-to-or", EXP,
-           "if unpaired is None and guard_holds:", "if unpaired is None or guard_holds:",
+           "if unpaired is None and g & low not in (1, low):",
+           "if unpaired is None or g & low not in (1, low):",
            ("tests/test_claim_records.py::test_orbit_vanishing_records_the_unpaired_residue",)),
     Mutant("theorem6-unmet-skips-one-n", EXP,
-           "            unmet += len(ws) - len(met)\n",
-           "            unmet += len(ws) - len(met) if n > ns[0] else 0\n",
+           "min(max(bound, ns.start), ns.stop) - ns.start for",
+           "min(max(bound, ns.start + 1), ns.stop) - ns.start - 1 for",
            (T_SWEEP + "test_run_sweep_theorem6_domain",)),
     Mutant("theorem6-detail-names-the-first-weight", EXP,
            "details.append((g, n, ws[i], ", "details.append((g, n, ws[0], ",
@@ -298,11 +314,11 @@ MUTANTS = [
            equivalent="each matched lower residue pairs with a distinct occupied upper "
                       "residue, so twice the matched count never exceeds the occupied count"),
     Mutant("shared-membership-read-at-the-weight", EXP,
-           "            if not table[r] and i != pending[0]:\n",
-           "            if not table[ws[i] & mask] and i != pending[0]:\n",
-           (SHARED, DENSE, PER_ORBIT),
-           equivalent="an orbit is closed under multiplication by g, so v lies on the "
-                      "table's orbit exactly when its first term v * g does"),
+           "                if not table[r] and (h, i) != pending[0]:\n",
+           "                if not table[ws[i] & mask] and (h, i) != pending[0]:\n",
+           (SHARED, DENSE, PER_ORBIT, GROUPED),
+           equivalent="the table's orbit is closed under multiplication by each h of its "
+                      "group, so v lies on it exactly when its first term v * h does"),
     Mutant("t-walk-square-keeps-extra-bits", ORDER,
            "                sq >>= 2\n", "                sq >>= 1\n",
            (T_WALK, STRADDLE, ABOVE),
