@@ -1,8 +1,10 @@
 """Command-line front end.
 
-One subcommand per library operation plus the sweep harness.  Single
-queries print one canonical-JSON record (or a key/value table, or a
-one-row csv); sweeps print a report in the selected format.
+One subcommand per library operation plus the sweep harness.  Each
+query subcommand is declared once, in _QUERIES: its help, its required
+int options and the function that builds its record.  Single queries
+print one canonical-JSON record (or a key/value table, or a one-row
+csv); sweeps print a report in the selected format.
 
 Exit codes: 0 success / no counterexamples; 1 counterexamples found (or,
 under --strict-paper, documented exceptions found); 2 usage or domain
@@ -40,44 +42,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def fmt_arg(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, options, record) in _QUERIES.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(f"--{option}", type=int, required=True)
+        if record is _order:
+            p.add_argument("--naive", action="store_true", help="use the definitional scan")
         p.add_argument("--format", choices=_FORMATS, default="json")
-
-    p = sub.add_parser("order", help="multiplicative order of g modulo 2^n")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--naive", action="store_true", help="use the definitional scan")
-    fmt_arg(p)
-
-    p = sub.add_parser("order-table", help="orders of g modulo 2^1 .. 2^n_max")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    fmt_arg(p)
-
-    p = sub.add_parser("valuation", help="2-adic valuation and odd part of w")
-    p.add_argument("--w", type=int, required=True)
-    fmt_arg(p)
-
-    p = sub.add_parser("c", help="threshold exponent of the base g")
-    p.add_argument("--g", type=int, required=True)
-    fmt_arg(p)
-
-    p = sub.add_parser("half-order", help="classify g^(omega/2) modulo 2^n")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    fmt_arg(p)
-
-    p = sub.add_parser("expsum", help="exact vanishing certificate for the orbit sum")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    fmt_arg(p)
-
-    p = sub.add_parser("min-vanishing-n", help="least exponent at which the orbit sum vanishes")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    fmt_arg(p)
+        # the default binds this entry's builder; a closure would see the last
+        p.set_defaults(run=lambda args, record=record: _emit(record(args), args.format))
 
     p = sub.add_parser("sweep", help="check one claim over a (g, n[, w]) domain")
     p.add_argument("--claim", required=True, choices=sorted(CLAIMS))
@@ -93,15 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat documented exceptions as failures (exit 1)",
     )
-    fmt_arg(p)
+    p.add_argument("--format", choices=_FORMATS, default="json")
+    p.set_defaults(run=_sweep)
 
     return parser
 
 
-def _emit(record: dict, fmt: str) -> None:
+def _emit(record: dict, fmt: str) -> int:
+    """Print a query's record in fmt; a printed record exits 0."""
     if fmt == "json":
         print(canonical_json(record))
-        return
+        return 0
     keys = sorted(record)
     # one cell rule for csv and table: a tuple or list is a JSON list
     cells = [json.dumps(v) if isinstance(v, (list, tuple)) else str(v)
@@ -112,76 +87,75 @@ def _emit(record: dict, fmt: str) -> None:
     else:
         width = max(map(len, keys))
         print("\n".join(f"{k:<{width}}  {cell}" for k, cell in zip(keys, cells)))
+    return 0
 
 
-def _cmd_order(args: argparse.Namespace) -> int:
+def _order(args: argparse.Namespace) -> dict:
     rec = order_naive(args.g, args.n) if args.naive else order_fast(args.g, args.n)
-    _emit(asdict(rec), args.format)
-    return 0
+    return asdict(rec)
 
 
-def _cmd_order_table(args: argparse.Namespace) -> int:
+def _order_table(args: argparse.Namespace) -> dict:
     records = order_table(args.g, args.n_max)
-    _emit(
-        {"g": args.g, "n_max": args.n_max, "omegas": [r.omega for r in records]},
-        args.format,
-    )
-    return 0
+    return {"g": args.g, "n_max": args.n_max, "omegas": [r.omega for r in records]}
 
 
-def _cmd_valuation(args: argparse.Namespace) -> int:
+def _valuation(args: argparse.Namespace) -> dict:
     d, w0 = odd_part(args.w)
-    _emit({"w": args.w, "valuation": d, "odd_part": w0}, args.format)
-    return 0
+    return {"w": args.w, "valuation": d, "odd_part": w0}
 
 
-def _cmd_c(args: argparse.Namespace) -> int:
-    _emit({"g": args.g, "c": threshold_exponent(args.g)}, args.format)
-    return 0
+def _c(args: argparse.Namespace) -> dict:
+    return {"g": args.g, "c": threshold_exponent(args.g)}
 
 
-def _cmd_half_order(args: argparse.Namespace) -> int:
+def _half_order(args: argparse.Namespace) -> dict:
     result = half_order_residue(args.g, args.n)
-    _emit({**asdict(result), "involution": result.involution.value}, args.format)
-    return 0
+    return {**asdict(result), "involution": result.involution.value}
 
 
-def _cmd_expsum(args: argparse.Namespace) -> int:
+def _expsum(args: argparse.Namespace) -> dict:
     terms, cert, value = orbit_certificate(args.g, args.w, args.n)
-    _emit(
-        {
-            "g": args.g,
-            "w": args.w,
-            "n": args.n,
-            "terms": terms,
-            "is_zero": cert.is_zero,
-            "pairing": cert.pairing,
-            "violating_residue": cert.violating_residue,
-            "float_sum": None if value is None else [value.real, value.imag],
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "g": args.g,
+        "w": args.w,
+        "n": args.n,
+        "terms": terms,
+        "is_zero": cert.is_zero,
+        "pairing": cert.pairing,
+        "violating_residue": cert.violating_residue,
+        "float_sum": None if value is None else [value.real, value.imag],
+    }
 
 
-def _cmd_min_vanishing(args: argparse.Namespace) -> int:
+def _min_vanishing(args: argparse.Namespace) -> dict:
     found = min_vanishing_n(args.g, args.w, args.n_max)
-    _emit(
-        {
-            "g": args.g,
-            "w": args.w,
-            "n_max": args.n_max,
-            "bound": vanishing_bound(args.g, args.w),
-            "found": found is not None,
-            "n": None if found is None else found.n,
-            "slack": None if found is None else found.slack,
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "g": args.g,
+        "w": args.w,
+        "n_max": args.n_max,
+        "bound": vanishing_bound(args.g, args.w),
+        "found": found is not None,
+        "n": None if found is None else found.n,
+        "slack": None if found is None else found.slack,
+    }
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+# every query subcommand, in --help order: its help, its required int
+# options, and the function that builds its record from the parsed args
+_QUERIES = {
+    "order": ("multiplicative order of g modulo 2^n", ("g", "n"), _order),
+    "order-table": ("orders of g modulo 2^1 .. 2^n_max", ("g", "n-max"), _order_table),
+    "valuation": ("2-adic valuation and odd part of w", ("w",), _valuation),
+    "c": ("threshold exponent of the base g", ("g",), _c),
+    "half-order": ("classify g^(omega/2) modulo 2^n", ("g", "n"), _half_order),
+    "expsum": ("exact vanishing certificate for the orbit sum", ("g", "w", "n"), _expsum),
+    "min-vanishing-n": ("least exponent at which the orbit sum vanishes", ("g", "w", "n-max"),
+                        _min_vanishing),
+}
+
+
+def _sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})
     report = run_sweep(spec)
     # csv text already ends its last row
@@ -193,23 +167,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "order": _cmd_order,
-    "order-table": _cmd_order_table,
-    "valuation": _cmd_valuation,
-    "c": _cmd_c,
-    "half-order": _cmd_half_order,
-    "expsum": _cmd_expsum,
-    "min-vanishing-n": _cmd_min_vanishing,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, ScanBudgetExceeded) as exc:
         # DomainError, UsageError and a sweep run's failed count check
         print(f"error: {exc}", file=sys.stderr)

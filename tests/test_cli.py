@@ -127,6 +127,11 @@ EXPSUM = ["expsum", "--g", "3", "--w", "1", "--n", "2"]
 # a pairing of several rows, and a sum that does not vanish (first term 7)
 EXPSUM_ROWS = ["expsum", "--g", "3", "--w", "1", "--n", "5"]
 EXPSUM_NONZERO = ["expsum", "--g", "7", "--w", "1", "--n", "4"]
+ORDER_TABLE = ["order-table", "--g", "7", "--n-max", "5"]
+VALUATION = ["valuation", "--w", "-40"]
+C = ["c", "--g", "9"]
+MIN_VANISHING = ["min-vanishing-n", "--g", "3", "--w", "1", "--n-max", "10"]
+MIN_VANISHING_ABSENT = ["min-vanishing-n", "--g", "3", "--w", "16", "--n-max", "3"]
 
 
 def test_table_format(capsys):
@@ -176,6 +181,17 @@ def test_table_format(capsys):
             "violating_residue  7\n"
             "w                  1\n",
         ),
+        (ORDER_TABLE, "g       7\nn_max   5\nomegas  [1, 2, 2, 2, 4]\n"),
+        (VALUATION, "odd_part   -5\nvaluation  3\nw          -40\n"),
+        (C, "c  5\ng  9\n"),
+        (
+            MIN_VANISHING,
+            "bound  4\nfound  True\ng      3\nn      2\nn_max  10\nslack  2\nw      1\n",
+        ),
+        (
+            MIN_VANISHING_ABSENT,
+            "bound  8\nfound  False\ng      3\nn      None\nn_max  3\nslack  None\nw      16\n",
+        ),
     ]:
         assert main([*argv, "--format", "table"]) == 0
         assert capsys.readouterr().out == expected, argv
@@ -207,6 +223,11 @@ def test_csv_format_single_query(capsys):
             "float_sum,g,is_zero,n,pairing,terms,violating_residue,w\n"
             '"[0.0, 0.7653668647301797]",7,False,4,None,2,7,1\n',
         ),
+        (ORDER_TABLE, 'g,n_max,omegas\n7,5,"[1, 2, 2, 2, 4]"\n'),
+        (VALUATION, "odd_part,valuation,w\n-5,3,-40\n"),
+        (C, "c,g\n5,9\n"),
+        (MIN_VANISHING, "bound,found,g,n,n_max,slack,w\n4,True,3,2,10,2,1\n"),
+        (MIN_VANISHING_ABSENT, "bound,found,g,n,n_max,slack,w\n8,False,3,None,3,None,16\n"),
     ]:
         assert main([*argv, "--format", "csv"]) == 0
         assert capsys.readouterr().out == expected, argv
@@ -350,6 +371,34 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+# each query subcommand with all of its required options
+_FULL_QUERIES = [ORDER, ORDER_TABLE, VALUATION, C, HALF_ORDER, EXPSUM, MIN_VANISHING]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        pytest.param([*full[:i], *full[i + 2:]], full[i], id=f"{full[0]}-without-{full[i][2:]}")
+        for full in _FULL_QUERIES
+        for i in range(1, len(full), 2)
+    ],
+)
+def test_query_options_are_required(capsys, argv, option):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"the following arguments are required: {option}\n" in capsys.readouterr().err
+
+
+def test_help_lists_the_subcommands_in_order(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "{order,order-table,valuation,c,half-order,expsum,min-vanishing-n,sweep}" in (
+        capsys.readouterr().out
+    )
 
 
 def test_sweep_range_usage_error_exits_2(capsys):

@@ -246,6 +246,15 @@ MUTANTS = [
            'csv.writer(sys.stdout, lineterminator="\\n").writerows([keys, cells])',
            'print(",".join(keys))\n        print(",".join(cells))',
            (T_CLI + "test_csv_format_single_query",)),
+    # the query registry
+    Mutant("query-option-not-required", CLI,
+           'p.add_argument(f"--{option}", type=int, required=True)',
+           'p.add_argument(f"--{option}", type=int)',
+           (T_CLI + "test_query_options_are_required",
+            T_CLI + "test_module_entry_point_usage_error_exit_code")),
+    Mutant("query-record-bound-late", CLI,
+           "run=lambda args, record=record: _emit(", "run=lambda args: _emit(",
+           (T_CLI + "test_table_format", T_CLI + "test_csv_format_single_query")),
     # sweep slicing and the pool
     Mutant("overlapping-g-slices", SWEEP,
            "g_max=min(g + 2 * run - 2, spec.g_max)", "g_max=min(g + 2 * run, spec.g_max)",
