@@ -17,10 +17,10 @@ test suite) can inject extra claims.
 Per-modulus claims take each odd g in the range at every n with g < 2^n,
 i.e. the canonical residues of each modulus; the orbit-sum claim takes
 literal signed integers for g and w, since its hypotheses are about g as
-an integer, and skips w = 0.  At jobs > 1 the domain is cut into
-sub-specs mapped over at most min(jobs, CPU count) worker processes;
-tallies add up and exceptions are sorted, so a report is
-byte-deterministic for a given spec at any worker count.  The pool
+an integer, and skips w = 0.  A sweep is one run; at jobs > 1 it is cut
+into (claim id, gs, ws, ns) slices mapped over at most min(jobs, CPU
+count) worker processes; tallies add up and exceptions are sorted, so a
+report is byte-deterministic for a given spec at any worker count.  The pool
 machinery is imported only when a sweep starts a pool, so importing the
 package, a single query and an inline sweep never load multiprocessing.
 """
@@ -31,10 +31,10 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import core_arith, exp_sum, half_order, order_engine
 from .verdict import HOLDS, NOT_MET, Outcome, Run, Verdict
@@ -112,13 +112,6 @@ class SweepReport:
 # Claim catalog
 # ---------------------------------------------------------------------------
 
-def _modulus_runs(gs: range, ns: range) -> Iterator[tuple[int, int]]:
-    """Each g of a per-modulus run with its first n: the claim takes it at
-    every n of ns with g < 2^n."""
-    for g in gs:
-        yield g, max(ns.start, g.bit_length())
-
-
 def _column_claim(check: _Check, reach: int = 0) -> Callable[..., Run]:
     """A per-modulus claim on a run of g: every n of a g reads its order and
     half-order residue, and the order at n + reach, from one column, and
@@ -131,7 +124,9 @@ def _column_claim(check: _Check, reach: int = 0) -> Callable[..., Run]:
         beyond = [(None, None)] * (ns[-1] + reach - top)
         held = unmet = 0
         details = []
-        for g, lo in _modulus_runs(gs, ns):
+        for g in gs:
+            # the claim takes g at every n of ns with g < 2^n
+            lo = max(ns.start, g.bit_length())
             rows = column(g, lo, top)
             ups = rows[reach:] + beyond if reach else rows
             for n, (omega, residue), (above, _) in zip(range(lo, ns.stop), rows, ups):
@@ -212,39 +207,28 @@ def _g_range(spec: SweepSpec, claim: Claim) -> range:
     return range(lo | 1, hi + 1, 2)
 
 
-def _slices(spec: SweepSpec, claim: Claim) -> list[SweepSpec]:
-    """Cut the domain into sub-specs of about _CHUNK_TUPLES tuples: runs of
-    odd g, or, when one g of the orbit-sum claim has more tuples than that,
-    one g and a run of w."""
-    n_count = spec.n_max - spec.n_min + 1
-    per_g = n_count * (spec.w_max - spec.w_min + 1 if claim.needs_w else 1)
-    gs = _g_range(spec, claim)
-    if claim.needs_w and per_g > _CHUNK_TUPLES:
-        run = max(1, _CHUNK_TUPLES // n_count)
-        return [
-            replace(spec, g_min=g, g_max=g, w_min=w, w_max=min(w + run - 1, spec.w_max))
-            for g in gs
-            for w in range(spec.w_min, spec.w_max + 1, run)
-        ]
-    run = max(1, _CHUNK_TUPLES // per_g)
-    return [replace(spec, g_min=g, g_max=min(g + 2 * run - 2, spec.g_max)) for g in gs[::run]]
+def _slices(claim: Claim, gs: range, ws: Sequence[Optional[int]], ns: range) -> list[tuple]:
+    """Cut a sweep's run into (claim id, gs, ws, ns) slices of about
+    _CHUNK_TUPLES tuples: runs of g, each with every w, or, when one g has
+    more tuples than that, one g with a run of w."""
+    w_run = max(1, min(len(ws), _CHUNK_TUPLES // len(ns)))
+    g_run = max(1, _CHUNK_TUPLES // (w_run * len(ns)))
+    return [(claim.name, gs[i:i + g_run], ws[j:j + w_run], ns)
+            for i in range(0, len(gs), g_run) for j in range(0, len(ws), w_run)]
 
 
-def _run_chunk(spec: SweepSpec) -> tuple[dict[str, int], list[SweepException]]:
-    """Evaluate every tuple of a (sub-)domain, its run of g in one call."""
-    claim = CLAIMS[spec.claim]
-    gs, ns = _g_range(spec, claim), range(spec.n_min, spec.n_max + 1)
-    ws = [w for w in range(spec.w_min, spec.w_max + 1) if w] if claim.needs_w else (None,)
+def _run_chunk(run: tuple[str, range, Sequence[Optional[int]], range]) -> Run:
+    """Evaluate a (claim id, gs, ws, ns) run, its g in one call, and check
+    that its counts take each of its tuples once."""
+    name, gs, ws, ns = run
+    claim = CLAIMS[name]
     held, unmet, details = claim.evaluate(gs, ws, ns)
-    tallies = {v.value: 0 for v in Verdict} | {"holds": held, "hypothesis_not_met": unmet}
-    for *_, (verdict, _) in details:
-        tallies[verdict.value] += 1
     # the run's size: each n of a per-modulus claim takes the g below 2^n
     size = len(gs) * len(ws) * len(ns) if claim.needs_w else sum(
         len(range(gs.start, min(gs.stop, 1 << n), 2)) for n in ns)
-    if sum(tallies.values()) != size:
+    if held + unmet + len(details) != size:
         raise ValueError(f"claim {claim.name!r} does not count each of its {size} tuples once")
-    return tallies, [SweepException(g, n, w, *detail) for g, n, w, (_, detail) in details]
+    return held, unmet, details
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:
@@ -255,18 +239,26 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     """
     claim = _validate(spec)
     start = time.perf_counter()
-    slices = _slices(spec, claim) if spec.jobs > 1 else []
+    gs, ns = _g_range(spec, claim), range(spec.n_min, spec.n_max + 1)
+    ws = [w for w in range(spec.w_min, spec.w_max + 1) if w] if claim.needs_w else (None,)
+    slices = _slices(claim, gs, ws, ns) if spec.jobs > 1 else []
     if len(slices) <= 1:
-        results = [_run_chunk(spec)]
+        runs = [_run_chunk((claim.name, gs, ws, ns))]
     else:
         # imported here, so an inline sweep never loads the pool stack
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(spec.jobs, len(slices), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, slices))
-    tallies = {v.value: sum(chunk[v.value] for chunk, _ in results) for v in Verdict}
-    exceptions = sorted(chain.from_iterable(chunk for _, chunk in results),
+            runs = list(pool.map(_run_chunk, slices))
+    tallies = {v.value: 0 for v in Verdict}
+    for held, unmet, details in runs:
+        tallies["holds"] += held
+        tallies["hypothesis_not_met"] += unmet
+        for *_, (verdict, _) in details:
+            tallies[verdict.value] += 1
+    exceptions = sorted((SweepException(g, n, w, *detail)
+                         for *_, details in runs for g, n, w, (_, detail) in details),
                         key=lambda e: (e.n, e.g, e.w if e.w is not None else 0))
     domain = {k: v for k, v in asdict(spec).items() if k not in ("claim", "jobs")}
     return SweepReport(

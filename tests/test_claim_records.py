@@ -22,6 +22,9 @@ def records(claim, g, n, w=None):
     n_lo, n_hi = n if isinstance(n, tuple) else (n, n)
     w_lo, w_hi = (w, w) if w is not None else (None, None)
     report = run_sweep(SweepSpec(claim, g_lo, g_hi, n_lo, n_hi, w_lo, w_hi, jobs=1))
+    # each exception the report lists is tallied once
+    tallied = report.tallies["paper_exception"] + report.tallies["counterexample"]
+    assert tallied == len(report.exceptions)
     return [(e.g, e.n, e.w, e.observed, e.expected) for e in report.exceptions]
 
 

@@ -132,18 +132,22 @@ def json_body(report) -> str:
 
 
 @pytest.mark.parametrize(
-    "domain",
+    "domain, cases",
     [
-        dict(claim="lemma2", g_min=1, g_max=255, n_min=3, n_max=8),
+        (dict(claim="lemma2", g_min=1, g_max=255, n_min=3, n_max=8), 252),
         # even negative g_min, and a w range across 0 (which the sweep skips)
-        dict(claim="theorem6", g_min=-8, g_max=7, n_min=1, n_max=6, w_min=-5, w_max=6),
+        (dict(claim="theorem6", g_min=-8, g_max=7, n_min=1, n_max=6, w_min=-5, w_max=6), 528),
         # one g: only the w range can be cut
-        dict(claim="theorem6", g_min=3, g_max=3, n_min=1, n_max=8, w_min=-40, w_max=40),
+        (dict(claim="theorem6", g_min=3, g_max=3, n_min=1, n_max=8, w_min=-40, w_max=40), 640),
         # g range reaching below 1 and above 2^n_max, n from 2
-        dict(claim="lemma4_theorem5", g_min=-4, g_max=300, n_min=2, n_max=7),
-        dict(claim="order_oracle", g_min=2, g_max=100, n_min=1, n_max=8),
+        (dict(claim="lemma4_theorem5", g_min=-4, g_max=300, n_min=2, n_max=7), 126),
+        (dict(claim="order_oracle", g_min=2, g_max=100, n_min=1, n_max=8), 155),
         # fewer tuples per g than a chunk: runs of g, each with the whole w range
-        dict(claim="theorem6", g_min=-15, g_max=15, n_min=3, n_max=3, w_min=1, w_max=2),
+        (dict(claim="theorem6", g_min=-15, g_max=15, n_min=3, n_max=3, w_min=1, w_max=2), 32),
+        # empty runs: w = 0 only, which the sweep skips, and no odd g in range
+        (dict(claim="theorem6", g_min=-7, g_max=7, n_min=1, n_max=8, w_min=0, w_max=0), 0),
+        (dict(claim="lemma2", g_min=-9, g_max=0, n_min=1, n_max=8), 0),
+        (dict(claim="lemma1", g_min=2, g_max=2, n_min=1, n_max=8), 0),
     ],
     ids=[
         "lemma2",
@@ -152,12 +156,16 @@ def json_body(report) -> str:
         "lemma4-clipped",
         "order-even-g",
         "theorem6-packed-g",
+        "theorem6-w-zero-only",
+        "lemma2-g-below-1",
+        "lemma1-one-even-g",
     ],
 )
-def test_run_sweep_is_deterministic_across_worker_counts(monkeypatch, domain):
+def test_run_sweep_is_deterministic_across_worker_counts(monkeypatch, domain, cases):
     # tiny chunks so that every domain is cut into many pool jobs
     monkeypatch.setattr(sweep, "_CHUNK_TUPLES", 5)
     serial = json_body(run_sweep(spec(jobs=1, **domain)))
+    assert json.loads(serial)["cases_checked"] == cases
     for jobs in (2, 4):
         assert json_body(run_sweep(spec(jobs=jobs, **domain))) == serial
 
@@ -210,19 +218,42 @@ def test_orbit_domain_of_one_chunk_runs_inline_whatever_its_g_count(recording_po
     assert recording_pool == []
 
 
+def _domain(domain) -> set:
+    """The (g, w, n) tuples of a sweep domain, from the rule the README
+    states: odd g, with w != 0 for theorem6 and g < 2^n otherwise."""
+    odd_g = [g for g in range(domain["g_min"], domain["g_max"] + 1) if g % 2]
+    ns = range(domain["n_min"], domain["n_max"] + 1)
+    if domain["claim"] == "theorem6":
+        ws = [w for w in range(domain["w_min"], domain["w_max"] + 1) if w]
+        return {(g, w, n) for g in odd_g for w in ws for n in ns}
+    return {(g, None, n) for g in odd_g for n in ns if 0 < g < 1 << n}
+
+
 @pytest.mark.parametrize(
     "domain",
     [
         dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13),
+        # two g, each with more tuples than a chunk: one g with a run of w
         dict(claim="theorem6", g_min=3, g_max=5, n_min=1, n_max=3, w_min=-2000, w_max=2000),
+        # many g, each with fewer tuples than a chunk: runs of g with every w
+        dict(claim="theorem6", g_min=-255, g_max=255, n_min=1, n_max=4, w_min=-4, w_max=4),
     ],
-    ids=["lemma1", "theorem6"],
+    ids=["lemma1", "theorem6-wide-w", "theorem6-many-g"],
 )
-def test_pool_jobs_are_sub_specs(recording_pool, domain):
+def test_pool_jobs_partition_the_domain(recording_pool, domain):
     parallel = run_sweep(spec(jobs=2, **domain))
     (pool,) = recording_pool
     assert len(pool.jobs) > 1
-    assert all(isinstance(job, SweepSpec) for job in pool.jobs)
+    held = []
+    for name, gs, ws, ns in pool.jobs:
+        assert name == domain["claim"]
+        tuples = [(g, w, n) for g in gs for w in ws for n in ns
+                  if name == "theorem6" or g < 1 << n]
+        assert len(tuples) <= max(sweep._CHUNK_TUPLES, len(ns))
+        held += tuples
+    # every tuple of the domain is in exactly one job
+    assert len(held) == len(set(held))
+    assert set(held) == _domain(domain)
     assert json_body(parallel) == json_body(run_sweep(spec(jobs=1, **domain)))
 
 
@@ -245,7 +276,7 @@ run_sweep(SweepSpec("lemma1", 1, 63, 1, 6, jobs=1))
 run_sweep(SweepSpec("lemma1", 1, 63, 1, 6, jobs=2))
 cli.main(["order", "--g", "3", "--n", "64"])
 inline = pool_modules()
-# 4,092 tuples in 6 sub-domains: this sweep starts a pool
+# 4,092 tuples in 6 slices: this sweep starts a pool
 pooled = SweepSpec("lemma4_theorem5", 1, 4095, 3, 12, jobs=2)
 same = body(pooled) == body(SweepSpec("lemma4_theorem5", 1, 4095, 3, 12, jobs=1))
 print(json.dumps({"inline": inline, "pooled": pool_modules(), "same": same}))
@@ -259,7 +290,7 @@ def test_only_a_sweep_that_starts_a_pool_imports_the_pool_stack():
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    # import pow2sums, a jobs-1 sweep, a jobs-2 sweep of one sub-domain and
+    # import pow2sums, a jobs-1 sweep, a jobs-2 sweep of one slice and
     # a single query load none of it
     assert seen["inline"] == []
     assert "concurrent.futures.process" in seen["pooled"]

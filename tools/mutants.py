@@ -67,6 +67,7 @@ ABOVE = T_EXP + "test_half_order_and_antipodal_shift_above_the_walk_switch"
 PER_ORBIT = "tests/test_claim_records.py::test_orbit_sweep_builds_at_most_one_orbit_per_tuple"
 SHIFT = T_ORDER + "test_order_column_t_walk_shifts_once_its_square_vanishes"
 SHORT = T_SWEEP + "test_a_run_one_tally_short_raises"
+PARTITION = T_SWEEP + "test_pool_jobs_partition_the_domain"
 AGREE = T_SWEEP + "test_per_modulus_runs_agree_with_the_public_checks"
 AT_LIMIT = T_SWEEP + "test_lemma1_at_the_exponent_limit_is_tallied_not_raised"
 LIMIT_AT_CALL = T_SWEEP + "test_lemma1_reads_the_exponent_limit_at_call_time"
@@ -257,11 +258,15 @@ MUTANTS = [
            (T_CLI + "test_table_format", T_CLI + "test_csv_format_single_query")),
     # sweep slicing and the pool
     Mutant("overlapping-g-slices", SWEEP,
-           "g_max=min(g + 2 * run - 2, spec.g_max)", "g_max=min(g + 2 * run, spec.g_max)",
-           (T_SWEEP + "test_pool_jobs_are_sub_specs",)),
+           "gs[i:i + g_run]", "gs[i:i + g_run + 1]",
+           (PARTITION,)),
     Mutant("short-w-slices", SWEEP,
-           "w_max=min(w + run - 1, spec.w_max)", "w_max=min(w + run - 2, spec.w_max)",
-           (T_SWEEP + "test_pool_jobs_are_sub_specs",)),
+           "ws[j:j + w_run]", "ws[j:j + w_run - 1]",
+           (PARTITION,)),
+    Mutant("w-run-may-be-zero", SWEEP,
+           "w_run = max(1, min(len(ws), _CHUNK_TUPLES // len(ns)))",
+           "w_run = min(len(ws), _CHUNK_TUPLES // len(ns))",
+           (T_SWEEP + "test_run_sweep_is_deterministic_across_worker_counts",)),
     Mutant("pool-not-bounded-by-the-cpu-count", SWEEP,
            "min(spec.jobs, len(slices), os.cpu_count() or 1)", "min(spec.jobs, len(slices))",
            (T_SWEEP + "test_pool_size_is_bounded_by_the_cpu_count",)),
@@ -272,7 +277,8 @@ MUTANTS = [
            "max(ns.start, g.bit_length())", "max(ns.start, g.bit_length() + 1)",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
     Mutant("run-skips-its-last-g", SWEEP,
-           "    for g in gs:\n        yield g, ", "    for g in gs[:-1]:\n        yield g, ",
+           "        for g in gs:\n            # the claim takes g",
+           "        for g in gs[:-1]:\n            # the claim takes g",
            (T_SWEEP + "test_run_sweep_counts_whole_domain", AGREE)),
     Mutant("column-walked-past-the-exponent-limit", SWEEP,
            "top = min(ns[-1] + reach, core_arith.MAX_EXPONENT)", "top = ns[-1] + reach",
@@ -286,12 +292,15 @@ MUTANTS = [
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
     # the count check: a run's tallies count each of its tuples once
     Mutant("slab-length-check-dropped", SWEEP,
-           "    if sum(tallies.values()) != size:\n",
-           "    if sum(tallies.values()) != held + unmet + len(details):\n",
+           "    if held + unmet + len(details) != size:\n",
+           "    if held + unmet + len(details) != held + unmet + len(details):\n",
            (SHORT,)),
     Mutant("count-check-dropped", SWEEP,
-           "    if sum(tallies.values()) != size:\n", "    if False:\n",
+           "    if held + unmet + len(details) != size:\n", "    if False:\n",
            (SHORT,)),
+    Mutant("count-check-ignores-details", SWEEP,
+           "held + unmet + len(details) != size", "held + unmet != size",
+           (T_SWEEP + "test_run_sweep_finds_known_exception_family",)),
     Mutant("slab-with-one-exception-skipped", SWEEP,
            "    for *_, (verdict, _) in details:\n", "    for *_, (verdict, _) in details[1:]:\n",
            (T_SWEEP + "test_fresh_detail_free_outcomes_are_tallied_once_each",
