@@ -14,8 +14,9 @@ r + 2^(n-1) -- a complete criterion, checkable in one pass, and the
 resulting pairing (or the first violating residue) is the certificate.
 
 Two exact routes apply that criterion.  Up to LITERAL_EXPONENT_CAP the
-orbit is counted into a table of 2^n counters whose lower half is compared
-with its upper half.  Above it the paper's congruence decides: with
+orbit is counted into a table of 2^n counters, and each residue that can
+be occupied, those of w's 2-adic valuation, is compared with its antipode
+(_paired).  Above it the paper's congruence decides: with
 w = 2^d * w0 (w0 odd) and m = n - d, S = 0 exactly when m >= 2 and the
 order column's half-order residue g^(omega_g(2^m)/2) mod 2^m is
 2^(m-1) + 1.  _unpaired_run, the decider of min_vanishing_n, picks the
@@ -28,7 +29,8 @@ in floating point; they are the tests' reference only.
 theorem6 takes a run, each g of a range with a run of weights at a run
 of n: every order of a g comes from one squaring chain, and at each n up
 to the cap one table serves each (g, w) of one subgroup <g> whose orbit it
-holds (_subgroup_run).  check_antipodal_shift reads one congruence.
+holds, and each weight is decided once for every g of the subgroup
+(_subgroup_run).  check_antipodal_shift reads one congruence.
 """
 from __future__ import annotations
 
@@ -218,11 +220,10 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
         return OrbitCertificate(omega, ZeroCertificate(r is None, violating_residue=r), None)
     table = _orbit_table(g, w, n, omega)
     m = len(table)
-    half = m >> 1
     # the occupied residues in ascending order, and their counts
     residues = list(compress(range(m), table))
     counts = list(filter(None, table))
-    if table[:half] == table[half:]:
+    if _paired(table, w):
         # a vanishing sum pairs each occupied residue below half with one
         # above it, so the lower half holds exactly half of them
         k = len(residues) >> 1
@@ -298,8 +299,10 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
             details.append((g, n, ws[i], (Verdict.COUNTEREXAMPLE, detail)))
 
     for g in gs:
-        # g = +-1 meets no bound; a weight is not met at each n of ns below its bound
-        bounds = [vanishing_bound(g, w) for w in ws] if g not in (-1, 1) else [top + 1] * len(ws)
+        # g = +-1 meets no bound; a weight is not met at each n of ns below its
+        # bound, vanishing_bound(g, w) = d(w) + vanishing_bound(g, 1)
+        base = vanishing_bound(g, 1) if g not in (-1, 1) else top + 1
+        bounds = [d + base for d in ds]
         unmet += sum(min(max(bound, ns.start), ns.stop) - ns.start for bound in bounds)
         if min(bounds, default=top + 1) > top:
             continue
@@ -345,35 +348,42 @@ def _subgroup_run(runs: list[tuple[int, Sequence[int], int]], ws: Sequence[int],
     leads.  An odd w is a unit, so the table of the leader's first odd weight
     w holds w * h exactly when h lies in <g>; each run left whose h has g's
     order generates <g> and joins the group.  A leader with no odd weight is
-    a group of one.  That table, then the table of the first undecided pair,
-    compared half to half, decides each undecided (h, v) whose first term
-    v * h it holds: v * h = w * g^k makes v<h> = w<g> as multisets.  One
-    table is alive at a time."""
+    a group of one.  Each h of a group generates <g>, so v<h> = v<g> for
+    each weight v: a weight is decided once for the group, at the first h
+    whose met holds it.  That table, then the table of the first undecided
+    weight, compared on its residue class (_paired), decides each undecided
+    weight v whose first term v * h it holds: v * h = w * g^k makes
+    v<g> = w<g> as multisets.  One table is alive at a time."""
     mask, half = (1 << n) - 1, 1 << (n - 1)
     while runs:
         g, met, omega = runs[0]
-        pending = [(g, i) for i in met]
         odd = next((i for i in met if ws[i] & 1), None)
-        if odd is not None:
-            pending.insert(0, pending.pop(met.index(odd)))
         table = None if odd is None else _orbit_table(g, ws[odd], n, omega)
-        rest = []
+        group, rest = [runs[0]], []
         for run in runs[1:]:
             if table and run[2] == omega and table[ws[odd] * run[0] & mask]:
-                pending += [(run[0], i) for i in run[1]]
+                group.append(run)
             else:
                 rest.append(run)
         runs = rest
+        # each weight's h in group order, the leader's odd weight first
+        hs: dict[int, list[int]] = {} if odd is None else {odd: []}
+        for h, met, _ in group:
+            for i in met:
+                hs.setdefault(i, []).append(h)
+        pending = list(hs)
         while pending:
+            first = pending[0]
             if table is None:
-                table = _orbit_table(pending[0][0], ws[pending[0][1]], n, omega)
-            paired = table[:half] == table[half:]
+                table = _orbit_table(hs[first][0], ws[first], n, omega)
+            paired = _paired(table, ws[first])
             rest = []
-            for h, i in pending:
-                r = ws[i] * h & mask
-                if not table[r] and (h, i) != pending[0]:
-                    rest.append((h, i))
-                else:
+            for i in pending:
+                if not table[ws[i] * hs[i][0] & mask] and i != first:
+                    rest.append(i)
+                    continue
+                for h in hs[i]:
+                    r = ws[i] * h & mask
                     yield h, i, None if paired else (r, table[r], table[r ^ half])
             table = None
             pending = rest
@@ -391,6 +401,18 @@ def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:
         cur = cur * s & mask
         table[cur] += 1
     return table
+
+
+def _paired(table: list[int], w: int) -> bool:
+    """Whether each residue of the table of w's orbit (_orbit_table) carries
+    the count of its antipode.  Each term w * g^k has w's 2-adic valuation:
+    with lo = w & -w below half, only the residues = lo (mod 2 lo) can be
+    occupied, and their antipodes r + half lie in the same class, so the
+    class is compared slice to slice.  At lo >= half every term sits on 0,
+    or every term on half, and such a sum never vanishes."""
+    half = len(table) >> 1
+    lo = w & -w
+    return lo < half and table[lo:half:2 * lo] == table[half + lo::2 * lo]
 
 
 class MinVanishing(NamedTuple):

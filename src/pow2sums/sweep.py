@@ -20,7 +20,10 @@ literal signed integers for g and w, since its hypotheses are about g as
 an integer, and skips w = 0.  A sweep is one run; at jobs > 1 it is cut
 into (claim id, gs, ws, ns) slices mapped over at most min(jobs, CPU
 count) worker processes; tallies add up and exceptions are sorted, so a
-report is byte-deterministic for a given spec at any worker count.  The pool
+report is byte-deterministic for a given spec at any worker count.  Up
+to the literal cap a slice takes a run of w with every g where they fit,
+so theorem6's subgroups stay whole in one worker; above it, a run of g
+with every w, so each g's order column is walked once.  The pool
 machinery is imported only when a sweep starts a pool, so importing the
 package, a single query and an inline sweep never load multiprocessing.
 """
@@ -209,10 +212,19 @@ def _g_range(spec: SweepSpec, claim: Claim) -> range:
 
 def _slices(claim: Claim, gs: range, ws: Sequence[Optional[int]], ns: range) -> list[tuple]:
     """Cut a sweep's run into (claim id, gs, ws, ns) slices of about
-    _CHUNK_TUPLES tuples: runs of g, each with every w, or, when one g has
-    more tuples than that, one g with a run of w."""
-    w_run = max(1, min(len(ws), _CHUNK_TUPLES // len(ns)))
-    g_run = max(1, _CHUNK_TUPLES // (w_run * len(ns)))
+    _CHUNK_TUPLES tuples.  Up to exp_sum.LITERAL_EXPONENT_CAP they are runs
+    of w, each with every g, so that a theorem6 slice keeps whole the
+    subgroups whose orbit tables exp_sum shares, or, when the g at one w
+    have more tuples than that, runs of g, each with one w.  Above it each
+    g walks its order column from exponent 1 in every slice that holds it,
+    so they are runs of g, each with every w, or one g with a run of w.  A
+    per-modulus claim's one weight, None, gives runs of g either way."""
+    if ns[-1] <= exp_sum.LITERAL_EXPONENT_CAP:
+        g_run = max(1, min(len(gs), _CHUNK_TUPLES // len(ns)))
+        w_run = max(1, _CHUNK_TUPLES // (g_run * len(ns)))
+    else:
+        w_run = max(1, min(len(ws), _CHUNK_TUPLES // len(ns)))
+        g_run = max(1, _CHUNK_TUPLES // (w_run * len(ns)))
     return [(claim.name, gs[i:i + g_run], ws[j:j + w_run], ns)
             for i in range(0, len(gs), g_run) for j in range(0, len(ws), w_run)]
 

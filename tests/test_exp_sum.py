@@ -384,10 +384,13 @@ def test_shared_tables_decide_each_weight_as_its_own_table():
 
 def by_own_table(g: int, w: int, n: int):
     """S(g, w, n) decided from its own table alone, half to half, with the
-    counts read at its first term w * g."""
+    counts read at its first term w * g; the decider's comparison of w's
+    residue class must give the same answer on that table."""
     table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
     half, r = 1 << (n - 1), w * g % (1 << n)
-    return None if table[:half] == table[half:] else (r, table[r], table[r ^ half])
+    paired = table[:half] == table[half:]
+    assert exp_sum._paired(table, w) == paired, (g, w, n)
+    return None if paired else (r, table[r], table[r ^ half])
 
 
 def test_subgroup_run_agrees_with_each_tuples_own_table():
@@ -408,6 +411,40 @@ def test_subgroup_run_agrees_with_each_tuples_own_table():
             assert unpaired == by_own_table(g, weights[i], n), (g, weights[i], n)
             verdicts.add(unpaired is None)
     assert verdicts == {True, False}
+
+
+def test_a_group_decides_each_weight_for_the_h_whose_met_holds_it(monkeypatch):
+    # 3 and -29 are both 3 mod 8, so they generate one subgroup, but their
+    # thresholds are 4 and 6: at n = 6, 7 the weights 4 and -12 are met for
+    # 3 only, and with -29 leading they first appear in the group's second h
+    real, built = exp_sum._orbit_table, []
+    monkeypatch.setattr(exp_sum, "_orbit_table", lambda *args: built.append(args) or real(*args))
+    ws = [1, 4, -12]
+    for n in range(6, 13):
+        met = {g: [i for i, w in enumerate(ws) if vanishing_bound(g, w) <= n] for g in (3, -29)}
+        assert (met[3], met[-29]) == ([0, 1, 2], [0] if n < 8 else [0, 1, 2])
+        for order in ((3, -29), (-29, 3)):
+            runs = [(g, met[g], order_fast(g, n).omega) for g in order]
+            built.clear()
+            decided = list(exp_sum._subgroup_run(runs, ws, n))
+            # one group: one table for each of the three orbits 1<3>, 4<3>, -12<3>
+            assert len(built) == 3, (order, n)
+            assert sorted((g, i) for g, i, _ in decided) == sorted(
+                (g, i) for g in order for i in met[g]), (order, n)
+            for g, i, unpaired in decided:
+                assert unpaired == by_own_table(g, ws[i], n), (g, ws[i], n)
+
+
+def test_paired_compares_the_halves_at_every_valuation():
+    # one strided pair at d(w) = n - 2; at n - 1 every term sits on 2^(n-1)
+    # and the strided slices would be empty; at n and n + 3 on 0
+    for g in (3, -29, 513, -1025):
+        for n in range(2, 13):
+            half, omega = 1 << (n - 1), order_fast(g, n).omega
+            for w in (3 << (n - 2), -(1 << (n - 2)), 1 << (n - 1), -(5 << (n - 1)),
+                      1 << n, -(3 << (n + 3))):
+                table = exp_sum._orbit_table(g, w, n, omega)
+                assert exp_sum._paired(table, w) == (table[:half] == table[half:]), (g, w, n)
 
 
 def unbuilt(*args):

@@ -142,8 +142,10 @@ def json_body(report) -> str:
         # g range reaching below 1 and above 2^n_max, n from 2
         (dict(claim="lemma4_theorem5", g_min=-4, g_max=300, n_min=2, n_max=7), 126),
         (dict(claim="order_oracle", g_min=2, g_max=100, n_min=1, n_max=8), 155),
-        # fewer tuples per g than a chunk: runs of g, each with the whole w range
+        # more g at one w than a chunk takes: runs of g, each with one w
         (dict(claim="theorem6", g_min=-15, g_max=15, n_min=3, n_max=3, w_min=1, w_max=2), 32),
+        # above the literal cap: runs of g, each with a run of w
+        (dict(claim="theorem6", g_min=-5, g_max=5, n_min=23, n_max=30, w_min=-2, w_max=2), 192),
         # empty runs: w = 0 only, which the sweep skips, and no odd g in range
         (dict(claim="theorem6", g_min=-7, g_max=7, n_min=1, n_max=8, w_min=0, w_max=0), 0),
         (dict(claim="lemma2", g_min=-9, g_max=0, n_min=1, n_max=8), 0),
@@ -156,6 +158,7 @@ def json_body(report) -> str:
         "lemma4-clipped",
         "order-even-g",
         "theorem6-packed-g",
+        "theorem6-above-the-cap",
         "theorem6-w-zero-only",
         "lemma2-g-below-1",
         "lemma1-one-even-g",
@@ -230,26 +233,38 @@ def _domain(domain) -> set:
 
 
 @pytest.mark.parametrize(
-    "domain",
+    "domain, slices",
     [
-        dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13),
-        # two g, each with more tuples than a chunk: one g with a run of w
-        dict(claim="theorem6", g_min=3, g_max=5, n_min=1, n_max=3, w_min=-2000, w_max=2000),
-        # many g, each with fewer tuples than a chunk: runs of g with every w
-        dict(claim="theorem6", g_min=-255, g_max=255, n_min=1, n_max=4, w_min=-4, w_max=4),
+        (dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13), 14),
+        # two g with more tuples than a chunk: both g with a run of w
+        (dict(claim="theorem6", g_min=3, g_max=5, n_min=1, n_max=3, w_min=-2000, w_max=2000), 6),
+        # the g at one w have more tuples than a chunk: runs of g with one w
+        (dict(claim="theorem6", g_min=-1023, g_max=1023, n_min=1, n_max=5, w_min=-2, w_max=2), 8),
+        # the orbit_vanishing domain: 24,576 tuples in 7 runs of w, each with every g
+        (dict(claim="theorem6", g_min=-31, g_max=31, n_min=1, n_max=12, w_min=-32, w_max=32), 7),
+        # above the literal cap: 16,000 tuples in 5 runs of g, each with every w
+        (dict(claim="theorem6", g_min=-9, g_max=9, n_min=23, n_max=26, w_min=-200, w_max=200), 5),
     ],
-    ids=["lemma1", "theorem6-wide-w", "theorem6-many-g"],
+    ids=["lemma1", "theorem6-wide-w", "theorem6-many-g", "orbit-vanishing", "above-the-cap"],
 )
-def test_pool_jobs_partition_the_domain(recording_pool, domain):
+def test_pool_jobs_partition_the_domain(recording_pool, domain, slices):
     parallel = run_sweep(spec(jobs=2, **domain))
     (pool,) = recording_pool
-    assert len(pool.jobs) > 1
+    assert len(pool.jobs) == slices
+    odd_g = {g for g, _, _ in _domain(domain)}
+    every_w = {w for _, w, _ in _domain(domain)}
     held = []
     for name, gs, ws, ns in pool.jobs:
         assert name == domain["claim"]
         tuples = [(g, w, n) for g in gs for w in ws for n in ns
                   if name == "theorem6" or g < 1 << n]
         assert len(tuples) <= max(sweep._CHUNK_TUPLES, len(ns))
+        # up to the cap a run of w takes every g, so each subgroup's tables
+        # stay shared; above it a run of g takes every w, so each g's order
+        # column is walked once
+        whole, kept = (odd_g, gs) if ns[-1] <= exp_sum.LITERAL_EXPONENT_CAP else (every_w, ws)
+        if name == "theorem6" and len(whole) * len(ns) <= sweep._CHUNK_TUPLES:
+            assert set(kept) == whole
         held += tuples
     # every tuple of the domain is in exactly one job
     assert len(held) == len(set(held))

@@ -75,12 +75,12 @@ LIMIT_AT_CALL = T_SWEEP + "test_lemma1_reads_the_exponent_limit_at_call_time"
 MUTANTS = [
     # the dense table decider and the expsum certificate
     Mutant("decider-half-split-off-by-one", EXP,
-           "paired = table[:half] == table[half:]",
-           "paired = table[:half - 1] == table[half:-1]",
-           (DENSE, SHARED)),
+           "    half = len(table) >> 1\n    lo = w & -w\n",
+           "    half = (len(table) >> 1) - 1\n    lo = w & -w\n",
+           (DENSE,)),
     Mutant("certificate-half-split-off-by-one", EXP,
-           "    if table[:half] == table[half:]:\n        # a vanishing",
-           "    if table[:half - 1] == table[half:-1]:\n        # a vanishing",
+           "    if _paired(table, w):\n        # a vanishing",
+           "    if table[:m // 2 - 1] == table[m // 2:-1]:\n        # a vanishing",
            (DENSE,)),
     Mutant("table-walk-starts-at-1", EXP,
            "    cur = w & mask\n", "    cur = 1\n",
@@ -94,7 +94,7 @@ MUTANTS = [
            "    if n >= LITERAL_EXPONENT_CAP:\n        unpaired = ",
            (SWITCH,)),
     Mutant("decider-offender-is-the-weight", EXP,
-           "                r = ws[i] * h & mask\n", "                r = ws[i] & mask\n",
+           "                    r = ws[i] * h & mask\n", "                    r = ws[i] & mask\n",
            (DENSE,)),
     Mutant("multiset-offender-is-the-weight", EXP,
            "found[i] = w * g & ((1 << n) - 1), ", "found[i] = w & ((1 << n) - 1), ",
@@ -112,14 +112,14 @@ MUTANTS = [
            (DENSE,)),
     # the shared decider: one table per distinct orbit of a subgroup at each n
     Mutant("shared-membership-filter-dropped", EXP,
-           "                if not table[r] and (h, i) != pending[0]:\n",
+           "                if not table[ws[i] * hs[i][0] & mask] and i != first:\n",
            "                if False:\n",
            (SHARED,)),
     Mutant("shared-table-reused-across-n", EXP,
-           "                table = _orbit_table(pending[0][0], ws[pending[0][1]], n, omega)\n",
-           "                key = pending[0][0], ws[pending[0][1]]\n"
+           "                table = _orbit_table(hs[first][0], ws[first], n, omega)\n",
+           "                key = hs[first][0], ws[first]\n"
            "                table = _orbit_table.__dict__.setdefault(\n"
-           "                    key, _orbit_table(pending[0][0], ws[pending[0][1]], n, omega))\n",
+           "                    key, _orbit_table(hs[first][0], ws[first], n, omega))\n",
            (SHARED, DENSE)),
     Mutant("subgroup-order-check-dropped", EXP,
            "if table and run[2] == omega and table[", "if table and table[",
@@ -133,6 +133,19 @@ MUTANTS = [
            "            if _subgroup_run.__dict__.setdefault((g, run[0]),\n"
            "                    table and run[2] == omega and table[ws[odd] * run[0] & mask]):\n",
            (GROUPED,)),
+    Mutant("weight-decided-for-its-first-h-only", EXP,
+           "                for h in hs[i]:\n", "                for h in hs[i][:1]:\n",
+           (GROUPED, T_EXP + "test_a_group_decides_each_weight_for_the_h_whose_met_holds_it")),
+    Mutant("strided-pairing-at-the-top-valuation", EXP,
+           "return lo < half and", "return lo <= half and",
+           (DENSE, GROUPED, T_EXP + "test_paired_compares_the_halves_at_every_valuation")),
+    Mutant("strided-pairing-drops-the-last-pair", EXP,
+           "table[lo:half:2 * lo] == table[half + lo::2 * lo]",
+           "table[lo:half - 1:2 * lo] == table[half + lo:-1:2 * lo]",
+           (DENSE,)),
+    Mutant("bounds-ignore-the-weight-valuation", EXP,
+           "bounds = [d + base for d in ds]", "bounds = [base for d in ds]",
+           (T_SWEEP + "test_run_sweep_theorem6_domain",)),
     Mutant("certificate-offender-is-the-least-residue", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=residues[0]",
            (T_CLI + "test_table_format", DENSE)),
@@ -267,6 +280,13 @@ MUTANTS = [
            "w_run = max(1, min(len(ws), _CHUNK_TUPLES // len(ns)))",
            "w_run = min(len(ws), _CHUNK_TUPLES // len(ns))",
            (T_SWEEP + "test_run_sweep_is_deterministic_across_worker_counts",)),
+    Mutant("g-run-may-be-zero", SWEEP,
+           "g_run = max(1, min(len(gs), _CHUNK_TUPLES // len(ns)))",
+           "g_run = min(len(gs), _CHUNK_TUPLES // len(ns))",
+           (T_SWEEP + "test_run_sweep_is_deterministic_across_worker_counts",)),
+    Mutant("slices-ignore-the-literal-cap", SWEEP,
+           "    if ns[-1] <= exp_sum.LITERAL_EXPONENT_CAP:\n", "    if True:\n",
+           (PARTITION,)),
     Mutant("pool-not-bounded-by-the-cpu-count", SWEEP,
            "min(spec.jobs, len(slices), os.cpu_count() or 1)", "min(spec.jobs, len(slices))",
            (T_SWEEP + "test_pool_size_is_bounded_by_the_cpu_count",)),
@@ -332,8 +352,8 @@ MUTANTS = [
            equivalent="each matched lower residue pairs with a distinct occupied upper "
                       "residue, so twice the matched count never exceeds the occupied count"),
     Mutant("shared-membership-read-at-the-weight", EXP,
-           "                if not table[r] and (h, i) != pending[0]:\n",
-           "                if not table[ws[i] & mask] and (h, i) != pending[0]:\n",
+           "                if not table[ws[i] * hs[i][0] & mask] and i != first:\n",
+           "                if not table[ws[i] & mask] and i != first:\n",
            (SHARED, DENSE, PER_ORBIT, GROUPED),
            equivalent="the table's orbit is closed under multiplication by each h of its "
                       "group, so v lies on it exactly when its first term v * h does"),
