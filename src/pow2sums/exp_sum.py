@@ -13,24 +13,30 @@ residue r < 2^(n-1) carries the same multiplicity as its antipode
 r + 2^(n-1) -- a complete criterion, checkable in one pass, and the
 resulting pairing (or the first violating residue) is the certificate.
 
-Two exact routes apply that criterion.  Up to LITERAL_EXPONENT_CAP the
-orbit is counted into a table of 2^n counters, and each residue that can
-be occupied, those of w's 2-adic valuation, is compared with its antipode
-(_paired).  Above it the paper's congruence decides: with
-w = 2^d * w0 (w0 odd) and m = n - d, S = 0 exactly when m >= 2 and the
-order column's half-order residue g^(omega_g(2^m)/2) mod 2^m is
-2^(m-1) + 1.  _unpaired_run, the decider of min_vanishing_n, picks the
-route and names a sum that does not vanish by its first term, w * g mod
-2^n.  orbit_certificate (the expsum command) takes the same routes and
-reads its pairing from the table's lower half.  residue_orbit,
-is_exact_zero and float_sum build the literal multiset, pair it and sum it
-in floating point; they are the tests' reference only.
+With w = 2^d * w0 (w0 odd) and m = n - d, the orbit is 2^d times the
+coset w0 <g> modulo 2^m, each residue taken omega_g(2^n) / omega_g(2^m)
+times, and adding 2^(n-1) adds 2^(m-1) to its cofactor, which commutes
+with multiplying by the unit w0.  So S(g, w, n) = 0 exactly when the orbit
+of 1 under g pairs modulo 2^m; for m <= 0 every term sits on 0 and no sum
+vanishes.  Two exact routes decide that.  Up to LITERAL_EXPONENT_CAP <g>
+mod 2^m is counted into a table of 2^m counters and each odd residue is
+compared with its antipode (_paired).  Above it the paper's congruence
+decides: S = 0 exactly when m >= 2 and the order column's half-order
+residue g^(omega_g(2^m)/2) mod 2^m is 2^(m-1) + 1.  _unpaired_run, the
+decider of min_vanishing_n, picks the route and names a sum that does not
+vanish by its first term, w * g mod 2^n, with the counts there and at its
+antipode (_offender).  orbit_certificate (the expsum command) takes the same
+routes, but below the cap counts the orbit itself into 2^n counters, since
+its pairing lists the residues at n, and reads the pairing from the table's
+lower half.  residue_orbit, is_exact_zero and float_sum build the literal
+multiset, pair it and sum it in floating point; they are the tests'
+reference only.
 
 theorem6 takes a run, each g of a range with a run of weights at a run
-of n: every order of a g comes from one squaring chain, and at each n up
-to the cap one table serves each (g, w) of one subgroup <g> whose orbit it
-holds, and each weight is decided once for every g of the subgroup
-(_subgroup_run).  check_antipodal_shift reads one congruence.
+of n: every order of a g comes from one squaring chain, and up to the cap
+each m is decided a subgroup <g> mod 2^m at a time, from one table, for
+every met (g, w, n) with n - d(w) = m (_orbit_vanishing).
+check_antipodal_shift reads one congruence.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import mul, truediv
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import core_arith
 from .core_arith import (
@@ -272,31 +278,34 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
     """theorem6 on a run: each g of gs with each weight of ws at every n of
     ns.  g = +-1, and each n below a weight's bound, are not met; any other
     g reads one column from exponent 1.  Above LITERAL_EXPONENT_CAP each
-    (g, n) decides its met weights (_unpaired_run), and up to it each n
-    decides the run a subgroup at a time (_subgroup_run).  A failed collapse
-    guard is reported while the sum vanishes, else the unpaired residue."""
+    (g, n) decides its met weights (_unpaired_run).  Up to it S(g, w, n)
+    depends on g and m = n - d(w) alone (_unpaired_run), so each m is
+    decided a subgroup at a time: the first g left leads, the table of <g>
+    mod 2^m holds each h of <g>, each h of g's order there generates <g> and
+    joins the group, and the one table decides every met (h, w, n) with
+    n - d(w) = m.  One table is alive at a time.  A failed collapse guard,
+    h = +-1 (mod 2^m), is reported while the sum vanishes, else the
+    unpaired residue."""
     top = ns[-1]
     _require_exponent(top)
     ds = list(map(two_adic_valuation, ws))
     held = unmet = 0
     details = []
-    orders = []  # (g, its weights' bounds, its orders from ns[0] to the cap)
+    orders = []  # (g, its bound at w = 1, its orders at exponents 1 to the cap)
 
-    def tally(n: int, decided: Iterable[tuple[int, int, Unpaired]]) -> None:
+    def tally(g: int, i: int, n: int, unpaired: Unpaired, low: int) -> None:
         nonlocal held
-        for g, i, unpaired in decided:
-            low = (1 << (n - ds[i])) - 1
-            if unpaired is None and g & low not in (1, low):
-                held += 1
-                continue
-            if unpaired is None:  # the collapse guard failed
-                detail = ("exact zero (collapse guard failed)",
-                          "base not +-1 modulo the collapsed modulus")
-            else:
-                r, count, antipode = unpaired
-                detail = (f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
-                          "equal multiplicities on every antipodal residue pair")
-            details.append((g, n, ws[i], (Verdict.COUNTEREXAMPLE, detail)))
+        if unpaired is None and g & low not in (1, low):
+            held += 1
+            return
+        if unpaired is None:  # the collapse guard, low = 2^m - 1, failed
+            detail = ("exact zero (collapse guard failed)",
+                      "base not +-1 modulo the collapsed modulus")
+        else:
+            r, count, antipode = unpaired
+            detail = (f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
+                      "equal multiplicities on every antipodal residue pair")
+        details.append((g, n, ws[i], (Verdict.COUNTEREXAMPLE, detail)))
 
     for g in gs:
         # g = +-1 meets no bound; a weight is not met at each n of ns below its
@@ -307,86 +316,78 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
         if min(bounds, default=top + 1) > top:
             continue
         column = _order_column(g, 1, top)
-        orders.append((g, bounds, [row[0] for row in column[ns.start - 1:LITERAL_EXPONENT_CAP]]))
+        orders.append((g, base, [row[0] for row in column[:LITERAL_EXPONENT_CAP]]))
         for n in range(max(ns.start, LITERAL_EXPONENT_CAP + 1), ns.stop):
             met = [i for i, bound in enumerate(bounds) if bound <= n]
-            tally(n, zip(repeat(g), met, _unpaired_run(g, [ws[i] for i in met], n, column)))
-    for n in range(ns.start, min(ns.stop, LITERAL_EXPONENT_CAP + 1)):
-        tally(n, _subgroup_run([(g, met, omegas[n - ns.start]) for g, bounds, omegas in orders
-                                if (met := [i for i, b in enumerate(bounds) if b <= n])], ws, n))
+            for i, unpaired in zip(met, _unpaired_run(g, [ws[i] for i in met], n, column)):
+                tally(g, i, n, unpaired, (1 << (n - ds[i])) - 1)
+    cap = min(top, LITERAL_EXPONENT_CAP)
+    for m in sorted({n - d for d in set(ds) for n in range(ns.start, cap + 1)}):
+        # the (i, n) with n - d(ws[i]) = m, met for each g whose bound at w = 1 is <= m
+        at = [(i, m + d) for i, d in enumerate(ds) if ns.start <= m + d <= cap]
+        runs = [run for run in orders if run[1] <= m]
+        low = (1 << max(m, 0)) - 1
+        while runs:
+            lead, _, omegas = runs[0]
+            table = _orbit_table(lead, 1, m, omegas[m - 1]) if m > 0 else None
+            group, rest = [], []
+            for run in runs:
+                # at m <= 0 every term sits on 0, whatever the g
+                joins = table is None or run[2][m - 1] == omegas[m - 1] and table[run[0] & low]
+                (group if joins else rest).append(run)
+            runs, paired = rest, table is not None and _paired(table, 1)
+            for h, _, own in group:
+                if paired and h & low not in (1, low):
+                    held += len(at)
+                    continue
+                for i, n in at:
+                    k = own[n - 1] // own[m - 1] if m > 0 else own[n - 1]
+                    tally(h, i, n, None if paired else _offender(h, ws[i], n, k, table), low)
+            table = None
     return held, unmet, details
 
 
 def _unpaired_run(g: int, ws: Sequence[int], n: int, column: Sequence[tuple]) -> list[Unpaired]:
     """For each w of ws, None when S(g, w, n) = 0, else (r, count(r),
-    count(r ^ 2^(n-1))) at the orbit's first term r = w * g mod 2^n; g, ws
-    and n are valid and column is _order_column(g, 1, n) or longer.  Up to
-    LITERAL_EXPONENT_CAP, g is a group of one for _subgroup_run.  Above it,
-    with w = 2^d * w0 (w0 odd) and m = n - d, the orbit is 2^d times the
-    coset w0 <g> mod 2^m with omega_n / omega_m counts on each residue (for
-    m <= 1 every term sits on 0 or 2^(n-1)), and adding 2^(n-1) multiplies
-    it by 1 + 2^(m-1): for m >= 2 an involution, which maps the coset onto
-    itself exactly when it is the one involution g^(omega_m / 2) of the
-    cyclic 2-group <g>, and else onto a disjoint coset, where the antipode
-    counts 0; so every occupied residue is paired or none is."""
+    count(r ^ 2^(n-1))) at the orbit's first term r = w * g mod 2^n
+    (_offender); g, ws and n are valid and column is _order_column(g, 1, n)
+    or longer.  S vanishes exactly when <g> mod 2^m pairs, m = n - d(w).  Up
+    to LITERAL_EXPONENT_CAP that is read from the table of <g> mod 2^m, one
+    table per m.  Above it, adding 2^(m-1) multiplies the coset w0 <g> by
+    1 + 2^(m-1): for m >= 2 an involution, which maps the coset onto itself
+    exactly when it is the one involution g^(omega_m / 2) of the cyclic
+    2-group <g>, and else onto a disjoint coset, where the antipode counts
+    0; so every occupied residue is paired or none is."""
     omega = column[n - 1][0]
-    if n <= LITERAL_EXPONENT_CAP:
-        return [u for _, _, u in sorted(_subgroup_run([(g, range(len(ws)), omega)], ws, n))]
+    ms = [n - two_adic_valuation(w) for w in ws]
     found: list[Unpaired] = [None] * len(ws)
-    for i, w in enumerate(ws):
-        m = n - two_adic_valuation(w)
-        if m < 2 or column[m - 1][1] != (1 << (m - 1)) + 1:
-            found[i] = w * g & ((1 << n) - 1), omega // column[m - 1][0] if m > 0 else omega, 0
+    for m in sorted(set(ms)):
+        k = omega // column[m - 1][0] if m > 0 else omega
+        table = None  # one table alive at a time
+        if n <= LITERAL_EXPONENT_CAP and m > 0:
+            table = _orbit_table(g, 1, m, column[m - 1][0])
+            paired = _paired(table, 1)
+        else:  # the congruence; at m <= 0 every term sits on 0
+            paired = m >= 2 and column[m - 1][1] == (1 << (m - 1)) + 1
+        if not paired:
+            for i in [i for i, mi in enumerate(ms) if mi == m]:
+                found[i] = _offender(g, ws[i], n, k, table)
     return found
 
 
-def _subgroup_run(runs: list[tuple[int, Sequence[int], int]], ws: Sequence[int],
-                  n: int) -> Iterator[tuple[int, int, Unpaired]]:
-    """(g, i, u) for each (g, met, omega) of runs and each i of met, a group
-    at a time, with u for S(g, ws[i], n) as _unpaired_run gives it; omega is
-    g's order modulo 2^n and n <= LITERAL_EXPONENT_CAP.  The first run left
-    leads.  An odd w is a unit, so the table of the leader's first odd weight
-    w holds w * h exactly when h lies in <g>; each run left whose h has g's
-    order generates <g> and joins the group.  A leader with no odd weight is
-    a group of one.  Each h of a group generates <g>, so v<h> = v<g> for
-    each weight v: a weight is decided once for the group, at the first h
-    whose met holds it.  That table, then the table of the first undecided
-    weight, compared on its residue class (_paired), decides each undecided
-    weight v whose first term v * h it holds: v * h = w * g^k makes
-    v<g> = w<g> as multisets.  One table is alive at a time."""
-    mask, half = (1 << n) - 1, 1 << (n - 1)
-    while runs:
-        g, met, omega = runs[0]
-        odd = next((i for i in met if ws[i] & 1), None)
-        table = None if odd is None else _orbit_table(g, ws[odd], n, omega)
-        group, rest = [runs[0]], []
-        for run in runs[1:]:
-            if table and run[2] == omega and table[ws[odd] * run[0] & mask]:
-                group.append(run)
-            else:
-                rest.append(run)
-        runs = rest
-        # each weight's h in group order, the leader's odd weight first
-        hs: dict[int, list[int]] = {} if odd is None else {odd: []}
-        for h, met, _ in group:
-            for i in met:
-                hs.setdefault(i, []).append(h)
-        pending = list(hs)
-        while pending:
-            first = pending[0]
-            if table is None:
-                table = _orbit_table(hs[first][0], ws[first], n, omega)
-            paired = _paired(table, ws[first])
-            rest = []
-            for i in pending:
-                if not table[ws[i] * hs[i][0] & mask] and i != first:
-                    rest.append(i)
-                    continue
-                for h in hs[i]:
-                    r = ws[i] * h & mask
-                    yield h, i, None if paired else (r, table[r], table[r ^ half])
-            table = None
-            pending = rest
+def _offender(g: int, w: int, n: int, k: int, table: Optional[list[int]]) -> Unpaired:
+    """(r, count(r), count(r ^ 2^(n-1))) for S(g, w, n) at its first term
+    r = w * g mod 2^n, with k = omega_n / omega_m the count of each residue
+    of the coset w0 <g> mod 2^m (_unpaired_run): read from the table of <g>
+    mod 2^m, whose residue u * (r >> d) with u = w0^-1 mod 2^m is the
+    cofactor's, or, with no table, from a sum whose antipodes are empty."""
+    r = w * g & ((1 << n) - 1)
+    if table is None:
+        return r, k, 0
+    mask, half = len(table) - 1, len(table) >> 1
+    d = n - mask.bit_length()
+    y, u = r >> d, pow(w >> d, -1, mask + 1)
+    return r, k * table[u * y & mask], k * table[u * (y ^ half) & mask]
 
 
 def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:

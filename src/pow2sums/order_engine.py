@@ -72,12 +72,14 @@ def order_naive(g: int, n: int) -> OrderRecord:
     _require_exponent(n)
     mask = (1 << n) - 1
     s = g & mask
+    # g's representative in (-2^(n-1), 2^(n-1)]: a small negative g is one word
+    t = s - (mask + 1) if s >> (n - 1) else s
     x = s
     cap = NAIVE_SCAN_CAP
     for k in range(1, cap + 1):  # x = g^k mod 2^n
         if x == 1:
             return OrderRecord(g=s, n=n, omega=k, path="naive")
-        x = x * s & mask
+        x = x * t & mask
     raise ScanBudgetExceeded(f"order scan for g={g} mod 2^{n} exceeded {cap} iterations")
 
 

@@ -9,10 +9,11 @@ decided it; the sweep only adds runs up.  One loop serves all five
 per-modulus claims: it reads every n's order and half-order residue from
 one squaring chain per g, with the order one exponent up for lemma1, and
 calls the claim's checker once per tuple.  The orbit-sum claim, exp_sum's
-own run, walks one chain per g, and at each n one orbit table per distinct
-orbit of a subgroup.  The ids, verdict tallies and the JSON report schema
-are the machine interface; the registry is mutable so a harness (or the
-test suite) can inject extra claims.
+own run, walks one chain per g, and below the literal cap counts one
+orbit table per subgroup <g> mod 2^m at each collapsed exponent
+m = n - d(w).  The ids, verdict tallies and the JSON report schema are
+the machine interface; the registry is mutable so a harness (or the test
+suite) can inject extra claims.
 
 Per-modulus claims take each odd g in the range at every n with g < 2^n,
 i.e. the canonical residues of each modulus; the orbit-sum claim takes
@@ -20,12 +21,12 @@ literal signed integers for g and w, since its hypotheses are about g as
 an integer, and skips w = 0.  A sweep is one run; at jobs > 1 it is cut
 into (claim id, gs, ws, ns) slices mapped over at most min(jobs, CPU
 count) worker processes; tallies add up and exceptions are sorted, so a
-report is byte-deterministic for a given spec at any worker count.  Up
-to the literal cap a slice takes a run of w with every g where they fit,
-so theorem6's subgroups stay whole in one worker; above it, a run of g
-with every w, so each g's order column is walked once.  The pool
-machinery is imported only when a sweep starts a pool, so importing the
-package, a single query and an inline sweep never load multiprocessing.
+report is byte-deterministic for a given spec at any worker count.  A
+slice is a run of g with every w, so each g's order column is walked
+once, and one g is cut into runs of w only when its w do not fit.  The
+pool machinery is imported only when a sweep starts a pool, so importing
+the package, a single query and an inline sweep never load
+multiprocessing.
 """
 from __future__ import annotations
 
@@ -212,19 +213,13 @@ def _g_range(spec: SweepSpec, claim: Claim) -> range:
 
 def _slices(claim: Claim, gs: range, ws: Sequence[Optional[int]], ns: range) -> list[tuple]:
     """Cut a sweep's run into (claim id, gs, ws, ns) slices of about
-    _CHUNK_TUPLES tuples.  Up to exp_sum.LITERAL_EXPONENT_CAP they are runs
-    of w, each with every g, so that a theorem6 slice keeps whole the
-    subgroups whose orbit tables exp_sum shares, or, when the g at one w
-    have more tuples than that, runs of g, each with one w.  Above it each
-    g walks its order column from exponent 1 in every slice that holds it,
-    so they are runs of g, each with every w, or one g with a run of w.  A
-    per-modulus claim's one weight, None, gives runs of g either way."""
-    if ns[-1] <= exp_sum.LITERAL_EXPONENT_CAP:
-        g_run = max(1, min(len(gs), _CHUNK_TUPLES // len(ns)))
-        w_run = max(1, _CHUNK_TUPLES // (g_run * len(ns)))
-    else:
-        w_run = max(1, min(len(ws), _CHUNK_TUPLES // len(ns)))
-        g_run = max(1, _CHUNK_TUPLES // (w_run * len(ns)))
+    _CHUNK_TUPLES tuples: runs of g, each with every w, or, when the w at
+    one g have more tuples than that, one g with a run of w.  A theorem6 g
+    walks its order column from exponent 1 in every slice that holds it, so
+    it is cut by w only when it must be.  A per-modulus claim's one weight,
+    None, gives runs of g."""
+    w_run = max(1, min(len(ws), _CHUNK_TUPLES // len(ns)))
+    g_run = max(1, _CHUNK_TUPLES // (w_run * len(ns)))
     return [(claim.name, gs[i:i + g_run], ws[j:j + w_run], ns)
             for i in range(0, len(gs), g_run) for j in range(0, len(ws), w_run)]
 

@@ -108,10 +108,9 @@ def test_a_run_reports_its_first_and_its_last_g(monkeypatch, claim, force, obser
 
 
 def test_orbit_vanishing_records_the_unpaired_residue(monkeypatch):
-    monkeypatch.setattr(
-        exp_sum, "_subgroup_run",
-        lambda runs, ws, n: ((g, i, (1, 2, 1)) for g, met, _ in runs for i in met),
-    )
+    # the table of <3> mod 2^4 is taken as unpaired, with forced counts
+    monkeypatch.setattr(exp_sum, "_paired", lambda table, w: False)
+    monkeypatch.setattr(exp_sum, "_offender", lambda g, w, n, k, table: (1, 2, 1))
     assert records("theorem6", 3, 4, w=1) == [
         (3, 4, 1, "count(1)=2 != count(9)=1", "equal multiplicities on every antipodal residue pair")
     ]
@@ -216,13 +215,6 @@ def test_antipodal_shift_is_decided_by_its_congruence(monkeypatch, g, w, n):
     assert check_antipodal_shift(g, w, n) is Verdict.COUNTEREXAMPLE
 
 
-def orbit_multiset(g, w, n):
-    """The multiset {w * g^k mod 2^n : k = 1..omega}, from pow alone."""
-    m = 1 << n
-    omega = next(k for k in range(1, m + 1) if pow(g, k, m) == 1)
-    return frozenset(Counter(w * pow(g, k, m) % m for k in range(1, omega + 1)).items())
-
-
 def subgroup(g, n):
     """<g> modulo 2^n, from pow alone: the order of g divides 2^n."""
     m = 1 << n
@@ -230,47 +222,35 @@ def subgroup(g, n):
 
 
 def test_orbit_sweep_builds_at_most_one_orbit_per_tuple(monkeypatch):
-    real_table, real_run = exp_sum._orbit_table, exp_sum._subgroup_run
+    real_table = exp_sum._orbit_table
     tables: Counter = Counter()
 
-    def counted(g, w, n, omega):
-        tables[g, w, n] += 1
-        return real_table(g, w, n, omega)
-
-    def forced(runs, ws, n):
-        for g, i, unpaired in real_run(runs, ws, n):
-            if (g, ws[i], n) == (3, 1, 4):
-                # one extra copy of the first residue breaks the pairing of w = 1
-                assert unpaired is None
-                unpaired = 3, 2, 1
-            yield g, i, unpaired
+    def counted(g, w, m, omega):
+        tables[g, w, m] += 1
+        table = real_table(g, w, m, omega)
+        if m == 4 and table[3]:
+            # one extra copy of 3 breaks the pairing of <3> mod 2^4
+            table[3] += 1
+        return table
 
     def unbuilt(g, w, n):
         raise AssertionError("the table decides below the cap; no multiset is built")
 
     monkeypatch.setattr(exp_sum, "_orbit_table", counted)
-    monkeypatch.setattr(exp_sum, "_subgroup_run", forced)
     monkeypatch.setattr(exp_sum, "residue_orbit", unbuilt)
+    bases, ws = (-7, -5, -3, 3, 5, 7), [w for w in range(-8, 9) if w]
     report = run_sweep(SweepSpec("theorem6", -7, 7, 1, 8, -8, 8, jobs=1))
-    assert report.tallies["counterexample"] == 1
-    assert report.exceptions[0].g == 3 and report.exceptions[0].n == 4
-    assert tables and max(tables.values()) == 1
-    # at each n the g that meet a bound form groups in the run's order: a
-    # leader with an odd met weight takes every g left of its subgroup, one
-    # with none is a group of one, and each group counts one table per
-    # distinct multiset among its met tuples
-    per_n = Counter(n for _, _, n in tables)
-    expected = Counter()
-    per_g = 0  # one table per distinct multiset of each (g, n), with no sharing across g
-    for n in range(1, 9):
-        left = {g: met for g in (-7, -5, -3, 3, 5, 7)
-                if (met := [w for w in range(-8, 9) if w and exp_sum.vanishing_bound(g, w) <= n])}
-        per_g += sum(len({orbit_multiset(g, w, n) for w in met}) for g, met in left.items())
-        while left:
-            g, met = next(iter(left.items()))
-            group = [h for h in left if subgroup(h, n) == subgroup(g, n)] if any(
-                w & 1 for w in met) else [g]
-            expected[n] += len({orbit_multiset(h, w, n) for h in group for w in left.pop(h)})
-    assert per_n == expected
-    assert sum(per_n.values()) < per_g
-    assert sum(per_n.values()) < report.tallies["holds"] + report.tallies["counterexample"]
+    # the one table of <3> mod 2^4 decides every met (h, w, n) with
+    # n - d(w) = 4, for each h of <3> with its order there: 3 and -5 = 11
+    group = [h for h in bases if subgroup(h, 4) == subgroup(3, 4)]
+    assert group == [-5, 3] and all(exp_sum.vanishing_bound(h, 1) <= 4 for h in group)
+    assert {(e.g, e.n, e.w) for e in report.exceptions} == {
+        (h, 4 + core_arith.two_adic_valuation(w), w) for h in group for w in ws}
+    assert report.tallies["counterexample"] == len(group) * len(ws)
+    # one table per subgroup <h> mod 2^m of the h met at m (h = +-1 meets no
+    # bound), each of the orbit of 1, against one per (h, m)
+    assert tables and max(tables.values()) == 1 and {w for _, w, _ in tables} == {1}
+    per_m = Counter(m for _, _, m in tables)
+    met = {m: [h for h in bases if exp_sum.vanishing_bound(h, 1) <= m] for m in range(1, 9)}
+    assert per_m == Counter({m: len({subgroup(h, m) for h in hs}) for m, hs in met.items() if hs})
+    assert sum(per_m.values()) < sum(map(len, met.values()))

@@ -322,6 +322,8 @@ _THEOREM6 = ["sweep", "--claim", "theorem6", "--g-min", "3", "--g-max", "3",
         # the order of 3 is 2^(n-2), here twice the scan cap
         pytest.param(["order", "--g", "3", "--n", str(NAIVE_SCAN_CAP.bit_length() + 2), "--naive"],
                      id="order-naive-past-scan-cap"),
+        # -5 is an n-bit residue; the scan multiplies by the one-word -5 instead
+        pytest.param(["order", "--g", "-5", "--n", "1024", "--naive"], id="order-naive-negative-g"),
         pytest.param(["order-table", "--g", "3", "--n-max", _OVER], id="order-table-n-over-max"),
         pytest.param(["order-table", "--g", "3", "--n-max", "0"], id="order-table-n0"),
         pytest.param(["order-table", "--g", "4", "--n-max", "5"], id="order-table-even-g"),

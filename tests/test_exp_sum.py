@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from pow2sums import (
     InvolutionClass,
     MinVanishing,
     ResidueMultiset,
+    SweepSpec,
     Verdict,
     check_antipodal_shift,
     check_orbit_vanishing,
@@ -26,6 +28,7 @@ from pow2sums import (
     orbit_certificate,
     order_fast,
     residue_orbit,
+    run_sweep,
     vanishing_bound,
 )
 from pow2sums import core_arith, exp_sum, order_engine
@@ -393,46 +396,61 @@ def by_own_table(g: int, w: int, n: int):
     return None if paired else (r, table[r], table[r ^ half])
 
 
-def test_subgroup_run_agrees_with_each_tuples_own_table():
-    # odd |g| < 32 hold 3 and 9 = 3^2, which lies in <3> with half its order.
-    # -31 leads every n with even weights only, so it is a group of one, and
-    # 27 = 3^3 has even weights only too and joins the group of <3>; the
-    # weights run below their bounds, where sums vanish and fail to
-    bases = [g for g in range(-31, 32, 2) if g not in (-1, 1)]
-    weights = [w for w in range(-16, 17) if w] + [3 << 9]
-    even = [i for i, w in enumerate(weights) if w % 2 == 0]
-    verdicts = set()
-    for n in range(1, 13):
-        runs = [(g, even if g in (-31, 27) else range(len(weights)), order_fast(g, n).omega)
-                for g in bases]
-        decided = list(exp_sum._subgroup_run(runs, weights, n))
-        assert sorted((g, i) for g, i, _ in decided) == [(g, i) for g, met, _ in runs for i in met]
-        for g, i, unpaired in decided:
-            assert unpaired == by_own_table(g, weights[i], n), (g, weights[i], n)
-            verdicts.add(unpaired is None)
-    assert verdicts == {True, False}
+def theorem6_observed(g: int, w: int, n: int, unpaired) -> str | None:
+    """What a theorem6 run reports for a met (g, w, n) whose offender is
+    unpaired, None when the sum vanishes: None when the tuple holds, else
+    the counterexample's observed string.  The collapse guard is
+    g != +-1 modulo 2^(n - d(w))."""
+    if unpaired is not None:
+        r, count, antipode = unpaired
+        return f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}"
+    low = (1 << (n - odd_part(w).d)) - 1
+    return None if g & low not in (1, low) else "exact zero (collapse guard failed)"
+
+
+def test_subgroup_run_agrees_with_each_tuples_own_table(monkeypatch):
+    # with every bound at d(w) each (g, w, n) with n >= d(w) is met, below
+    # theorem6's bound too, where sums vanish and fail to; 3 * 2^9 gives
+    # m <= 3.  Each run's first g leads: in the second, 35 = 3 (mod 32)
+    # leads a subgroup that pairs, and 33 = 1 (mod 32) lies in it with
+    # another order, so it must decide alone
+    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: 0)
+    weights, ns = [w for w in range(-16, 17) if w] + [3 << 9], range(1, 13)
+    for gs in (range(-31, 32, 2), range(35, 2, -2)):
+        held, unmet, details = exp_sum._orbit_vanishing(gs, weights, ns)
+        reported = {(g, n, w): detail[0] for g, n, w, (_, detail) in details}
+        assert len(reported) == len(details)
+        kinds, holds, not_met = set(), 0, 0
+        for g in gs:
+            for w in weights:
+                for n in ns:
+                    if g in (-1, 1) or n < odd_part(w).d:
+                        not_met += 1
+                        continue
+                    want = theorem6_observed(g, w, n, by_own_table(g, w, n))
+                    assert reported.pop((g, n, w), None) == want, (g, w, n)
+                    holds += want is None
+                    kinds.add(want and want.split("(")[0])
+        assert reported == {} and (held, unmet) == (holds, not_met), gs
+        assert kinds == {None, "count", "exact zero "}, gs
 
 
 def test_a_group_decides_each_weight_for_the_h_whose_met_holds_it(monkeypatch):
-    # 3 and -29 are both 3 mod 8, so they generate one subgroup, but their
-    # thresholds are 4 and 6: at n = 6, 7 the weights 4 and -12 are met for
-    # 3 only, and with -29 leading they first appear in the group's second h
+    # 3 and -29 are both 3 mod 8, so they generate one subgroup modulo each
+    # 2^m, but their bounds at w = 1 are 4 and 6: at m = 4, 5 only 3 is met,
+    # and from m = 6 on one table of the group decides both, whichever leads
     real, built = exp_sum._orbit_table, []
-    monkeypatch.setattr(exp_sum, "_orbit_table", lambda *args: built.append(args) or real(*args))
-    ws = [1, 4, -12]
-    for n in range(6, 13):
-        met = {g: [i for i, w in enumerate(ws) if vanishing_bound(g, w) <= n] for g in (3, -29)}
-        assert (met[3], met[-29]) == ([0, 1, 2], [0] if n < 8 else [0, 1, 2])
-        for order in ((3, -29), (-29, 3)):
-            runs = [(g, met[g], order_fast(g, n).omega) for g in order]
-            built.clear()
-            decided = list(exp_sum._subgroup_run(runs, ws, n))
-            # one group: one table for each of the three orbits 1<3>, 4<3>, -12<3>
-            assert len(built) == 3, (order, n)
-            assert sorted((g, i) for g, i, _ in decided) == sorted(
-                (g, i) for g in order for i in met[g]), (order, n)
-            for g, i, unpaired in decided:
-                assert unpaired == by_own_table(g, ws[i], n), (g, ws[i], n)
+    monkeypatch.setattr(exp_sum, "_orbit_table", lambda *args: built.append(args[:3]) or real(*args))
+    ws, ns = [1, 4, -12], range(6, 13)
+    assert (vanishing_bound(3, 1), vanishing_bound(-29, 1)) == (4, 6)
+    for gs in (range(-29, 4, 32), range(3, -30, -32)):
+        built.clear()
+        held, unmet, details = exp_sum._orbit_vanishing(gs, ws, ns)
+        # one table per m = n - d(w), of <g> for the first g of gs met there
+        assert built == [(3 if m < 6 else gs[0], 1, m) for m in range(4, 13)], gs
+        met = [(g, w, n) for g in gs for w in ws for n in ns if vanishing_bound(g, w) <= n]
+        assert (held, unmet, details) == (len(met), 2 * len(ws) * len(ns) - len(met), []), gs
+        assert all(by_own_table(g, w, n) is None for g, w, n in met)
 
 
 def test_paired_compares_the_halves_at_every_valuation():
@@ -471,9 +489,9 @@ def test_dense_decider_switches_route_above_the_cap(monkeypatch):
         column = order_engine._order_column(g, 1, n)
         assert exp_sum._unpaired_run(g, (w,), n, column)[0] == expected[g, w, n], (g, w, n)
         assert_certificate_matches(g, w, n, *reference[g, w, n][:2])
-    # the table decides at the cap, in the decider and in the certificate;
-    # the congruence only above it
-    assert tables == [cap] * len(cases)
+    # the table decides at the cap, in the decider at m = n - d(w) and in
+    # the certificate at n; the congruence only above it
+    assert tables == [size for g, w, n in cases if n == cap for size in (n - odd_part(w).d, n)]
 
 
 def test_structural_decider_agrees_with_the_multiset_route(monkeypatch):
@@ -693,6 +711,69 @@ def test_min_vanishing_n_walks_its_column_only_to_the_bound(monkeypatch):
 def test_min_vanishing_n_slack_accounting():
     found = min_vanishing_n(9, 1, 10)
     assert found == MinVanishing(n=4, slack=1)  # bound(9, 1) = 5, first zero at 4
+
+
+# odd |g| <= 15 without +-1, 0 < |w| <= 16 and n <= 10: every collapsed
+# exponent m = n - d(w) from -3 to 10, with sums that vanish and, up to
+# m = 5, sums that do not
+IDENTITIES = ([g for g in range(-15, 16, 2) if g not in (-1, 1)],
+              [w for w in range(-16, 17) if w], range(1, 11))
+
+
+@functools.lru_cache(maxsize=None)
+def by_literal_orbit(g: int, w: int, n: int):
+    """The oracle of S(g, w, n), its own literal multiset paired by
+    is_exact_zero: None when it vanishes, else (r, count(r),
+    count(r ^ 2^(n-1))) at its first term r = w * g mod 2^n."""
+    orbit = residue_orbit(g, w, n)
+    if is_exact_zero(orbit).is_zero:
+        return None
+    r = w * g % (1 << n)
+    return r, orbit.counts.get(r, 0), orbit.counts.get(r ^ (1 << (n - 1)), 0)
+
+
+def test_each_sum_is_decided_by_its_subgroup_modulo_2_to_the_m():
+    # scaling and unit multiplication: S(g, w, n) is decided from <g> mod
+    # 2^m, and its counts read there at u * (r >> d(w)), u the inverse of
+    # w's odd part; each tuple against its own multiset, one weight at a
+    # time and a run of weights with several m at once
+    bases, weights, ns = IDENTITIES
+    ms = set()
+    for g in bases:
+        column = order_engine._order_column(g, 1, ns[-1])
+        for n in ns:
+            expected = [by_literal_orbit(g, w, n) for w in weights]
+            assert exp_sum._unpaired_run(g, weights, n, column) == expected, (g, n)
+            for w, want in zip(weights, expected):
+                assert exp_sum._unpaired_run(g, (w,), n, column) == [want], (g, w, n)
+                ms.add((n - odd_part(w).d, want is None))
+    assert {m for m, _ in ms} == set(range(-3, 11))
+    # above m = 5 no base here is +-1 or 2^(m-1) - 1 modulo 2^m, and every sum vanishes
+    assert {(m, True) for m in range(2, 11)} <= ms and {(m, False) for m in range(-3, 6)} <= ms
+
+
+@pytest.mark.parametrize("cap", [LITERAL_EXPONENT_CAP, 5], ids=["tables", "congruence-above-5"])
+def test_theorem6_sweep_reports_each_tuple_as_its_literal_orbit(monkeypatch, cap):
+    # with every bound at d(w) each (g, w, n) with m = n - d(w) >= 0 is met:
+    # sums at m = 0, sums that vanish but fail the collapse guard, and sums
+    # that do not vanish are reported, each with its own multiset's counts
+    bases, weights, ns = IDENTITIES
+    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: 0)
+    monkeypatch.setattr(exp_sum, "LITERAL_EXPONENT_CAP", cap)
+    report = run_sweep(SweepSpec("theorem6", bases[0], bases[-1], ns.start, ns[-1],
+                                 weights[0], weights[-1]))
+    reported = {(e.g, e.n, e.w): e.observed for e in report.exceptions}
+    expected = {}
+    for g in bases:
+        for w in weights:
+            for n in ns:
+                if n >= odd_part(w).d:
+                    expected[g, n, w] = theorem6_observed(g, w, n, by_literal_orbit(g, w, n))
+    assert reported == {key: want for key, want in expected.items() if want is not None}
+    assert report.tallies["holds"] == list(expected.values()).count(None)
+    assert report.cases_checked == len(range(bases[0], bases[-1] + 1, 2)) * len(weights) * len(ns)
+    kinds = {(n == odd_part(w).d, want.split("(")[0]) for (g, n, w), want in reported.items()}
+    assert kinds == {(True, "count"), (False, "count"), (False, "exact zero ")}
 
 
 def test_orbit_reduction_identity():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +90,27 @@ def test_naive_scan_cap(monkeypatch):
     with pytest.raises(ScanBudgetExceeded) as raised:
         order_naive(3, 8)
     assert str(raised.value) == "order scan for g=3 mod 2^8 exceeded 63 iterations"
+
+
+def test_naive_scan_multiplies_by_the_signed_representative(monkeypatch):
+    # -5 and 5 are one-word multipliers in (-2^(n-1), 2^(n-1)], so their
+    # capped scans at n = 4096 cost about the same; multiplying by the
+    # residue of -5, a 4096-bit number, costs tens of times more
+    monkeypatch.setattr(order_engine, "NAIVE_SCAN_CAP", 1 << 15)
+
+    def scan_time(g):
+        best = math.inf
+        for _ in range(3):
+            start = time.process_time()
+            with pytest.raises(ScanBudgetExceeded):
+                order_naive(g, 4096)
+            best = min(best, time.process_time() - start)
+        return best
+
+    assert scan_time(-5) < 8 * scan_time(5)
+    # the record still names the canonical residue
+    assert order_naive(-5, 8) == order_naive(251, 8)
+    assert order_naive(-5, 8).g == 251
 
 
 def test_fast_equals_naive_exhaustively_to_n10():

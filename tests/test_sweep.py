@@ -142,9 +142,9 @@ def json_body(report) -> str:
         # g range reaching below 1 and above 2^n_max, n from 2
         (dict(claim="lemma4_theorem5", g_min=-4, g_max=300, n_min=2, n_max=7), 126),
         (dict(claim="order_oracle", g_min=2, g_max=100, n_min=1, n_max=8), 155),
-        # more g at one w than a chunk takes: runs of g, each with one w
+        # more g than a chunk takes: runs of two g, each with both w
         (dict(claim="theorem6", g_min=-15, g_max=15, n_min=3, n_max=3, w_min=1, w_max=2), 32),
-        # above the literal cap: runs of g, each with a run of w
+        # above the literal cap, and more n than a chunk takes: one g with one w
         (dict(claim="theorem6", g_min=-5, g_max=5, n_min=23, n_max=30, w_min=-2, w_max=2), 192),
         # empty runs: w = 0 only, which the sweep skips, and no odd g in range
         (dict(claim="theorem6", g_min=-7, g_max=7, n_min=1, n_max=8, w_min=0, w_max=0), 0),
@@ -236,13 +236,13 @@ def _domain(domain) -> set:
     "domain, slices",
     [
         (dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13), 14),
-        # two g with more tuples than a chunk: both g with a run of w
+        # two g whose w have more tuples than a chunk: each g with a run of w
         (dict(claim="theorem6", g_min=3, g_max=5, n_min=1, n_max=3, w_min=-2000, w_max=2000), 6),
-        # the g at one w have more tuples than a chunk: runs of g with one w
-        (dict(claim="theorem6", g_min=-1023, g_max=1023, n_min=1, n_max=5, w_min=-2, w_max=2), 8),
-        # the orbit_vanishing domain: 24,576 tuples in 7 runs of w, each with every g
+        # many g with few w: runs of 204 g, each with every w
+        (dict(claim="theorem6", g_min=-1023, g_max=1023, n_min=1, n_max=5, w_min=-2, w_max=2), 6),
+        # the orbit_vanishing domain: 24,576 tuples in 7 runs of g, each with every w
         (dict(claim="theorem6", g_min=-31, g_max=31, n_min=1, n_max=12, w_min=-32, w_max=32), 7),
-        # above the literal cap: 16,000 tuples in 5 runs of g, each with every w
+        # above the literal cap the same rule: 16,000 tuples in 5 runs of g
         (dict(claim="theorem6", g_min=-9, g_max=9, n_min=23, n_max=26, w_min=-200, w_max=200), 5),
     ],
     ids=["lemma1", "theorem6-wide-w", "theorem6-many-g", "orbit-vanishing", "above-the-cap"],
@@ -251,7 +251,6 @@ def test_pool_jobs_partition_the_domain(recording_pool, domain, slices):
     parallel = run_sweep(spec(jobs=2, **domain))
     (pool,) = recording_pool
     assert len(pool.jobs) == slices
-    odd_g = {g for g, _, _ in _domain(domain)}
     every_w = {w for _, w, _ in _domain(domain)}
     held = []
     for name, gs, ws, ns in pool.jobs:
@@ -259,12 +258,10 @@ def test_pool_jobs_partition_the_domain(recording_pool, domain, slices):
         tuples = [(g, w, n) for g in gs for w in ws for n in ns
                   if name == "theorem6" or g < 1 << n]
         assert len(tuples) <= max(sweep._CHUNK_TUPLES, len(ns))
-        # up to the cap a run of w takes every g, so each subgroup's tables
-        # stay shared; above it a run of g takes every w, so each g's order
-        # column is walked once
-        whole, kept = (odd_g, gs) if ns[-1] <= exp_sum.LITERAL_EXPONENT_CAP else (every_w, ws)
-        if name == "theorem6" and len(whole) * len(ns) <= sweep._CHUNK_TUPLES:
-            assert set(kept) == whole
+        # a run of g takes every w where they fit, so each g's order column
+        # is walked once
+        if name == "theorem6" and len(every_w) * len(ns) <= sweep._CHUNK_TUPLES:
+            assert set(ws) == every_w
         held += tuples
     # every tuple of the domain is in exactly one job
     assert len(held) == len(set(held))
@@ -326,17 +323,19 @@ def test_serial_sweep_memory_does_not_grow_with_the_domain():
 
 
 def test_theorem6_sweep_keeps_one_orbit_table_alive():
-    # a table of 2^16 counters takes 512 KiB, and comparing its halves copies
-    # them once; a second table alive beside it, such as a membership table
-    # kept next to a decision table, would pass 1.5 MiB
+    # at n = 16, w = 2 is decided at m = 15 and w = 1 at m = 16, where each
+    # subgroup of the odd |g| <= 63 takes a table of 2^16 counters: 512 KiB,
+    # and the two strided slices that compare its odd residues 256 KiB
+    # more.  A table kept alive while the next group's is built would pass
+    # 1 MiB
     tracemalloc.start()
     try:
         run_sweep(spec(claim="theorem6", g_min=-63, g_max=63, n_min=16, n_max=16,
-                       w_min=1, w_max=1))
+                       w_min=1, w_max=2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1400 * 1024
+    assert peak < 920 * 1024
 
 
 @pytest.mark.parametrize(

@@ -60,11 +60,15 @@ SWITCH = T_EXP + "test_dense_decider_switches_route_above_the_cap"
 STRUCT = T_EXP + "test_structural_decider_agrees_with_the_multiset_route"
 SHARED = T_EXP + "test_shared_tables_decide_each_weight_as_its_own_table"
 GROUPED = T_EXP + "test_subgroup_run_agrees_with_each_tuples_own_table"
+A_GROUP = T_EXP + "test_a_group_decides_each_weight_for_the_h_whose_met_holds_it"
+IDENT = T_EXP + "test_each_sum_is_decided_by_its_subgroup_modulo_2_to_the_m"
+IDENT_SWEEP = T_EXP + "test_theorem6_sweep_reports_each_tuple_as_its_literal_orbit"
 ONE_DECIDER = T_EXP + "test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap"
 T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
 STRADDLE = T_ORDER + "test_order_column_straddles_the_walk_switch"
 ABOVE = T_EXP + "test_half_order_and_antipodal_shift_above_the_walk_switch"
 PER_ORBIT = "tests/test_claim_records.py::test_orbit_sweep_builds_at_most_one_orbit_per_tuple"
+RECORDS = "tests/test_claim_records.py::test_orbit_vanishing_records_the_unpaired_residue"
 SHIFT = T_ORDER + "test_order_column_t_walk_shifts_once_its_square_vanishes"
 SHORT = T_SWEEP + "test_a_run_one_tally_short_raises"
 PARTITION = T_SWEEP + "test_pool_jobs_partition_the_domain"
@@ -86,59 +90,65 @@ MUTANTS = [
            "    cur = w & mask\n", "    cur = 1\n",
            (DENSE,)),
     Mutant("decider-route-switch-at-the-cap", EXP,
-           "    if n <= LITERAL_EXPONENT_CAP:\n        return [u for ",
-           "    if n < LITERAL_EXPONENT_CAP:\n        return [u for ",
+           "if n <= LITERAL_EXPONENT_CAP and m > 0:", "if n < LITERAL_EXPONENT_CAP and m > 0:",
            (SWITCH,)),
     Mutant("certificate-route-switch-at-the-cap", EXP,
            "    if n > LITERAL_EXPONENT_CAP:\n        unpaired = ",
            "    if n >= LITERAL_EXPONENT_CAP:\n        unpaired = ",
            (SWITCH,)),
     Mutant("decider-offender-is-the-weight", EXP,
-           "                    r = ws[i] * h & mask\n", "                    r = ws[i] & mask\n",
-           (DENSE,)),
-    Mutant("multiset-offender-is-the-weight", EXP,
-           "found[i] = w * g & ((1 << n) - 1), ", "found[i] = w & ((1 << n) - 1), ",
-           (SWITCH, ONE_DECIDER, STRUCT)),
+           "    r = w * g & ((1 << n) - 1)\n", "    r = w & ((1 << n) - 1)\n",
+           (DENSE, SWITCH, ONE_DECIDER, STRUCT)),
     Mutant("multiset-route-decides-the-first-weight-only", EXP,
-           "    for i, w in enumerate(ws):\n", "    for i, w in enumerate(ws[:1]):\n",
-           (ONE_DECIDER,)),
+           "[i for i, mi in enumerate(ms) if mi == m]", "[i for i, mi in enumerate(ms[:1]) if mi == m]",
+           (ONE_DECIDER, SHARED, IDENT)),
     Mutant("certificate-offender-is-the-weight", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=w & (m - 1)",
            (T_CLI + "test_expsum_command_nonzero_case", DENSE)),
     Mutant("decider-offender-is-the-least-residue", EXP,
-           "                    yield h, i, None if paired else (r, table[r], table[r ^ half])",
-           "                    r = table.index(next(filter(None, table)))\n"
-           "                    yield h, i, None if paired else (r, table[r], table[r ^ half])",
+           "    return r, k * table[u * y & mask], ",
+           "    r = table.index(next(filter(None, table)))\n"
+           "    return r, k * table[u * y & mask], ",
            (DENSE,)),
-    # the shared decider: one table per distinct orbit of a subgroup at each n
+    # the offender's counts, read from the table of <g> mod 2^m
+    Mutant("collapsed-exponent-taken-as-n", EXP,
+           "ms = [n - two_adic_valuation(w) for w in ws]", "ms = [n for w in ws]",
+           (STRUCT, IDENT)),
+    Mutant("offender-unit-not-inverted", EXP,
+           "u = r >> d, pow(w >> d, -1, mask + 1)", "u = r >> d, w >> d",
+           (IDENT, IDENT_SWEEP)),
+    # theorem6 below the cap: one table per subgroup <g> mod 2^m
+    Mutant("offender-count-without-k", EXP,
+           "k = own[n - 1] // own[m - 1] if m > 0 else own[n - 1]", "k = 1",
+           (IDENT_SWEEP, GROUPED)),
+    Mutant("verdict-keyed-by-n", EXP,
+           "at = [(i, m + d) for i, d", "at = [(i, m) for i, d",
+           (IDENT_SWEEP, GROUPED)),
+    Mutant("collapse-guard-read-at-n", EXP,
+           "unpaired, (1 << (n - ds[i])) - 1)", "unpaired, (1 << n) - 1)",
+           (IDENT_SWEEP,)),
     Mutant("shared-membership-filter-dropped", EXP,
-           "                if not table[ws[i] * hs[i][0] & mask] and i != first:\n",
-           "                if False:\n",
-           (SHARED,)),
-    Mutant("shared-table-reused-across-n", EXP,
-           "                table = _orbit_table(hs[first][0], ws[first], n, omega)\n",
-           "                key = hs[first][0], ws[first]\n"
-           "                table = _orbit_table.__dict__.setdefault(\n"
-           "                    key, _orbit_table(hs[first][0], ws[first], n, omega))\n",
-           (SHARED, DENSE)),
+           "joins = table is None or run[2][m - 1] == omegas[m - 1] and table[run[0] & low]",
+           "joins = True",
+           (GROUPED, PER_ORBIT)),
     Mutant("subgroup-order-check-dropped", EXP,
-           "if table and run[2] == omega and table[", "if table and table[",
+           "run[2][m - 1] == omegas[m - 1] and table[run[0] & low]", "table[run[0] & low]",
            (GROUPED,)),
-    Mutant("subgroup-membership-from-an-even-weight", EXP,
-           "odd = next((i for i in met if ws[i] & 1), None)",
-           "odd = next((i for i in met if not ws[i] & 1), None)",
-           (GROUPED,)),
-    Mutant("subgroup-groups-carried-across-n", EXP,
-           "            if table and run[2] == omega and table[ws[odd] * run[0] & mask]:\n",
-           "            if _subgroup_run.__dict__.setdefault((g, run[0]),\n"
-           "                    table and run[2] == omega and table[ws[odd] * run[0] & mask]):\n",
-           (GROUPED,)),
-    Mutant("weight-decided-for-its-first-h-only", EXP,
-           "                for h in hs[i]:\n", "                for h in hs[i][:1]:\n",
-           (GROUPED, T_EXP + "test_a_group_decides_each_weight_for_the_h_whose_met_holds_it")),
+    Mutant("subgroup-table-reused-across-m", EXP,
+           "table = _orbit_table(lead, 1, m, omegas[m - 1]) if m > 0 else None",
+           "table = _orbit_table.__dict__.setdefault(\n"
+           "                lead, _orbit_table(lead, 1, m, omegas[m - 1])) if m > 0 else None",
+           (GROUPED, A_GROUP)),
+    Mutant("group-decides-its-leader-only", EXP,
+           "            for h, _, own in group:\n", "            for h, _, own in group[:1]:\n",
+           (GROUPED, A_GROUP)),
+    Mutant("sweep-table-kept-across-groups", EXP,
+           "            table = None\n    return held, unmet, details\n",
+           "    return held, unmet, details\n",
+           (T_SWEEP + "test_theorem6_sweep_keeps_one_orbit_table_alive",)),
     Mutant("strided-pairing-at-the-top-valuation", EXP,
            "return lo < half and", "return lo <= half and",
-           (DENSE, GROUPED, T_EXP + "test_paired_compares_the_halves_at_every_valuation")),
+           (DENSE, IDENT, T_EXP + "test_paired_compares_the_halves_at_every_valuation")),
     Mutant("strided-pairing-drops-the-last-pair", EXP,
            "table[lo:half:2 * lo] == table[half + lo::2 * lo]",
            "table[lo:half - 1:2 * lo] == table[half + lo:-1:2 * lo]",
@@ -177,18 +187,18 @@ MUTANTS = [
            (T_EXP + "test_multiset_exponent_is_guarded",)),
     # the congruence above the cap
     Mutant("structural-involution-is-half-minus-one", EXP,
-           "column[m - 1][1] != (1 << (m - 1)) + 1", "column[m - 1][1] != (1 << (m - 1)) - 1",
-           (STRUCT,)),
-    Mutant("structural-exponent-not-collapsed", EXP,
-           "        m = n - two_adic_valuation(w)\n", "        m = n\n",
+           "column[m - 1][1] == (1 << (m - 1)) + 1", "column[m - 1][1] == (1 << (m - 1)) - 1",
            (STRUCT,)),
     Mutant("structural-count-is-the-order", EXP,
-           "omega // column[m - 1][0] if m > 0 else omega, 0", "omega, 0",
+           "k = omega // column[m - 1][0] if m > 0 else omega", "k = omega",
            (STRUCT,)),
     Mutant("orbit-decision-and-to-or", EXP,
+           "if paired and h & low not in (1, low):", "if paired or h & low not in (1, low):",
+           (RECORDS,)),
+    Mutant("tally-decision-and-to-or", EXP,
            "if unpaired is None and g & low not in (1, low):",
            "if unpaired is None or g & low not in (1, low):",
-           ("tests/test_claim_records.py::test_orbit_vanishing_records_the_unpaired_residue",)),
+           (IDENT_SWEEP,)),
     Mutant("theorem6-unmet-skips-one-n", EXP,
            "min(max(bound, ns.start), ns.stop) - ns.start for",
            "min(max(bound, ns.start + 1), ns.stop) - ns.start - 1 for",
@@ -233,6 +243,9 @@ MUTANTS = [
     Mutant("doubling-met-past-the-exponent-limit", ORDER,
            "if g & low in (1, low) or above is None:", "if g & low in (1, low):",
            (AT_LIMIT, LIMIT_AT_CALL)),
+    Mutant("naive-scan-multiplier-unsigned", ORDER,
+           "        x = x * t & mask\n", "        x = x * s & mask\n",
+           (T_ORDER + "test_naive_scan_multiplies_by_the_signed_representative",)),
     Mutant("scan-range-one-short-of-the-cap", ORDER,
            "for k in range(1, cap + 1):", "for k in range(1, cap):",
            (T_ORDER + "test_naive_scan_cap",)),
@@ -281,12 +294,9 @@ MUTANTS = [
            "w_run = min(len(ws), _CHUNK_TUPLES // len(ns))",
            (T_SWEEP + "test_run_sweep_is_deterministic_across_worker_counts",)),
     Mutant("g-run-may-be-zero", SWEEP,
-           "g_run = max(1, min(len(gs), _CHUNK_TUPLES // len(ns)))",
-           "g_run = min(len(gs), _CHUNK_TUPLES // len(ns))",
+           "g_run = max(1, _CHUNK_TUPLES // (w_run * len(ns)))",
+           "g_run = _CHUNK_TUPLES // (w_run * len(ns))",
            (T_SWEEP + "test_run_sweep_is_deterministic_across_worker_counts",)),
-    Mutant("slices-ignore-the-literal-cap", SWEEP,
-           "    if ns[-1] <= exp_sum.LITERAL_EXPONENT_CAP:\n", "    if True:\n",
-           (PARTITION,)),
     Mutant("pool-not-bounded-by-the-cpu-count", SWEEP,
            "min(spec.jobs, len(slices), os.cpu_count() or 1)", "min(spec.jobs, len(slices))",
            (T_SWEEP + "test_pool_size_is_bounded_by_the_cpu_count",)),
@@ -351,12 +361,6 @@ MUTANTS = [
             T_EXP + "test_is_exact_zero_matches_the_pairwise_walk"),
            equivalent="each matched lower residue pairs with a distinct occupied upper "
                       "residue, so twice the matched count never exceeds the occupied count"),
-    Mutant("shared-membership-read-at-the-weight", EXP,
-           "                if not table[ws[i] * hs[i][0] & mask] and i != first:\n",
-           "                if not table[ws[i] & mask] and i != first:\n",
-           (SHARED, DENSE, PER_ORBIT, GROUPED),
-           equivalent="the table's orbit is closed under multiplication by each h of its "
-                      "group, so v lies on it exactly when its first term v * h does"),
     Mutant("t-walk-square-keeps-extra-bits", ORDER,
            "                sq >>= 2\n", "                sq >>= 1\n",
            (T_WALK, STRADDLE, ABOVE),
