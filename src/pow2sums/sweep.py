@@ -18,15 +18,12 @@ suite) can inject extra claims.
 Per-modulus claims take each odd g in the range at every n with g < 2^n,
 i.e. the canonical residues of each modulus; the orbit-sum claim takes
 literal signed integers for g and w, since its hypotheses are about g as
-an integer, and skips w = 0.  A sweep is one run; at jobs > 1 it is cut
-into (claim id, gs, ws, ns) slices mapped over at most min(jobs, CPU
-count) worker processes; tallies add up and exceptions are sorted, so a
-report is byte-deterministic for a given spec at any worker count.  A
-slice is a run of g with every w, so each g's order column is walked
-once, and one g is cut into runs of w only when its w do not fit.  The
-pool machinery is imported only when a sweep starts a pool, so importing
-the package, a single query and an inline sweep never load
-multiprocessing.
+an integer, and skips w = 0.  A sweep is one run; with min(jobs, CPU
+count) > 1 workers and a g x w x n grid of more than one _CHUNK_TUPLES
+chunk, it is cut into about four near-equal slices per worker.  Tallies
+add up and exceptions are sorted, so a report is byte-deterministic for
+a given spec at any worker count.  Only a sweep that starts a pool
+imports the pool machinery (multiprocessing).
 """
 from __future__ import annotations
 
@@ -211,17 +208,20 @@ def _g_range(spec: SweepSpec, claim: Claim) -> range:
     return range(lo | 1, hi + 1, 2)
 
 
-def _slices(claim: Claim, gs: range, ws: Sequence[Optional[int]], ns: range) -> list[tuple]:
-    """Cut a sweep's run into (claim id, gs, ws, ns) slices of about
-    _CHUNK_TUPLES tuples: runs of g, each with every w, or, when the w at
-    one g have more tuples than that, one g with a run of w.  A theorem6 g
-    walks its order column from exponent 1 in every slice that holds it, so
-    it is cut by w only when it must be.  A per-modulus claim's one weight,
-    None, gives runs of g."""
-    w_run = max(1, min(len(ws), _CHUNK_TUPLES // len(ns)))
-    g_run = max(1, _CHUNK_TUPLES // (w_run * len(ns)))
-    return [(claim.name, gs[i:i + g_run], ws[j:j + w_run], ns)
-            for i in range(0, len(gs), g_run) for j in range(0, len(ws), w_run)]
+def _slices(claim: Claim, gs: range, ws: Sequence[Optional[int]], ns: range,
+            workers: int) -> list[tuple]:
+    """Cut a sweep's run into k = min(4 * workers, chunks) slices, chunks
+    counting _CHUNK_TUPLES in the g x w x n grid that its columns walk:
+    near-equal runs of g, each with every w, or, with fewer g than k, each
+    g alone with near-equal runs of its w.  Below two chunks, no slice."""
+    k = min(4 * workers, -(-len(gs) * len(ws) * len(ns) // _CHUNK_TUPLES))
+    if k < 2:
+        return []
+    kg = min(k, len(gs))
+    kw = min(len(ws), -(-k // kg))
+    return [(claim.name, gs[i * len(gs) // kg:(i + 1) * len(gs) // kg],
+             ws[j * len(ws) // kw:(j + 1) * len(ws) // kw], ns)
+            for i in range(kg) for j in range(kw)]
 
 
 def _run_chunk(run: tuple[str, range, Sequence[Optional[int]], range]) -> Run:
@@ -248,15 +248,15 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     start = time.perf_counter()
     gs, ns = _g_range(spec, claim), range(spec.n_min, spec.n_max + 1)
     ws = [w for w in range(spec.w_min, spec.w_max + 1) if w] if claim.needs_w else (None,)
-    slices = _slices(claim, gs, ws, ns) if spec.jobs > 1 else []
+    workers = min(spec.jobs, os.cpu_count() or 1)
+    slices = _slices(claim, gs, ws, ns, workers) if workers > 1 else []
     if len(slices) <= 1:
         runs = [_run_chunk((claim.name, gs, ws, ns))]
     else:
         # imported here, so an inline sweep never loads the pool stack
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(spec.jobs, len(slices), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(slices))) as pool:
             runs = list(pool.map(_run_chunk, slices))
     tallies = {v.value: 0 for v in Verdict}
     for held, unmet, details in runs:

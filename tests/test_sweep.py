@@ -142,9 +142,10 @@ def json_body(report) -> str:
         # g range reaching below 1 and above 2^n_max, n from 2
         (dict(claim="lemma4_theorem5", g_min=-4, g_max=300, n_min=2, n_max=7), 126),
         (dict(claim="order_oracle", g_min=2, g_max=100, n_min=1, n_max=8), 155),
-        # more g than a chunk takes: runs of two g, each with both w
+        # more g than slices: runs of two or three g, each with both w
         (dict(claim="theorem6", g_min=-15, g_max=15, n_min=3, n_max=3, w_min=1, w_max=2), 32),
-        # above the literal cap, and more n than a chunk takes: one g with one w
+        # above the literal cap, with fewer g than slices: each g alone with
+        # runs of its w
         (dict(claim="theorem6", g_min=-5, g_max=5, n_min=23, n_max=30, w_min=-2, w_max=2), 192),
         # empty runs: w = 0 only, which the sweep skips, and no odd g in range
         (dict(claim="theorem6", g_min=-7, g_max=7, n_min=1, n_max=8, w_min=0, w_max=0), 0),
@@ -165,7 +166,8 @@ def json_body(report) -> str:
     ],
 )
 def test_run_sweep_is_deterministic_across_worker_counts(monkeypatch, domain, cases):
-    # tiny chunks so that every domain is cut into many pool jobs
+    # tiny chunks so that every domain of more than one chunk is cut into
+    # up to four slices per worker
     monkeypatch.setattr(sweep, "_CHUNK_TUPLES", 5)
     serial = json_body(run_sweep(spec(jobs=1, **domain)))
     assert json.loads(serial)["cases_checked"] == cases
@@ -204,14 +206,24 @@ def recording_pool(monkeypatch):
     return RecordingPool.made
 
 
-def test_pool_size_is_bounded_by_the_cpu_count(recording_pool):
-    # 8191 tuples: more than one chunk
+def test_pool_size_is_bounded_by_the_cpu_count(monkeypatch, recording_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # 53,248 grid points: 13 chunks, more than one
     run_sweep(spec(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13, jobs=10**6))
     assert len(recording_pool) == 1
-    assert 1 <= recording_pool[0].max_workers <= (os.cpu_count() or 1)
+    assert recording_pool[0].max_workers == 2
     # a domain of one chunk runs inline, whatever jobs says
     run_sweep(spec(claim="lemma1", g_min=1, g_max=63, n_min=1, n_max=6, jobs=10**6))
     assert len(recording_pool) == 1
+
+
+def test_a_single_cpu_runs_the_sweep_inline(monkeypatch, recording_pool):
+    # a pool of one worker would do the inline run's work and add its start-up
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    domain = dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13)
+    report = run_sweep(spec(jobs=2, **domain))
+    assert recording_pool == []
+    assert json_body(report) == json_body(run_sweep(spec(jobs=1, **domain)))
 
 
 def test_orbit_domain_of_one_chunk_runs_inline_whatever_its_g_count(recording_pool):
@@ -233,45 +245,73 @@ def _domain(domain) -> set:
 
 
 @pytest.mark.parametrize(
-    "domain, slices",
+    "domain, jobs",
     [
-        (dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13), 14),
-        # two g whose w have more tuples than a chunk: each g with a run of w
-        (dict(claim="theorem6", g_min=3, g_max=5, n_min=1, n_max=3, w_min=-2000, w_max=2000), 6),
-        # many g with few w: runs of 204 g, each with every w
-        (dict(claim="theorem6", g_min=-1023, g_max=1023, n_min=1, n_max=5, w_min=-2, w_max=2), 6),
-        # the orbit_vanishing domain: 24,576 tuples in 7 runs of g, each with every w
-        (dict(claim="theorem6", g_min=-31, g_max=31, n_min=1, n_max=12, w_min=-32, w_max=32), 7),
-        # above the literal cap the same rule: 16,000 tuples in 5 runs of g
-        (dict(claim="theorem6", g_min=-9, g_max=9, n_min=23, n_max=26, w_min=-200, w_max=200), 5),
+        # 4,096 g x 13 n = 13 chunks: 8 runs of 512 g on 2 workers, 13 on 4
+        (dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13), {2: 8, 4: 13}),
+        # two g, fewer than the 6 slices: each g alone with 3 runs of its w
+        (dict(claim="theorem6", g_min=3, g_max=5, n_min=1, n_max=3, w_min=-2000, w_max=2000),
+         {2: 6, 4: 6}),
+        # many g with few w: 5 runs of 204 or 205 g, each with every w
+        (dict(claim="theorem6", g_min=-1023, g_max=1023, n_min=1, n_max=5, w_min=-2, w_max=2),
+         {2: 5, 4: 5}),
+        # the orbit_vanishing domain: 24,576 grid points in 6 runs of g
+        (dict(claim="theorem6", g_min=-31, g_max=31, n_min=1, n_max=12, w_min=-32, w_max=32),
+         {2: 6, 4: 6}),
+        # above the literal cap the same rule: 16,000 grid points in 4 runs of g
+        (dict(claim="theorem6", g_min=-9, g_max=9, n_min=23, n_max=26, w_min=-200, w_max=200),
+         {2: 4, 4: 4}),
+        # the acceptance domains: 128 chunks and 24 chunks
+        (dict(claim="lemma1", g_min=1, g_max=(1 << 16) - 1, n_min=1, n_max=16), {2: 8, 4: 16}),
+        (dict(claim="lemma2", g_min=1, g_max=(1 << 14) - 1, n_min=3, n_max=14), {2: 8, 4: 16}),
+        # 4,095 tuples, less than one chunk, but each is a naive scan: the
+        # 2,048 g x 12 n grid that the columns walk is 6 chunks, so it starts
+        # a pool, which repays its start-up
+        (dict(claim="order_oracle", g_min=1, g_max=(1 << 12) - 1, n_min=1, n_max=12),
+         {2: 6, 4: 6}),
     ],
-    ids=["lemma1", "theorem6-wide-w", "theorem6-many-g", "orbit-vanishing", "above-the-cap"],
+    ids=["lemma1", "theorem6-wide-w", "theorem6-many-g", "orbit-vanishing", "above-the-cap",
+         "lemma1-acceptance", "lemma2-acceptance", "order-oracle-acceptance"],
 )
-def test_pool_jobs_partition_the_domain(recording_pool, domain, slices):
-    parallel = run_sweep(spec(jobs=2, **domain))
-    (pool,) = recording_pool
-    assert len(pool.jobs) == slices
-    every_w = {w for _, w, _ in _domain(domain)}
-    held = []
-    for name, gs, ws, ns in pool.jobs:
-        assert name == domain["claim"]
-        tuples = [(g, w, n) for g in gs for w in ws for n in ns
-                  if name == "theorem6" or g < 1 << n]
-        assert len(tuples) <= max(sweep._CHUNK_TUPLES, len(ns))
-        # a run of g takes every w where they fit, so each g's order column
-        # is walked once
-        if name == "theorem6" and len(every_w) * len(ns) <= sweep._CHUNK_TUPLES:
-            assert set(ws) == every_w
-        held += tuples
-    # every tuple of the domain is in exactly one job
-    assert len(held) == len(set(held))
-    assert set(held) == _domain(domain)
-    assert json_body(parallel) == json_body(run_sweep(spec(jobs=1, **domain)))
+def test_pool_jobs_partition_the_domain(monkeypatch, recording_pool, domain, jobs):
+    serial = json_body(run_sweep(spec(jobs=1, **domain)))
+    tuples = _domain(domain)
+    every_g = {g for g, _, _ in tuples}
+    every_w = sorted({w for _, w, _ in tuples}, key=lambda w: w or 0)
+    for workers, count in jobs.items():
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        recording_pool.clear()
+        parallel = run_sweep(spec(jobs=workers, **domain))
+        (pool,) = recording_pool
+        assert (pool.max_workers, len(pool.jobs)) == (workers, count)
+        held = []
+        for name, gs, ws, ns in pool.jobs:
+            assert name == domain["claim"]
+            held += [(g, w, n) for g in gs for w in ws for n in ns
+                     if name == "theorem6" or g < 1 << n]
+        # every tuple of the domain is in exactly one job
+        assert len(held) == len(set(held))
+        assert set(held) == tuples
+        g_runs = [len(gs) for _, gs, _, _ in pool.jobs]
+        w_runs = [len(ws) for _, _, ws, _ in pool.jobs]
+        if count <= len(every_g):
+            # near-equal runs of g, each with every w, so each g's order
+            # column is walked once
+            assert max(g_runs) - min(g_runs) <= 1
+            assert all(list(ws) == every_w for _, _, ws, _ in pool.jobs)
+        else:
+            # fewer g than slices: each g alone, with near-equal runs of its w
+            assert set(g_runs) == {1}
+            assert max(w_runs) - min(w_runs) <= 1
+        assert json_body(parallel) == serial
 
 
 _COLD_START = """
-import json, sys
+import json, os, sys
 before = set(sys.modules)
+# two usable CPUs whatever the host has, so that the pooled sweep below
+# starts its pool
+os.cpu_count = lambda: 2
 import pow2sums
 from pow2sums import SweepSpec, cli, run_sweep, sweep
 
@@ -288,7 +328,7 @@ run_sweep(SweepSpec("lemma1", 1, 63, 1, 6, jobs=1))
 run_sweep(SweepSpec("lemma1", 1, 63, 1, 6, jobs=2))
 cli.main(["order", "--g", "3", "--n", "64"])
 inline = pool_modules()
-# 4,092 tuples in 6 slices: this sweep starts a pool
+# 20,480 grid points in 5 slices: this sweep starts a pool
 pooled = SweepSpec("lemma4_theorem5", 1, 4095, 3, 12, jobs=2)
 same = body(pooled) == body(SweepSpec("lemma4_theorem5", 1, 4095, 3, 12, jobs=1))
 print(json.dumps({"inline": inline, "pooled": pool_modules(), "same": same}))

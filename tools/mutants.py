@@ -283,22 +283,31 @@ MUTANTS = [
            "run=lambda args, record=record: _emit(", "run=lambda args: _emit(",
            (T_CLI + "test_table_format", T_CLI + "test_csv_format_single_query")),
     # sweep slicing and the pool
-    Mutant("overlapping-g-slices", SWEEP,
-           "gs[i:i + g_run]", "gs[i:i + g_run + 1]",
+    Mutant("overlapping-g-runs", SWEEP,
+           "gs[i * len(gs) // kg:(i + 1) * len(gs) // kg]",
+           "gs[i * len(gs) // kg:(i + 1) * len(gs) // kg + 1]",
            (PARTITION,)),
-    Mutant("short-w-slices", SWEEP,
-           "ws[j:j + w_run]", "ws[j:j + w_run - 1]",
+    Mutant("w-runs-one-short", SWEEP,
+           "ws[j * len(ws) // kw:(j + 1) * len(ws) // kw]",
+           "ws[j * len(ws) // kw:(j + 1) * len(ws) // kw - 1]",
            (PARTITION,)),
-    Mutant("w-run-may-be-zero", SWEEP,
-           "w_run = max(1, min(len(ws), _CHUNK_TUPLES // len(ns)))",
-           "w_run = min(len(ws), _CHUNK_TUPLES // len(ns))",
-           (T_SWEEP + "test_run_sweep_is_deterministic_across_worker_counts",)),
-    Mutant("g-run-may-be-zero", SWEEP,
-           "g_run = max(1, _CHUNK_TUPLES // (w_run * len(ns)))",
-           "g_run = _CHUNK_TUPLES // (w_run * len(ns))",
+    Mutant("one-slice-per-worker", SWEEP,
+           "k = min(4 * workers, -(-len", "k = min(workers, -(-len",
+           (PARTITION,)),
+    Mutant("chunks-counted-from-the-real-tuples", SWEEP,
+           "-(-len(gs) * len(ws) * len(ns) // _CHUNK_TUPLES)",
+           "-(-len(ws) * sum(len(range(gs.start, min(gs.stop, 1 << n), 2)) for n in ns)"
+           " // _CHUNK_TUPLES)",
+           (PARTITION,)),
+    Mutant("one-cpu-starts-a-pool", SWEEP,
+           "_slices(claim, gs, ws, ns, workers) if workers > 1 else []",
+           "_slices(claim, gs, ws, ns, workers) if spec.jobs > 1 else []",
+           (T_SWEEP + "test_a_single_cpu_runs_the_sweep_inline",)),
+    Mutant("empty-run-not-guarded", SWEEP,
+           "    if k < 2:\n        return []\n", "    if k == 1:\n        return []\n",
            (T_SWEEP + "test_run_sweep_is_deterministic_across_worker_counts",)),
     Mutant("pool-not-bounded-by-the-cpu-count", SWEEP,
-           "min(spec.jobs, len(slices), os.cpu_count() or 1)", "min(spec.jobs, len(slices))",
+           "workers = min(spec.jobs, os.cpu_count() or 1)", "workers = spec.jobs",
            (T_SWEEP + "test_pool_size_is_bounded_by_the_cpu_count",)),
     Mutant("pool-imported-at-module-level", SWEEP,
            "import time\n", "import time\nfrom concurrent.futures import ProcessPoolExecutor\n",
