@@ -22,20 +22,21 @@ vanishes.  Two exact routes decide that.  Up to LITERAL_EXPONENT_CAP <g>
 mod 2^m is counted into a table of 2^m counters and each odd residue is
 compared with its antipode (_paired).  Above it the paper's congruence
 decides: S = 0 exactly when m >= 2 and the order column's half-order
-residue g^(omega_g(2^m)/2) mod 2^m is 2^(m-1) + 1.  _unpaired_run, the
+residue g^(omega_g(2^m)/2) mod 2^m is 2^(m-1) + 1.  _unpaired, the
 decider of min_vanishing_n, picks the route and names a sum that does not
-vanish by its first term, w * g mod 2^n, with the counts there and at its
-antipode (_offender).  orbit_certificate (the expsum command) takes the same
-routes, but below the cap counts the orbit itself into 2^n counters, since
-its pairing lists the residues at n, and reads the pairing from the table's
-lower half.  residue_orbit, is_exact_zero and float_sum build the literal
-multiset, pair it and sum it in floating point; they are the tests'
-reference only.
+vanish by its first term, w * g mod 2^n, with the counts read from the
+table at g and at its antipode (_offender).  orbit_certificate (the
+expsum command) takes the same routes, but below the cap counts the orbit
+itself into 2^n counters, since its pairing lists the residues at n, and
+reads the pairing from the table's lower half.  residue_orbit,
+is_exact_zero and float_sum build the literal multiset, pair it and sum
+it in floating point; they are the tests' reference only.
 
 theorem6 takes a run, each g of a range with a run of weights at a run
-of n: every order of a g comes from one squaring chain, and up to the cap
-each m is decided a subgroup <g> mod 2^m at a time, from one table, for
-every met (g, w, n) with n - d(w) = m (_orbit_vanishing).
+of n: every order of a g comes from one squaring chain, and each met
+(g, m) is decided once on each side of the cap, for every met (w, n) with
+n - d(w) = m: up to the cap a subgroup <g> mod 2^m at a time, from one
+table, and above it by the congruence (_orbit_vanishing).
 check_antipodal_shift reads one congruence.
 """
 from __future__ import annotations
@@ -215,13 +216,13 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
     cap on the orbit.  Up to LITERAL_EXPONENT_CAP the pairing is read from
     the orbit's table and the floating value summed over the occupied
     residues in ascending order, so only its last digits can differ from
-    float_sum's; above it _unpaired_run decides and names the offender.
+    float_sum's; above it _unpaired decides and names the offender.
     """
     _require_orbit(g, w, n)
     column = _order_column(g, 1, n)
     omega = column[-1][0]
     if n > LITERAL_EXPONENT_CAP:
-        unpaired = _unpaired_run(g, (w,), n, column)[0]
+        unpaired = _unpaired(g, w, n, column)
         r = None if unpaired is None else unpaired[0]
         return OrbitCertificate(omega, ZeroCertificate(r is None, violating_residue=r), None)
     table = _orbit_table(g, w, n, omega)
@@ -235,7 +236,7 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
         k = len(residues) >> 1
         cert = ZeroCertificate(is_zero=True, pairing=tuple(zip(residues[:k], counts[:k])))
     else:
-        # the first term is unpaired in every sum that does not vanish (_unpaired_run)
+        # the first term is unpaired in every sum that does not vanish (_unpaired)
         cert = ZeroCertificate(is_zero=False, violating_residue=w * g & (m - 1))
     # rect(c, phi) is (c cos phi, c sin phi), the products that
     # c * cmath.exp(2j * math.pi * r / m) forms, at its angle fl(2 pi r) / m
@@ -277,15 +278,16 @@ def check_orbit_vanishing(g: int, w: int, n: int) -> Verdict:
 def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
     """theorem6 on a run: each g of gs with each weight of ws at every n of
     ns.  g = +-1, and each n below a weight's bound, are not met; any other
-    g reads one column from exponent 1.  Above LITERAL_EXPONENT_CAP each
-    (g, n) decides its met weights (_unpaired_run).  Up to it S(g, w, n)
-    depends on g and m = n - d(w) alone (_unpaired_run), so each m is
-    decided a subgroup at a time: the first g left leads, the table of <g>
-    mod 2^m holds each h of <g>, each h of g's order there generates <g> and
-    joins the group, and the one table decides every met (h, w, n) with
-    n - d(w) = m.  One table is alive at a time.  A failed collapse guard,
-    h = +-1 (mod 2^m), is reported while the sum vanishes, else the
-    unpaired residue."""
+    g reads one column from exponent 1.  S(g, w, n) depends on g and
+    m = n - d(w) alone (_unpaired), so each met (g, m) is decided once on
+    each side of LITERAL_EXPONENT_CAP, and that one decision is tallied for
+    every met (w, n) with n - d(w) = m.  Above the cap the congruence
+    decides, a g at a time.  Up to it each m is decided a subgroup at a
+    time: the first g left leads, the table of <g> mod 2^m holds each h of
+    <g>, each h of g's order there generates <g> and joins the group, and
+    the one table decides every h of it.  One table is alive at a time.  A
+    failed collapse guard, h = +-1 (mod 2^m), is reported while the sum
+    vanishes, else the unpaired residue."""
     top = ns[-1]
     _require_exponent(top)
     ds = list(map(two_adic_valuation, ws))
@@ -293,20 +295,27 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
     details = []
     orders = []  # (g, its bound at w = 1, its orders at exponents 1 to the cap)
 
-    def tally(g: int, i: int, n: int, unpaired: Unpaired, low: int) -> None:
+    def tally(runs: list, m: int, at: list, paired: bool, table: Optional[list[int]]) -> None:
+        # one decision at m for each (h, _, orders) of runs and each (i, n) of at
         nonlocal held
-        if unpaired is None and g & low not in (1, low):
-            held += 1
-            return
-        if unpaired is None:  # the collapse guard, low = 2^m - 1, failed
-            detail = ("exact zero (collapse guard failed)",
-                      "base not +-1 modulo the collapsed modulus")
-        else:
-            r, count, antipode = unpaired
-            detail = (f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
-                      "equal multiplicities on every antipodal residue pair")
-        details.append((g, n, ws[i], (Verdict.COUNTEREXAMPLE, detail)))
+        low = (1 << m) - 1
+        for h, _, omegas in runs:
+            if paired and h & low not in (1, low):
+                held += len(at)
+                continue
+            for i, n in at:
+                if paired:  # the collapse guard failed
+                    detail = ("exact zero (collapse guard failed)",
+                              "base not +-1 modulo the collapsed modulus")
+                else:
+                    r, count, antipode = _offender(h, ws[i], n, omegas[n - 1] // omegas[m - 1], table)
+                    detail = (f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
+                              "equal multiplicities on every antipodal residue pair")
+                details.append((h, n, ws[i], (Verdict.COUNTEREXAMPLE, detail)))
 
+    above = range(max(ns.start, LITERAL_EXPONENT_CAP + 1), ns.stop)
+    above_at = {m: [(i, m + d) for i, d in enumerate(ds) if m + d in above]
+                for m in {n - d for d in set(ds) for n in above}}
     for g in gs:
         # g = +-1 meets no bound; a weight is not met at each n of ns below its
         # bound, vanishing_bound(g, w) = d(w) + vanishing_bound(g, 1)
@@ -316,78 +325,66 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
         if min(bounds, default=top + 1) > top:
             continue
         column = _order_column(g, 1, top)
-        orders.append((g, base, [row[0] for row in column[:LITERAL_EXPONENT_CAP]]))
-        for n in range(max(ns.start, LITERAL_EXPONENT_CAP + 1), ns.stop):
-            met = [i for i, bound in enumerate(bounds) if bound <= n]
-            for i, unpaired in zip(met, _unpaired_run(g, [ws[i] for i in met], n, column)):
-                tally(g, i, n, unpaired, (1 << (n - ds[i])) - 1)
+        omegas = [row[0] for row in column]
+        orders.append((g, base, omegas[:LITERAL_EXPONENT_CAP]))
+        # a met m is m >= base, at least 3 under theorem6's bound
+        for m, at in above_at.items():
+            if m >= base:
+                tally([(g, base, omegas)], m, at, column[m - 1][1] == (1 << (m - 1)) + 1, None)
     cap = min(top, LITERAL_EXPONENT_CAP)
     for m in sorted({n - d for d in set(ds) for n in range(ns.start, cap + 1)}):
-        # the (i, n) with n - d(ws[i]) = m, met for each g whose bound at w = 1 is <= m
+        # the (i, n) with n - d(ws[i]) = m, met for each g whose bound at w = 1
+        # is <= m, so m >= 3 wherever a g is met
         at = [(i, m + d) for i, d in enumerate(ds) if ns.start <= m + d <= cap]
         runs = [run for run in orders if run[1] <= m]
-        low = (1 << max(m, 0)) - 1
         while runs:
             lead, _, omegas = runs[0]
-            table = _orbit_table(lead, 1, m, omegas[m - 1]) if m > 0 else None
-            group, rest = [], []
+            table = _orbit_table(lead, 1, m, omegas[m - 1])
+            group, rest, low = [], [], len(table) - 1
             for run in runs:
-                # at m <= 0 every term sits on 0, whatever the g
-                joins = table is None or run[2][m - 1] == omegas[m - 1] and table[run[0] & low]
+                joins = run[2][m - 1] == omegas[m - 1] and table[run[0] & low]
                 (group if joins else rest).append(run)
-            runs, paired = rest, table is not None and _paired(table, 1)
-            for h, _, own in group:
-                if paired and h & low not in (1, low):
-                    held += len(at)
-                    continue
-                for i, n in at:
-                    k = own[n - 1] // own[m - 1] if m > 0 else own[n - 1]
-                    tally(h, i, n, None if paired else _offender(h, ws[i], n, k, table), low)
+            runs = rest
+            tally(group, m, at, _paired(table, 1), table)
             table = None
     return held, unmet, details
 
 
-def _unpaired_run(g: int, ws: Sequence[int], n: int, column: Sequence[tuple]) -> list[Unpaired]:
-    """For each w of ws, None when S(g, w, n) = 0, else (r, count(r),
-    count(r ^ 2^(n-1))) at the orbit's first term r = w * g mod 2^n
-    (_offender); g, ws and n are valid and column is _order_column(g, 1, n)
-    or longer.  S vanishes exactly when <g> mod 2^m pairs, m = n - d(w).  Up
-    to LITERAL_EXPONENT_CAP that is read from the table of <g> mod 2^m, one
-    table per m.  Above it, adding 2^(m-1) multiplies the coset w0 <g> by
-    1 + 2^(m-1): for m >= 2 an involution, which maps the coset onto itself
-    exactly when it is the one involution g^(omega_m / 2) of the cyclic
-    2-group <g>, and else onto a disjoint coset, where the antipode counts
-    0; so every occupied residue is paired or none is."""
+def _unpaired(g: int, w: int, n: int, column: Sequence[tuple]) -> Unpaired:
+    """None when S(g, w, n) = 0, else (r, count(r), count(r ^ 2^(n-1))) at
+    the orbit's first term r = w * g mod 2^n (_offender); g, w and n are
+    valid and column is _order_column(g, 1, n) or longer.  S vanishes
+    exactly when <g> mod 2^m pairs, m = n - d(w).  Up to
+    LITERAL_EXPONENT_CAP that is read from the table of <g> mod 2^m.  Above
+    it, adding 2^(m-1) multiplies the coset w0 <g> by 1 + 2^(m-1): for
+    m >= 2 an involution, which maps the coset onto itself exactly when it
+    is the one involution g^(omega_m / 2) of the cyclic 2-group <g>, and
+    else onto a disjoint coset, where the antipode counts 0; so every
+    occupied residue is paired or none is."""
+    m = n - two_adic_valuation(w)
     omega = column[n - 1][0]
-    ms = [n - two_adic_valuation(w) for w in ws]
-    found: list[Unpaired] = [None] * len(ws)
-    for m in sorted(set(ms)):
-        k = omega // column[m - 1][0] if m > 0 else omega
-        table = None  # one table alive at a time
-        if n <= LITERAL_EXPONENT_CAP and m > 0:
-            table = _orbit_table(g, 1, m, column[m - 1][0])
-            paired = _paired(table, 1)
-        else:  # the congruence; at m <= 0 every term sits on 0
-            paired = m >= 2 and column[m - 1][1] == (1 << (m - 1)) + 1
-        if not paired:
-            for i in [i for i, mi in enumerate(ms) if mi == m]:
-                found[i] = _offender(g, ws[i], n, k, table)
-    return found
+    k = omega // column[m - 1][0] if m > 0 else omega
+    table = None
+    if n <= LITERAL_EXPONENT_CAP and m > 0:
+        table = _orbit_table(g, 1, m, column[m - 1][0])
+        paired = _paired(table, 1)
+    else:  # the congruence; at m <= 0 every term sits on 0
+        paired = m >= 2 and column[m - 1][1] == (1 << (m - 1)) + 1
+    return None if paired else _offender(g, w, n, k, table)
 
 
 def _offender(g: int, w: int, n: int, k: int, table: Optional[list[int]]) -> Unpaired:
     """(r, count(r), count(r ^ 2^(n-1))) for S(g, w, n) at its first term
     r = w * g mod 2^n, with k = omega_n / omega_m the count of each residue
-    of the coset w0 <g> mod 2^m (_unpaired_run): read from the table of <g>
-    mod 2^m, whose residue u * (r >> d) with u = w0^-1 mod 2^m is the
-    cofactor's, or, with no table, from a sum whose antipodes are empty."""
+    of the coset w0 <g> mod 2^m (_unpaired).  r's cofactor r >> d(w) is
+    w0 * g mod 2^m, which w0's inverse maps to g, and the antipode's to
+    g ^ 2^(m-1), so both are read from the table of <g> mod 2^m at g and at
+    its antipode; with no table, from a sum whose antipodes are empty."""
     r = w * g & ((1 << n) - 1)
     if table is None:
         return r, k, 0
-    mask, half = len(table) - 1, len(table) >> 1
-    d = n - mask.bit_length()
-    y, u = r >> d, pow(w >> d, -1, mask + 1)
-    return r, k * table[u * y & mask], k * table[u * (y ^ half) & mask]
+    s, half = g & len(table) - 1, len(table) >> 1
+    return r, k * table[s], k * table[s ^ half]
 
 
 def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:
@@ -428,7 +425,7 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
 
     Vanishing is not monotone in n (g=3, w=1 vanishes at n=2, fails at
     n=3, then vanishes from n=4 on), so every exponent from d(w) + 2 on is
-    probed with theorem6's decider, _unpaired_run, on one column.  Below
+    probed with theorem6's decider, _unpaired, on one column.  Below
     d(w) + 2 every term sits on 0 or 2^(n-1), so no sum vanishes there.
     theorem6 puts a zero at vanishing_bound(g, w), so the column is walked
     that far; only past a bound whose zero failed is it walked on to n_max.
@@ -441,7 +438,7 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
     for n in range(two_adic_valuation(w) + 2, n_max + 1):
         if n > len(column):
             column = _order_column(g, 1, n_max)
-        if _unpaired_run(g, (w,), n, column)[0] is None:
+        if _unpaired(g, w, n, column) is None:
             return MinVanishing(n=n, slack=bound - n)
     return None
 

@@ -126,7 +126,7 @@ def test_orbit_vanishing_records_the_unpaired_residue(monkeypatch):
     ],
 )
 def test_orbit_vanishing_records_a_failed_collapse_guard(monkeypatch, g, observed, expected):
-    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: 0)
+    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: core_arith.two_adic_valuation(w) + 1)
     assert records("theorem6", g, 2, w=1) == [(g, 2, 1, observed, expected)]
 
 

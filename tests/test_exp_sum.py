@@ -31,7 +31,7 @@ from pow2sums import (
     run_sweep,
     vanishing_bound,
 )
-from pow2sums import core_arith, exp_sum, order_engine
+from pow2sums import core_arith, exp_sum, order_engine, sweep
 
 
 def reduced_coefficients(multiset: ResidueMultiset) -> list[int]:
@@ -287,7 +287,7 @@ def test_orbit_vanishing_small_grid_never_fails():
 
 def by_multiset(g: int, w: int, n: int):
     """The multiset route's answers for S(g, w, n): the orbit, its
-    certificate, and the offender exp_sum._unpaired_run must name."""
+    certificate, and the offender exp_sum._unpaired must name."""
     orbit = residue_orbit(g, w, n)
     cert = is_exact_zero(orbit)
     r = cert.violating_residue
@@ -324,7 +324,7 @@ def test_dense_decider_agrees_with_the_multiset_route():
         for w in weights:
             for n in range(1, 13):
                 orbit, cert, expected = by_multiset(g, w, n)
-                assert exp_sum._unpaired_run(g, (w,), n, column)[0] == expected, (g, w, n)
+                assert exp_sum._unpaired(g, w, n, column) == expected, (g, w, n)
                 if expected is not None:
                     # the orbit is a scaled coset of <g>: a sum that does not
                     # vanish pairs none of its residues, so the first term,
@@ -367,24 +367,6 @@ def test_float_value_is_the_literal_angle_sum(g, w, n):
     assert orbit_certificate(g, w, n).value == literal
 
 
-def test_shared_tables_decide_each_weight_as_its_own_table():
-    # every n <= 12 of odd |g| < 64 and 0 < |w| <= 40, in both orders, so the
-    # first weight of a run differs; below the bound the weights of one
-    # (g, n) split between vanishing and not, which a table reused across
-    # orbits would merge
-    bases = [g for g in range(-63, 64, 2) if g not in (-1, 1)]
-    weights = [w for w in range(-40, 41) if w != 0]
-    mixed = 0
-    for g in bases:
-        column = order_engine._order_column(g, 1, 12)
-        for n in range(1, 13):
-            own = [exp_sum._unpaired_run(g, (w,), n, column)[0] for w in weights]
-            assert exp_sum._unpaired_run(g, weights, n, column) == own, (g, n)
-            assert exp_sum._unpaired_run(g, weights[::-1], n, column) == own[::-1], (g, n)
-            mixed += None in own and own.count(None) < len(own)
-    assert mixed > 0
-
-
 def by_own_table(g: int, w: int, n: int):
     """S(g, w, n) decided from its own table alone, half to half, with the
     counts read at its first term w * g; the decider's comparison of w's
@@ -409,12 +391,12 @@ def theorem6_observed(g: int, w: int, n: int, unpaired) -> str | None:
 
 
 def test_subgroup_run_agrees_with_each_tuples_own_table(monkeypatch):
-    # with every bound at d(w) each (g, w, n) with n >= d(w) is met, below
-    # theorem6's bound too, where sums vanish and fail to; 3 * 2^9 gives
-    # m <= 3.  Each run's first g leads: in the second, 35 = 3 (mod 32)
+    # with every bound at d(w) + 1 each (g, w, n) with n > d(w) is met,
+    # below theorem6's bound too, where sums vanish and fail to; 3 * 2^9
+    # gives m <= 3.  Each run's first g leads: in the second, 35 = 3 (mod 32)
     # leads a subgroup that pairs, and 33 = 1 (mod 32) lies in it with
     # another order, so it must decide alone
-    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: 0)
+    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: odd_part(w).d + 1)
     weights, ns = [w for w in range(-16, 17) if w] + [3 << 9], range(1, 13)
     for gs in (range(-31, 32, 2), range(35, 2, -2)):
         held, unmet, details = exp_sum._orbit_vanishing(gs, weights, ns)
@@ -424,7 +406,7 @@ def test_subgroup_run_agrees_with_each_tuples_own_table(monkeypatch):
         for g in gs:
             for w in weights:
                 for n in ns:
-                    if g in (-1, 1) or n < odd_part(w).d:
+                    if g in (-1, 1) or n <= odd_part(w).d:
                         not_met += 1
                         continue
                     want = theorem6_observed(g, w, n, by_own_table(g, w, n))
@@ -487,7 +469,7 @@ def test_dense_decider_switches_route_above_the_cap(monkeypatch):
     monkeypatch.setattr(exp_sum, "is_exact_zero", unbuilt)
     for g, w, n in cases:
         column = order_engine._order_column(g, 1, n)
-        assert exp_sum._unpaired_run(g, (w,), n, column)[0] == expected[g, w, n], (g, w, n)
+        assert exp_sum._unpaired(g, w, n, column) == expected[g, w, n], (g, w, n)
         assert_certificate_matches(g, w, n, *reference[g, w, n][:2])
     # the table decides at the cap, in the decider at m = n - d(w) and in
     # the certificate at n; the congruence only above it
@@ -509,9 +491,9 @@ def test_structural_decider_agrees_with_the_multiset_route(monkeypatch):
         column = order_engine._order_column(g, 1, ns[-1])
         for n in ns:
             expected = [unpaired for _, _, unpaired in reference[g, n]]
-            assert exp_sum._unpaired_run(g, weights, n, column) == expected, (g, n)
+            assert [exp_sum._unpaired(g, w, n, column) for w in weights] == expected, (g, n)
             if None in expected and expected.count(None) < len(expected):
-                seen.add("both verdicts in one run")
+                seen.add("both verdicts at one (g, n)")
             for w, (orbit, cert, unpaired) in zip(weights, reference[g, n]):
                 assert_certificate_matches(g, w, n, orbit, cert)
                 m = n - odd_part(w).d
@@ -521,7 +503,7 @@ def test_structural_decider_agrees_with_the_multiset_route(monkeypatch):
                     seen.add("2^(m-1) - 1")
                     # omega_m = 2: each residue of the orbit holds half of it
                     assert unpaired is not None and 2 * unpaired[1] == orbit.total, (g, w, n)
-    assert seen == {"both verdicts in one run", "m <= 0", "m = 1", "2^(m-1) - 1"}
+    assert seen == {"both verdicts at one (g, n)", "m <= 0", "m = 1", "2^(m-1) - 1"}
 
 
 def by_exact_value(g: int, w: int, n: int, omega: int):
@@ -558,7 +540,8 @@ def test_structural_decider_matches_the_exact_value(n):
     for g in bases:
         omega = order_fast(g, n).omega
         expected = [by_exact_value(g, w, n, omega) for w in weights]
-        got = exp_sum._unpaired_run(g, weights, n, order_engine._order_column(g, 1, n))
+        column = order_engine._order_column(g, 1, n)
+        got = [exp_sum._unpaired(g, w, n, column) for w in weights]
         for w, count, unpaired in zip(weights, expected, got):
             if count is None:
                 assert unpaired is None, (g, w)
@@ -573,7 +556,7 @@ def test_structural_decider_matches_the_exact_value(n):
 
 def test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap(monkeypatch):
     # with the cap at 10 these short orbits stay within residue_orbit's bound
-    # at n = 11 and 12, so each call decides a run of weights above the cap;
+    # at n = 11 and 12, so the multiset route is the reference above the cap;
     # some of their sums vanish there and some do not
     monkeypatch.setattr(exp_sum, "LITERAL_EXPONENT_CAP", 10)
     weights = [1, -3, 6, 12, -40, 1 << 9, 3 << 10, 5 << 11]
@@ -582,16 +565,15 @@ def test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap(monkeypatch):
                 for g in bases for n in range(8, 13)}
     # each base's theorem6 run crosses the cap at n = 10; with the bound
     # lowered to d(w) + 1, a met sum that vanishes holds (or fails only its
-    # collapse guard) and one that does not is named by its first term
+    # collapse guard) and one that does not is named by its first term.
+    # 3 * 2^10 is met above the cap at m = 1, and the run's count check
+    # holds it to take each tuple once
     monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: odd_part(w).d + 1)
     for g in bases:
-        column = order_engine._order_column(g, 1, 12)
         for n in (11, 12):
-            own = expected[g, n]
-            assert None in own[1:] and any(own[1:]), (g, n)
-            assert exp_sum._unpaired_run(g, weights, n, column) == own, (g, n)
-            assert exp_sum._unpaired_run(g, weights[::-1], n, column) == own[::-1], (g, n)
-        held, unmet, details = exp_sum._orbit_vanishing(range(g, g + 1), weights, range(8, 13))
+            assert None in expected[g, n][1:] and any(expected[g, n][1:]), (g, n)
+        run = ("theorem6", range(g, g + 1), weights, range(8, 13))
+        held, unmet, details = sweep._run_chunk(run)
         reported = {(n, w): outcome for _, n, w, outcome in details}
         assert len(reported) == len(details), g
         vanished = below = 0
@@ -734,18 +716,16 @@ def by_literal_orbit(g: int, w: int, n: int):
 
 def test_each_sum_is_decided_by_its_subgroup_modulo_2_to_the_m():
     # scaling and unit multiplication: S(g, w, n) is decided from <g> mod
-    # 2^m, and its counts read there at u * (r >> d(w)), u the inverse of
-    # w's odd part; each tuple against its own multiset, one weight at a
-    # time and a run of weights with several m at once
+    # 2^m, and its counts read there at g and at g ^ 2^(m-1); each tuple
+    # against its own multiset
     bases, weights, ns = IDENTITIES
     ms = set()
     for g in bases:
         column = order_engine._order_column(g, 1, ns[-1])
         for n in ns:
-            expected = [by_literal_orbit(g, w, n) for w in weights]
-            assert exp_sum._unpaired_run(g, weights, n, column) == expected, (g, n)
-            for w, want in zip(weights, expected):
-                assert exp_sum._unpaired_run(g, (w,), n, column) == [want], (g, w, n)
+            for w in weights:
+                want = by_literal_orbit(g, w, n)
+                assert exp_sum._unpaired(g, w, n, column) == want, (g, w, n)
                 ms.add((n - odd_part(w).d, want is None))
     assert {m for m, _ in ms} == set(range(-3, 11))
     # above m = 5 no base here is +-1 or 2^(m-1) - 1 modulo 2^m, and every sum vanishes
@@ -754,25 +734,26 @@ def test_each_sum_is_decided_by_its_subgroup_modulo_2_to_the_m():
 
 @pytest.mark.parametrize("cap", [LITERAL_EXPONENT_CAP, 5], ids=["tables", "congruence-above-5"])
 def test_theorem6_sweep_reports_each_tuple_as_its_literal_orbit(monkeypatch, cap):
-    # with every bound at d(w) each (g, w, n) with m = n - d(w) >= 0 is met:
-    # sums at m = 0, sums that vanish but fail the collapse guard, and sums
-    # that do not vanish are reported, each with its own multiset's counts
+    # with every bound at d(w) + 1 each (g, w, n) with m = n - d(w) >= 1 is
+    # met: sums at m = 1, sums that vanish but fail the collapse guard, and
+    # sums that do not vanish are reported, each with its own multiset's counts
     bases, weights, ns = IDENTITIES
-    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: 0)
-    monkeypatch.setattr(exp_sum, "LITERAL_EXPONENT_CAP", cap)
-    report = run_sweep(SweepSpec("theorem6", bases[0], bases[-1], ns.start, ns[-1],
-                                 weights[0], weights[-1]))
-    reported = {(e.g, e.n, e.w): e.observed for e in report.exceptions}
+    # the oracle first: residue_orbit refuses orbits longer than the cap allows
     expected = {}
     for g in bases:
         for w in weights:
             for n in ns:
-                if n >= odd_part(w).d:
+                if n > odd_part(w).d:
                     expected[g, n, w] = theorem6_observed(g, w, n, by_literal_orbit(g, w, n))
+    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: odd_part(w).d + 1)
+    monkeypatch.setattr(exp_sum, "LITERAL_EXPONENT_CAP", cap)
+    report = run_sweep(SweepSpec("theorem6", bases[0], bases[-1], ns.start, ns[-1],
+                                 weights[0], weights[-1]))
+    reported = {(e.g, e.n, e.w): e.observed for e in report.exceptions}
     assert reported == {key: want for key, want in expected.items() if want is not None}
     assert report.tallies["holds"] == list(expected.values()).count(None)
     assert report.cases_checked == len(range(bases[0], bases[-1] + 1, 2)) * len(weights) * len(ns)
-    kinds = {(n == odd_part(w).d, want.split("(")[0]) for (g, n, w), want in reported.items()}
+    kinds = {(n == odd_part(w).d + 1, want.split("(")[0]) for (g, n, w), want in reported.items()}
     assert kinds == {(True, "count"), (False, "count"), (False, "exact zero ")}
 
 

@@ -107,6 +107,10 @@ def test_classify_involution_tags():
     assert classify_involution(15, 5) is InvolutionClass.HALF_MINUS_ONE
     assert classify_involution(17, 5) is InvolutionClass.HALF_PLUS_ONE
     assert classify_involution(7, 5) is InvolutionClass.OTHER
+    # below n = 3 the four involution classes are not distinct
+    for n in (1, 2):
+        with pytest.raises(DomainError, match=f"distinct only for n >= 3, got n={n}"):
+            classify_involution(1, n)
 
 
 def test_half_order_residue_squares_to_one_exhaustively():

@@ -260,6 +260,18 @@ def test_order_scaling_examples(g, n, d, verdict):
     assert check_order_scaling(g, n, d) is verdict
 
 
+def test_order_scaling_reports_orders_that_disagree(monkeypatch):
+    # both orders are read from one column; a column whose top order is
+    # doubled once too often breaks omega_n = 2^d * omega_(n-d)
+    real = order_engine._order_column
+    monkeypatch.setattr(
+        order_engine, "_order_column",
+        lambda g, n_lo, n_hi: real(g, n_lo, n_hi)[:-1] + [(2 * real(g, n_hi, n_hi)[0][0], 1)],
+    )
+    assert check_order_scaling(3, 8, 3) is Verdict.COUNTEREXAMPLE
+    assert check_order_scaling(5, 10, 4) is Verdict.COUNTEREXAMPLE
+
+
 def test_order_scaling_rejects_bad_shift():
     with pytest.raises(DomainError):
         check_order_scaling(3, 4, 4)

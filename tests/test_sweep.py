@@ -508,10 +508,35 @@ def test_format_csv_flattens_exceptions():
     assert rows[1][:3] == ["3", "3", ""]
 
 
-def test_format_table_is_human_readable():
+def test_format_table_is_human_readable(monkeypatch):
     report = run_sweep(spec(claim="lemma1", g_min=3, g_max=9, n_min=3, n_max=4))
     text = format_report(report, "table")
     assert "claim:" in text and "counterexamples:" in text
+    assert "\nexceptions:" not in text
+    # a per-modulus claim's exceptions name no w
+    report = run_sweep(spec(claim="lemma4_theorem5", g_min=1, g_max=31, n_min=3, n_max=5))
+    assert format_report(report, "table").split("\n")[-4:] == [
+        "exceptions:",
+        "  g=3, n=3: observed half-order residue 3 (HALF_MINUS_ONE);"
+        " expected half-order residue 5 (HALF_PLUS_ONE)",
+        "  g=7, n=4: observed half-order residue 7 (HALF_MINUS_ONE);"
+        " expected half-order residue 9 (HALF_PLUS_ONE)",
+        "  g=15, n=5: observed half-order residue 15 (HALF_MINUS_ONE);"
+        " expected half-order residue 17 (HALF_PLUS_ONE)",
+    ]
+    # theorem6's name theirs; with the bound lowered to d(w) + 1, 3 fails its
+    # collapse guard at n = 2 and 5's sum does not vanish
+    monkeypatch.setattr(exp_sum, "vanishing_bound",
+                        lambda g, w: core_arith.two_adic_valuation(w) + 1)
+    report = run_sweep(spec(claim="theorem6", g_min=3, g_max=5, n_min=2, n_max=2,
+                            w_min=1, w_max=1))
+    assert format_report(report, "table").split("\n")[-3:] == [
+        "exceptions:",
+        "  g=3, n=2, w=1: observed exact zero (collapse guard failed);"
+        " expected base not +-1 modulo the collapsed modulus",
+        "  g=5, n=2, w=1: observed count(1)=1 != count(3)=0;"
+        " expected equal multiplicities on every antipodal residue pair",
+    ]
 
 
 def test_format_rejects_unknown_format():

@@ -58,7 +58,6 @@ T_HALF = "tests/test_half_order.py::"
 DENSE = T_EXP + "test_dense_decider_agrees_with_the_multiset_route"
 SWITCH = T_EXP + "test_dense_decider_switches_route_above_the_cap"
 STRUCT = T_EXP + "test_structural_decider_agrees_with_the_multiset_route"
-SHARED = T_EXP + "test_shared_tables_decide_each_weight_as_its_own_table"
 GROUPED = T_EXP + "test_subgroup_run_agrees_with_each_tuples_own_table"
 A_GROUP = T_EXP + "test_a_group_decides_each_weight_for_the_h_whose_met_holds_it"
 IDENT = T_EXP + "test_each_sum_is_decided_by_its_subgroup_modulo_2_to_the_m"
@@ -99,48 +98,47 @@ MUTANTS = [
     Mutant("decider-offender-is-the-weight", EXP,
            "    r = w * g & ((1 << n) - 1)\n", "    r = w & ((1 << n) - 1)\n",
            (DENSE, SWITCH, ONE_DECIDER, STRUCT)),
-    Mutant("multiset-route-decides-the-first-weight-only", EXP,
-           "[i for i, mi in enumerate(ms) if mi == m]", "[i for i, mi in enumerate(ms[:1]) if mi == m]",
-           (ONE_DECIDER, SHARED, IDENT)),
     Mutant("certificate-offender-is-the-weight", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=w & (m - 1)",
            (T_CLI + "test_expsum_command_nonzero_case", DENSE)),
     Mutant("decider-offender-is-the-least-residue", EXP,
-           "    return r, k * table[u * y & mask], ",
+           "    return r, k * table[s], ",
            "    r = table.index(next(filter(None, table)))\n"
-           "    return r, k * table[u * y & mask], ",
+           "    return r, k * table[s], ",
            (DENSE,)),
-    # the offender's counts, read from the table of <g> mod 2^m
+    # the offender's counts, read from the table of <g> mod 2^m at g and its antipode
     Mutant("collapsed-exponent-taken-as-n", EXP,
-           "ms = [n - two_adic_valuation(w) for w in ws]", "ms = [n for w in ws]",
+           "    m = n - two_adic_valuation(w)\n    omega", "    m = n\n    omega",
            (STRUCT, IDENT)),
-    Mutant("offender-unit-not-inverted", EXP,
-           "u = r >> d, pow(w >> d, -1, mask + 1)", "u = r >> d, w >> d",
+    Mutant("offender-read-at-the-cofactor", EXP,
+           "s, half = g & len(table) - 1, ",
+           "s, half = r >> n - len(table).bit_length() + 1 & len(table) - 1, ",
            (IDENT, IDENT_SWEEP)),
+    Mutant("antipode-read-at-the-residue", EXP,
+           "k * table[s ^ half]", "k * table[s]",
+           (DENSE, IDENT)),
     # theorem6 below the cap: one table per subgroup <g> mod 2^m
     Mutant("offender-count-without-k", EXP,
-           "k = own[n - 1] // own[m - 1] if m > 0 else own[n - 1]", "k = 1",
+           "omegas[n - 1] // omegas[m - 1], table)", "1, table)",
            (IDENT_SWEEP, GROUPED)),
     Mutant("verdict-keyed-by-n", EXP,
-           "at = [(i, m + d) for i, d", "at = [(i, m) for i, d",
+           "at = [(i, m + d) for i, d in enumerate(ds) if ns.start",
+           "at = [(i, m) for i, d in enumerate(ds) if ns.start",
            (IDENT_SWEEP, GROUPED)),
-    Mutant("collapse-guard-read-at-n", EXP,
-           "unpaired, (1 << (n - ds[i])) - 1)", "unpaired, (1 << n) - 1)",
-           (IDENT_SWEEP,)),
     Mutant("shared-membership-filter-dropped", EXP,
-           "joins = table is None or run[2][m - 1] == omegas[m - 1] and table[run[0] & low]",
+           "joins = run[2][m - 1] == omegas[m - 1] and table[run[0] & low]",
            "joins = True",
            (GROUPED, PER_ORBIT)),
     Mutant("subgroup-order-check-dropped", EXP,
            "run[2][m - 1] == omegas[m - 1] and table[run[0] & low]", "table[run[0] & low]",
            (GROUPED,)),
     Mutant("subgroup-table-reused-across-m", EXP,
-           "table = _orbit_table(lead, 1, m, omegas[m - 1]) if m > 0 else None",
+           "table = _orbit_table(lead, 1, m, omegas[m - 1])",
            "table = _orbit_table.__dict__.setdefault(\n"
-           "                lead, _orbit_table(lead, 1, m, omegas[m - 1])) if m > 0 else None",
-           (GROUPED, A_GROUP)),
+           "                lead, _orbit_table(lead, 1, m, omegas[m - 1]))",
+           (GROUPED,)),
     Mutant("group-decides-its-leader-only", EXP,
-           "            for h, _, own in group:\n", "            for h, _, own in group[:1]:\n",
+           "tally(group, m, at, ", "tally(group[:1], m, at, ",
            (GROUPED, A_GROUP)),
     Mutant("sweep-table-kept-across-groups", EXP,
            "            table = None\n    return held, unmet, details\n",
@@ -171,7 +169,7 @@ MUTANTS = [
            "return OrbitCertificate(len(residues), cert, value)",
            (DENSE,)),
     Mutant("min-vanishing-on-the-multiset-route", EXP,
-           "if _unpaired_run(g, (w,), n, column)[0] is None:",
+           "if _unpaired(g, w, n, column) is None:",
            "if is_exact_zero(residue_orbit(g, w, n)).is_zero:",
            (T_EXP + "test_min_vanishing_n_decides_from_the_table_below_the_cap",)),
     Mutant("min-vanishing-starts-one-late", EXP,
@@ -187,24 +185,33 @@ MUTANTS = [
            (T_EXP + "test_multiset_exponent_is_guarded",)),
     # the congruence above the cap
     Mutant("structural-involution-is-half-minus-one", EXP,
-           "column[m - 1][1] == (1 << (m - 1)) + 1", "column[m - 1][1] == (1 << (m - 1)) - 1",
+           "m >= 2 and column[m - 1][1] == (1 << (m - 1)) + 1",
+           "m >= 2 and column[m - 1][1] == (1 << (m - 1)) - 1",
            (STRUCT,)),
+    Mutant("run-congruence-read-at-n", EXP,
+           "at, column[m - 1][1] == (1 << (m - 1)) + 1, None)",
+           "at, column[at[0][1] - 1][1] == (1 << (at[0][1] - 1)) + 1, None)",
+           (IDENT_SWEEP, ONE_DECIDER)),
+    Mutant("run-congruence-skips-the-base", EXP,
+           "            if m >= base:\n", "            if m > base:\n",
+           (ONE_DECIDER,)),
+    Mutant("run-decision-reused-for-the-next-m", EXP,
+           "at, column[m - 1][1] == (1 << (m - 1)) + 1, None)",
+           "at, _unpaired.__dict__.setdefault(\n"
+           "                    g, column[m - 1][1] == (1 << (m - 1)) + 1), None)",
+           (ONE_DECIDER,)),
     Mutant("structural-count-is-the-order", EXP,
            "k = omega // column[m - 1][0] if m > 0 else omega", "k = omega",
            (STRUCT,)),
     Mutant("orbit-decision-and-to-or", EXP,
            "if paired and h & low not in (1, low):", "if paired or h & low not in (1, low):",
            (RECORDS,)),
-    Mutant("tally-decision-and-to-or", EXP,
-           "if unpaired is None and g & low not in (1, low):",
-           "if unpaired is None or g & low not in (1, low):",
-           (IDENT_SWEEP,)),
     Mutant("theorem6-unmet-skips-one-n", EXP,
            "min(max(bound, ns.start), ns.stop) - ns.start for",
            "min(max(bound, ns.start + 1), ns.stop) - ns.start - 1 for",
            (T_SWEEP + "test_run_sweep_theorem6_domain",)),
     Mutant("theorem6-detail-names-the-first-weight", EXP,
-           "details.append((g, n, ws[i], ", "details.append((g, n, ws[0], ",
+           "details.append((h, n, ws[i], ", "details.append((h, n, ws[0], ",
            (T_SWEEP + "test_theorem6_run_agrees_with_the_public_check",)),
     Mutant("literal-orbit-cap-one-short", EXP,
            "if omega > 1 << (LITERAL_EXPONENT_CAP - 2):",
@@ -329,6 +336,10 @@ MUTANTS = [
     Mutant("top-g-dropped", SWEEP,
            "return range(lo | 1, hi + 1, 2)", "return range(lo | 1, hi, 2)",
            (T_SWEEP + "test_run_sweep_counts_whole_domain",)),
+    Mutant("table-exception-drops-the-weight", SWEEP,
+           'where = f"g={e.g}, n={e.n}" + ("" if e.w is None else f", w={e.w}")',
+           'where = f"g={e.g}, n={e.n}"',
+           (T_SWEEP + "test_format_table_is_human_readable",)),
     # the count check: a run's tallies count each of its tuples once
     Mutant("slab-length-check-dropped", SWEEP,
            "    if held + unmet + len(details) != size:\n",
