@@ -28,7 +28,7 @@ vanish by its first term, w * g mod 2^n, with the counts read from the
 table at g and at its antipode (_offender).  orbit_certificate (the
 expsum command) takes the same routes, but below the cap counts the orbit
 itself into 2^n counters, since its pairing lists the residues at n, and
-reads the pairing from the table's lower half.  residue_orbit,
+reads only w's residue class of that table.  residue_orbit,
 is_exact_zero and float_sum build the literal multiset, pair it and sum
 it in floating point; they are the tests' reference only.
 
@@ -44,8 +44,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import mul, truediv
+from itertools import compress, islice, repeat
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import core_arith
@@ -213,10 +213,11 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
     """The orbit sum S(g, w, n) with its exact certificate.
 
     The terms and verdict of is_exact_zero(residue_orbit(g, w, n)), with no
-    cap on the orbit.  Up to LITERAL_EXPONENT_CAP the pairing is read from
-    the orbit's table and the floating value summed over the occupied
-    residues in ascending order, so only its last digits can differ from
-    float_sum's; above it _unpaired decides and names the offender.
+    cap on the orbit.  Up to LITERAL_EXPONENT_CAP the orbit's table is read
+    only in w's class lo (mod 2 lo), lo = w & -w: the pairing, and the
+    floating value summed over the occupied residues r in ascending order at
+    the angles (2 pi / 2^n) r, an exact rescaling of fl(2 pi r) / 2^n, so only
+    its last digits can differ from float_sum's.  Above it _unpaired decides.
     """
     _require_orbit(g, w, n)
     column = _order_column(g, 1, n)
@@ -227,23 +228,21 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
         return OrbitCertificate(omega, ZeroCertificate(r is None, violating_residue=r), None)
     table = _orbit_table(g, w, n, omega)
     m = len(table)
-    # the occupied residues in ascending order, and their counts
-    residues = list(compress(range(m), table))
-    counts = list(filter(None, table))
+    # the occupied residues in ascending order and their counts; the class is [0] at lo >= m
+    lo = w & -w
+    start, step = lo & (m - 1), 2 * lo
+    residues = list(compress(range(start, m, step), islice(table, start, None, step)))
+    counts = list(filter(None, islice(table, start, None, step)))
     if _paired(table, w):
         # a vanishing sum pairs each occupied residue below half with one
         # above it, so the lower half holds exactly half of them
         k = len(residues) >> 1
-        cert = ZeroCertificate(is_zero=True, pairing=tuple(zip(residues[:k], counts[:k])))
+        cert = ZeroCertificate(is_zero=True, pairing=tuple(islice(zip(residues, counts), k)))
     else:
         # the first term is unpaired in every sum that does not vanish (_unpaired)
         cert = ZeroCertificate(is_zero=False, violating_residue=w * g & (m - 1))
-    # rect(c, phi) is (c cos phi, c sin phi), the products that
-    # c * cmath.exp(2j * math.pi * r / m) forms, at its angle fl(2 pi r) / m
-    # and summed in the same order: the same bits without complex arithmetic;
-    # the angles take the float steps of 2 * math.pi * r / m, mapped in C
-    angles = map(truediv, map(mul, repeat(2 * math.pi), residues), repeat(m))
-    value = sum(map(cmath.rect, counts, angles))
+    # rect(c, phi) forms the products of c * cmath.exp(2j * math.pi * r / m)
+    value = sum(map(cmath.rect, counts, map(mul, repeat(2 * math.pi / m), residues)))
     return OrbitCertificate(omega, cert, value)
 
 

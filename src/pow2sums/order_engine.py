@@ -36,10 +36,10 @@ from typing import Optional
 from .core_arith import DomainError, _require_exponent, _require_odd, canonical_residue
 from .verdict import HOLDS, NOT_MET, Outcome, Verdict
 
-# The scan is a cross-validation oracle, not a production path; beyond this
-# many multiplications it reports a resource error instead of grinding on.
-# order_naive reads this attribute at call time; the package-level
-# re-export is a copy.
+# The scan is a cross-validation oracle, not a production path; it raises
+# past NAIVE_SCAN_CAP one-word products instead of grinding on: a b-bit
+# multiplier times an n-bit x costs max(1, b/64) * max(1, n/64) of them.
+# order_naive reads this attribute at call time; the re-export is a copy.
 NAIVE_SCAN_CAP = 1 << 22
 
 # _order_column walks t = s - 1 above this top exponent and s at or below
@@ -67,7 +67,7 @@ class OrderRecord:
 
 def order_naive(g: int, n: int) -> OrderRecord:
     """Least k >= 1 with g^k = 1 (mod 2^n), by incremental multiplication,
-    within NAIVE_SCAN_CAP multiplications."""
+    within the cost of NAIVE_SCAN_CAP one-word products."""
     _require_odd(g)
     _require_exponent(n)
     mask = (1 << n) - 1
@@ -75,7 +75,8 @@ def order_naive(g: int, n: int) -> OrderRecord:
     # g's representative in (-2^(n-1), 2^(n-1)]: a small negative g is one word
     t = s - (mask + 1) if s >> (n - 1) else s
     x = s
-    cap = NAIVE_SCAN_CAP
+    # t has at most n bits, so up to n = 64 the budget is the cap itself
+    cap = NAIVE_SCAN_CAP if n <= 64 else NAIVE_SCAN_CAP * 4096 // (max(64, t.bit_length()) * n)
     for k in range(1, cap + 1):  # x = g^k mod 2^n
         if x == 1:
             return OrderRecord(g=s, n=n, omega=k, path="naive")

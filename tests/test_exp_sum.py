@@ -355,10 +355,14 @@ def test_float_value_is_the_bits_of_the_complex_exponential_sum():
 
 @pytest.mark.parametrize(
     "g, w, n",
-    [(3, 1, 5), (-5, 2, 9), (7, -6, 12), (3, 12, 16), (-13, 1, 16), (3, 1, 18), (5, -10, 18)],
+    [(3, 1, 5), (-5, 2, 9), (7, -6, 12), (3, 12, 16), (-13, 1, 16), (3, 1, 18), (5, -10, 18),
+     (3, 6, 18), (3, 1 << 7, 8), (-5, 1 << 8, 8), (7, 1 << 11, 8), (-13, -3 << 6, 8)],
 )
 def test_float_value_is_the_literal_angle_sum(g, w, n):
-    # the angles 2 * math.pi * r / m written as one expression per residue
+    # the angles 2 * math.pi * r / m written as one expression per residue,
+    # over every counter of the table; orbit_certificate reads w's class
+    # lo (mod 2 lo) alone, lo = w & -w: at lo = 2^(n-1) the class [2^(n-1)],
+    # at lo >= 2^n the class [0]
     m = 1 << n
     table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
     residues = [r for r, c in enumerate(table) if c]

@@ -92,11 +92,36 @@ def test_naive_scan_cap(monkeypatch):
     assert str(raised.value) == "order scan for g=3 mod 2^8 exceeded 63 iterations"
 
 
+def test_naive_scan_budget_counts_the_words_of_each_product(monkeypatch):
+    # a b-bit multiplier times an n-bit x gets NAIVE_SCAN_CAP * 64 * 64 //
+    # (max(64, b) * max(64, n)) products: 3 gets the whole cap at n = 64, a
+    # quarter of it at n = 256, and the 128-bit 2^127 + 3 half of that
+    monkeypatch.setattr(order_engine, "NAIVE_SCAN_CAP", 4096)
+    for g, n, cap in [(3, 64, 4096), (3, 256, 1024), ((1 << 127) + 3, 256, 512)]:
+        with pytest.raises(ScanBudgetExceeded, match=f"exceeded {cap} iterations$"):
+            order_naive(g, n)
+    # 1 + 2^250 has order 64 mod 2^256, within its 261 products
+    assert order_naive((1 << 250) + 1, 256).omega == 64
+    monkeypatch.undo()
+    # narrow bases at n <= 64 answer as before
+    assert order_naive(-3, 16).omega == 1 << 14
+    # at the real cap a 4095-bit multiplier at n = 4096 gets 1,024 products,
+    # a 68-bit one at n = 4095 61,696 and -5 at n = 4096 65,536; without the
+    # scaling these scans took about 90 s, 4.5 s and 2.5 s
+    start = time.process_time()
+    for g, n, cap in [((1 << 4094) + 3, 4096, 1024), (-175980113058154982311, 4095, 61696),
+                      (-5, 4096, 65536)]:
+        with pytest.raises(ScanBudgetExceeded, match=f"exceeded {cap} iterations$"):
+            order_naive(g, n)
+    assert time.process_time() - start < 2
+
+
 def test_naive_scan_multiplies_by_the_signed_representative(monkeypatch):
     # -5 and 5 are one-word multipliers in (-2^(n-1), 2^(n-1)], so their
     # capped scans at n = 4096 cost about the same; multiplying by the
-    # residue of -5, a 4096-bit number, costs tens of times more
-    monkeypatch.setattr(order_engine, "NAIVE_SCAN_CAP", 1 << 15)
+    # residue of -5, a 4096-bit number, costs tens of times more; a cap of
+    # 2^21 is 2^15 products of a one-word multiplier at n = 4096
+    monkeypatch.setattr(order_engine, "NAIVE_SCAN_CAP", 1 << 21)
 
     def scan_time(g):
         best = math.inf

@@ -66,6 +66,8 @@ ONE_DECIDER = T_EXP + "test_one_decider_for_a_run_of_weights_on_both_sides_of_th
 T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
 STRADDLE = T_ORDER + "test_order_column_straddles_the_walk_switch"
 ABOVE = T_EXP + "test_half_order_and_antipodal_shift_above_the_walk_switch"
+ANGLE_SUM = T_EXP + "test_float_value_is_the_literal_angle_sum"
+BUDGET = T_ORDER + "test_naive_scan_budget_counts_the_words_of_each_product"
 PER_ORBIT = "tests/test_claim_records.py::test_orbit_sweep_builds_at_most_one_orbit_per_tuple"
 RECORDS = "tests/test_claim_records.py::test_orbit_vanishing_records_the_unpaired_residue"
 SHIFT = T_ORDER + "test_order_column_t_walk_shifts_once_its_square_vanishes"
@@ -157,6 +159,12 @@ MUTANTS = [
     Mutant("certificate-offender-is-the-least-residue", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=residues[0]",
            (T_CLI + "test_table_format", DENSE)),
+    Mutant("class-read-from-residue-0", EXP,
+           "start, step = lo & (m - 1), 2 * lo", "start, step = 0, 2 * lo",
+           (ANGLE_SUM, T_CLI + "test_expsum_command")),
+    Mutant("class-start-taken-as-lo-not-lo-mod-m", EXP,
+           "start, step = lo & (m - 1), 2 * lo", "start, step = lo, 2 * lo",
+           (ANGLE_SUM,)),
     Mutant("pairing-one-row-too-long", EXP,
            "k = len(residues) >> 1", "k = (len(residues) >> 1) + 1",
            (T_CLI + "test_table_format", DENSE)),
@@ -253,6 +261,10 @@ MUTANTS = [
     Mutant("naive-scan-multiplier-unsigned", ORDER,
            "        x = x * t & mask\n", "        x = x * s & mask\n",
            (T_ORDER + "test_naive_scan_multiplies_by_the_signed_representative",)),
+    Mutant("budget-not-scaled-by-the-multipliers-width", ORDER,
+           "(max(64, t.bit_length()) * n)", "(64 * n)", (BUDGET,)),
+    Mutant("budget-not-scaled-by-the-modulus-width", ORDER,
+           "(max(64, t.bit_length()) * n)", "(max(64, t.bit_length()) * 64)", (BUDGET,)),
     Mutant("scan-range-one-short-of-the-cap", ORDER,
            "for k in range(1, cap + 1):", "for k in range(1, cap):",
            (T_ORDER + "test_naive_scan_cap",)),
