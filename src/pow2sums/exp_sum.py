@@ -22,21 +22,23 @@ vanishes.  Two exact routes decide that.  Up to LITERAL_EXPONENT_CAP <g>
 mod 2^m is counted into a table of 2^m counters and each odd residue is
 compared with its antipode (_paired).  Above it the paper's congruence
 decides: S = 0 exactly when m >= 2 and the order column's half-order
-residue g^(omega_g(2^m)/2) mod 2^m is 2^(m-1) + 1.  _unpaired, the
-decider of min_vanishing_n, picks the route and names a sum that does not
-vanish by its first term, w * g mod 2^n, with the counts read from the
-table at g and at its antipode (_offender).  orbit_certificate (the
-expsum command) takes the same routes, but below the cap counts the orbit
-itself into 2^n counters, since its pairing lists the residues at n, and
-reads only w's residue class of that table.  residue_orbit,
-is_exact_zero and float_sum build the literal multiset, pair it and sum
-it in floating point; they are the tests' reference only.
+residue g^(omega_g(2^m)/2) mod 2^m is 2^(m-1) + 1.  _vanishes, the
+decider of min_vanishing_n, picks the route and returns the verdict
+alone.  A sum that does not vanish is named by its first term,
+w * g mod 2^n; only the sweep reads its counts, from the table at g and
+at its antipode (_offender).  orbit_certificate (the expsum command)
+takes the same routes, but below the cap counts the orbit itself into
+2^n counters, since its pairing lists the residues at n, and reads only
+w's residue class of that table.  residue_orbit, is_exact_zero and
+float_sum build the literal multiset, pair it and sum it in floating
+point; they are the tests' reference only.
 
 theorem6 takes a run, each g of a range with a run of weights at a run
-of n: every order of a g comes from one squaring chain, and each met
-(g, m) is decided once on each side of the cap, for every met (w, n) with
-n - d(w) = m: up to the cap a subgroup <g> mod 2^m at a time, from one
-table, and above it by the congruence (_orbit_vanishing).
+of n: every order of a g comes from one squaring chain, the weights are
+grouped by 2-adic valuation, and each met (g, m) is decided once on each
+side of the cap, for every class met at n with n - d = m: up to the cap
+a subgroup <g> mod 2^m at a time, from one table, and above it by the
+congruence (_orbit_vanishing).
 check_antipodal_shift reads one congruence.
 """
 from __future__ import annotations
@@ -67,9 +69,6 @@ FLOAT_EXPONENT_CAP = 52
 # on the literal orbit: at most 2^(LITERAL_EXPONENT_CAP - 2) terms, the
 # longest orbit modulo 2^LITERAL_EXPONENT_CAP.
 LITERAL_EXPONENT_CAP = 22
-
-Unpaired = Optional[tuple[int, int, int]]
-
 
 class FloatPrecisionError(ValueError):
     """The floating cross-check was asked for an unrepresentable exponent."""
@@ -217,14 +216,13 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
     only in w's class lo (mod 2 lo), lo = w & -w: the pairing, and the
     floating value summed over the occupied residues r in ascending order at
     the angles (2 pi / 2^n) r, an exact rescaling of fl(2 pi r) / 2^n, so only
-    its last digits can differ from float_sum's.  Above it _unpaired decides.
+    its last digits can differ from float_sum's.  Above it _vanishes decides.
     """
     _require_orbit(g, w, n)
     column = _order_column(g, 1, n)
     omega = column[-1][0]
     if n > LITERAL_EXPONENT_CAP:
-        unpaired = _unpaired(g, w, n, column)
-        r = None if unpaired is None else unpaired[0]
+        r = None if _vanishes(g, w, n, column) else w * g & ((1 << n) - 1)
         return OrbitCertificate(omega, ZeroCertificate(r is None, violating_residue=r), None)
     table = _orbit_table(g, w, n, omega)
     m = len(table)
@@ -239,7 +237,7 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
         k = len(residues) >> 1
         cert = ZeroCertificate(is_zero=True, pairing=tuple(islice(zip(residues, counts), k)))
     else:
-        # the first term is unpaired in every sum that does not vanish (_unpaired)
+        # the first term is unpaired in every sum that does not vanish (_offender)
         cert = ZeroCertificate(is_zero=False, violating_residue=w * g & (m - 1))
     # rect(c, phi) forms the products of c * cmath.exp(2j * math.pi * r / m)
     value = sum(map(cmath.rect, counts, map(mul, repeat(2 * math.pi / m), residues)))
@@ -278,63 +276,72 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
     """theorem6 on a run: each g of gs with each weight of ws at every n of
     ns.  g = +-1, and each n below a weight's bound, are not met; any other
     g reads one column from exponent 1.  S(g, w, n) depends on g and
-    m = n - d(w) alone (_unpaired), so each met (g, m) is decided once on
-    each side of LITERAL_EXPONENT_CAP, and that one decision is tallied for
-    every met (w, n) with n - d(w) = m.  Above the cap the congruence
-    decides, a g at a time.  Up to it each m is decided a subgroup at a
-    time: the first g left leads, the table of <g> mod 2^m holds each h of
-    <g>, each h of g's order there generates <g> and joins the group, and
-    the one table decides every h of it.  One table is alive at a time.  A
-    failed collapse guard, h = +-1 (mod 2^m), is reported while the sum
-    vanishes, else the unpaired residue."""
+    m = n - d(w) alone (_vanishes), so the weights are taken a valuation
+    class at a time: each met (g, m) is decided once on each side of
+    LITERAL_EXPONENT_CAP, and one step holds every weight of the classes
+    met at m; only a reported weight is visited alone.  Above the cap the
+    congruence decides, a g at a time.  Up to it each m is decided a
+    subgroup at a time: the first g left leads, the table of <g> mod 2^m
+    holds each h of <g>, each h of g's order there generates <g> and joins
+    the group, and the one table decides every h of it.  One table is alive
+    at a time.  A failed collapse guard, h = +-1 (mod 2^m), is reported
+    while the sum vanishes, else the unpaired residue."""
     top = ns[-1]
     _require_exponent(top)
-    ds = list(map(two_adic_valuation, ws))
+    classes: dict[int, list[int]] = {}  # d -> the weights w with d(w) = d
+    for w in ws:
+        classes.setdefault(two_adic_valuation(w), []).append(w)
     held = unmet = 0
     details = []
     orders = []  # (g, its bound at w = 1, its orders at exponents 1 to the cap)
 
-    def tally(runs: list, m: int, at: list, paired: bool, table: Optional[list[int]]) -> None:
-        # one decision at m for each (h, _, orders) of runs and each (i, n) of at
+    def met_at(m: int, lo: int, hi: int) -> tuple[list, int]:
+        # the (n, class) with n = m + d in [lo, hi], and their number of weights
+        at = [(m + d, c) for d, c in classes.items() if lo <= m + d <= hi]
+        return at, sum(len(c) for _, c in at)
+
+    def tally(runs: list, m: int, at: list, met: int, paired: bool, table: Optional[list]) -> None:
+        # one decision at m for each (h, _, orders) of runs and the met weights of at
         nonlocal held
         low = (1 << m) - 1
         for h, _, omegas in runs:
             if paired and h & low not in (1, low):
-                held += len(at)
+                held += met
                 continue
-            for i, n in at:
-                if paired:  # the collapse guard failed
-                    detail = ("exact zero (collapse guard failed)",
-                              "base not +-1 modulo the collapsed modulus")
-                else:
-                    r, count, antipode = _offender(h, ws[i], n, omegas[n - 1] // omegas[m - 1], table)
-                    detail = (f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
-                              "equal multiplicities on every antipodal residue pair")
-                details.append((h, n, ws[i], (Verdict.COUNTEREXAMPLE, detail)))
+            for n, c in at:
+                k = omegas[n - 1] // omegas[m - 1]
+                for w in c:
+                    if paired:  # the collapse guard failed
+                        detail = ("exact zero (collapse guard failed)",
+                                  "base not +-1 modulo the collapsed modulus")
+                    else:
+                        r, count, antipode = _offender(h, w, n, k, table)
+                        detail = (f"count({r})={count} != count({r ^ (1 << (n - 1))})={antipode}",
+                                  "equal multiplicities on every antipodal residue pair")
+                    details.append((h, n, w, (Verdict.COUNTEREXAMPLE, detail)))
 
     above = range(max(ns.start, LITERAL_EXPONENT_CAP + 1), ns.stop)
-    above_at = {m: [(i, m + d) for i, d in enumerate(ds) if m + d in above]
-                for m in {n - d for d in set(ds) for n in above}}
+    above_at = {m: met_at(m, above.start, top) for m in {n - d for d in classes for n in above}}
     for g in gs:
         # g = +-1 meets no bound; a weight is not met at each n of ns below its
         # bound, vanishing_bound(g, w) = d(w) + vanishing_bound(g, 1)
         base = vanishing_bound(g, 1) if g not in (-1, 1) else top + 1
-        bounds = [d + base for d in ds]
-        unmet += sum(min(max(bound, ns.start), ns.stop) - ns.start for bound in bounds)
-        if min(bounds, default=top + 1) > top:
+        unmet += sum(len(c) * (min(max(d + base, ns.start), ns.stop) - ns.start)
+                     for d, c in classes.items())
+        if min(classes, default=top) + base > top:
             continue
         column = _order_column(g, 1, top)
         omegas = [row[0] for row in column]
         orders.append((g, base, omegas[:LITERAL_EXPONENT_CAP]))
         # a met m is m >= base, at least 3 under theorem6's bound
-        for m, at in above_at.items():
+        for m, (at, met) in above_at.items():
             if m >= base:
-                tally([(g, base, omegas)], m, at, column[m - 1][1] == (1 << (m - 1)) + 1, None)
+                tally([(g, base, omegas)], m, at, met, column[m - 1][1] == (1 << (m - 1)) + 1, None)
     cap = min(top, LITERAL_EXPONENT_CAP)
-    for m in sorted({n - d for d in set(ds) for n in range(ns.start, cap + 1)}):
-        # the (i, n) with n - d(ws[i]) = m, met for each g whose bound at w = 1
-        # is <= m, so m >= 3 wherever a g is met
-        at = [(i, m + d) for i, d in enumerate(ds) if ns.start <= m + d <= cap]
+    for m in sorted({n - d for d in classes for n in range(ns.start, cap + 1)}):
+        # the classes met at m + d, for each g whose bound at w = 1 is <= m,
+        # so m >= 3 wherever a g is met
+        at, met = met_at(m, ns.start, cap)
         runs = [run for run in orders if run[1] <= m]
         while runs:
             lead, _, omegas = runs[0]
@@ -344,41 +351,35 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
                 joins = run[2][m - 1] == omegas[m - 1] and table[run[0] & low]
                 (group if joins else rest).append(run)
             runs = rest
-            tally(group, m, at, _paired(table, 1), table)
+            tally(group, m, at, met, _paired(table, 1), table)
             table = None
     return held, unmet, details
 
 
-def _unpaired(g: int, w: int, n: int, column: Sequence[tuple]) -> Unpaired:
-    """None when S(g, w, n) = 0, else (r, count(r), count(r ^ 2^(n-1))) at
-    the orbit's first term r = w * g mod 2^n (_offender); g, w and n are
-    valid and column is _order_column(g, 1, n) or longer.  S vanishes
-    exactly when <g> mod 2^m pairs, m = n - d(w).  Up to
-    LITERAL_EXPONENT_CAP that is read from the table of <g> mod 2^m.  Above
-    it, adding 2^(m-1) multiplies the coset w0 <g> by 1 + 2^(m-1): for
-    m >= 2 an involution, which maps the coset onto itself exactly when it
-    is the one involution g^(omega_m / 2) of the cyclic 2-group <g>, and
-    else onto a disjoint coset, where the antipode counts 0; so every
-    occupied residue is paired or none is."""
+def _vanishes(g: int, w: int, n: int, column: Sequence[tuple]) -> bool:
+    """Whether S(g, w, n) = 0; g, w and n are valid and column is
+    _order_column(g, 1, n) or longer.  S vanishes exactly when <g> mod 2^m
+    pairs, m = n - d(w).  Up to LITERAL_EXPONENT_CAP that is read from the
+    table of <g> mod 2^m.  Above it, adding 2^(m-1) multiplies the coset
+    w0 <g> by 1 + 2^(m-1): for m >= 2 an involution, which maps the coset
+    onto itself exactly when it is the one involution g^(omega_m / 2) of
+    the cyclic 2-group <g>, and else onto a disjoint coset, where the
+    antipode counts 0; so every occupied residue is paired or none is."""
     m = n - two_adic_valuation(w)
-    omega = column[n - 1][0]
-    k = omega // column[m - 1][0] if m > 0 else omega
-    table = None
     if n <= LITERAL_EXPONENT_CAP and m > 0:
-        table = _orbit_table(g, 1, m, column[m - 1][0])
-        paired = _paired(table, 1)
-    else:  # the congruence; at m <= 0 every term sits on 0
-        paired = m >= 2 and column[m - 1][1] == (1 << (m - 1)) + 1
-    return None if paired else _offender(g, w, n, k, table)
+        return _paired(_orbit_table(g, 1, m, column[m - 1][0]), 1)
+    # the congruence; at m <= 0 every term sits on 0
+    return m >= 2 and column[m - 1][1] == (1 << (m - 1)) + 1
 
 
-def _offender(g: int, w: int, n: int, k: int, table: Optional[list[int]]) -> Unpaired:
-    """(r, count(r), count(r ^ 2^(n-1))) for S(g, w, n) at its first term
-    r = w * g mod 2^n, with k = omega_n / omega_m the count of each residue
-    of the coset w0 <g> mod 2^m (_unpaired).  r's cofactor r >> d(w) is
-    w0 * g mod 2^m, which w0's inverse maps to g, and the antipode's to
-    g ^ 2^(m-1), so both are read from the table of <g> mod 2^m at g and at
-    its antipode; with no table, from a sum whose antipodes are empty."""
+def _offender(g: int, w: int, n: int, k: int, table: Optional[list[int]]) -> tuple[int, int, int]:
+    """(r, count(r), count(r ^ 2^(n-1))) for a sum S(g, w, n) that does not
+    vanish, at its first term r = w * g mod 2^n, with k = omega_n / omega_m
+    the count of each residue of the coset w0 <g> mod 2^m (_vanishes).  r's
+    cofactor r >> d(w) is w0 * g mod 2^m, which w0's inverse maps to g, and
+    the antipode's to g ^ 2^(m-1), so both are read from the table of <g>
+    mod 2^m at g and at its antipode; with no table, from a sum whose
+    antipodes are empty."""
     r = w * g & ((1 << n) - 1)
     if table is None:
         return r, k, 0
@@ -424,7 +425,7 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
 
     Vanishing is not monotone in n (g=3, w=1 vanishes at n=2, fails at
     n=3, then vanishes from n=4 on), so every exponent from d(w) + 2 on is
-    probed with theorem6's decider, _unpaired, on one column.  Below
+    probed with theorem6's decider, _vanishes, on one column.  Below
     d(w) + 2 every term sits on 0 or 2^(n-1), so no sum vanishes there.
     theorem6 puts a zero at vanishing_bound(g, w), so the column is walked
     that far; only past a bound whose zero failed is it walked on to n_max.
@@ -437,7 +438,7 @@ def min_vanishing_n(g: int, w: int, n_max: int) -> Optional[MinVanishing]:
     for n in range(two_adic_valuation(w) + 2, n_max + 1):
         if n > len(column):
             column = _order_column(g, 1, n_max)
-        if _unpaired(g, w, n, column) is None:
+        if _vanishes(g, w, n, column):
             return MinVanishing(n=n, slack=bound - n)
     return None
 

@@ -81,7 +81,9 @@ def order_naive(g: int, n: int) -> OrderRecord:
         if x == 1:
             return OrderRecord(g=s, n=n, omega=k, path="naive")
         x = x * t & mask
-    raise ScanBudgetExceeded(f"order scan for g={g} mod 2^{n} exceeded {cap} iterations")
+    # a wide g is named by its width: its digits would fill the error line
+    name = f"g={g}" if g.bit_length() <= 64 else f"a {g.bit_length()}-bit g"
+    raise ScanBudgetExceeded(f"order scan for {name} mod 2^{n} exceeded {cap} iterations")
 
 
 def _order_column(g: int, n_lo: int, n_hi: int) -> list[tuple[int, int]]:

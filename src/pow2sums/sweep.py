@@ -19,11 +19,11 @@ Per-modulus claims take each odd g in the range at every n with g < 2^n,
 i.e. the canonical residues of each modulus; the orbit-sum claim takes
 literal signed integers for g and w, since its hypotheses are about g as
 an integer, and skips w = 0.  A sweep is one run; with min(jobs, CPU
-count) > 1 workers and a g x w x n grid of more than one _CHUNK_TUPLES
-chunk, it is cut into about four near-equal slices per worker.  Tallies
-add up and exceptions are sorted, so a report is byte-deterministic for
-a given spec at any worker count.  Only a sweep that starts a pool
-imports the pool machinery (multiprocessing).
+count) > 1 workers, two or more g and a g x w x n grid of more than one
+_CHUNK_TUPLES chunk, it is cut into about four near-equal runs of g per
+worker.  Tallies add up and exceptions are sorted, so a report is
+byte-deterministic for a given spec at any worker count.  Only a sweep
+that starts a pool imports the pool machinery (multiprocessing).
 """
 from __future__ import annotations
 
@@ -210,18 +210,11 @@ def _g_range(spec: SweepSpec, claim: Claim) -> range:
 
 def _slices(claim: Claim, gs: range, ws: Sequence[Optional[int]], ns: range,
             workers: int) -> list[tuple]:
-    """Cut a sweep's run into k = min(4 * workers, chunks) slices, chunks
-    counting _CHUNK_TUPLES in the g x w x n grid that its columns walk:
-    near-equal runs of g, each with every w, or, with fewer g than k, each
-    g alone with near-equal runs of its w.  Below two chunks, no slice."""
-    k = min(4 * workers, -(-len(gs) * len(ws) * len(ns) // _CHUNK_TUPLES))
-    if k < 2:
-        return []
-    kg = min(k, len(gs))
-    kw = min(len(ws), -(-k // kg))
-    return [(claim.name, gs[i * len(gs) // kg:(i + 1) * len(gs) // kg],
-             ws[j * len(ws) // kw:(j + 1) * len(ws) // kw], ns)
-            for i in range(kg) for j in range(kw)]
+    """Cut a sweep's run into k = min(4 * workers, len(gs), chunks)
+    near-equal runs of g, each with every w, chunks counting _CHUNK_TUPLES
+    in the g x w x n grid that its columns walk."""
+    k = min(4 * workers, len(gs), -(-len(gs) * len(ws) * len(ns) // _CHUNK_TUPLES))
+    return [(claim.name, gs[i * len(gs) // k:(i + 1) * len(gs) // k], ws, ns) for i in range(k)]
 
 
 def _run_chunk(run: tuple[str, range, Sequence[Optional[int]], range]) -> Run:

@@ -366,6 +366,16 @@ def test_pathological_query_exits_2_promptly(capsys, argv):
     assert elapsed < 10, f"{elapsed:.1f} s"
 
 
+def test_wide_base_scan_error_is_one_short_line(capsys):
+    # a 4095-bit base gets 1,024 products at n = 4096; its 1,233 digits are
+    # not printed, only its width
+    code = main(["order", "--g", str((1 << 4094) + 3), "--n", "4096", "--naive"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: order scan for a 4095-bit g mod 2^4096 "
+                            "exceeded 1024 iterations\n")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--claim", "bogus", "--g-min", "1", "--g-max", "3", "--n-min", "1", "--n-max", "2"])

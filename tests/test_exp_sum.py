@@ -287,7 +287,8 @@ def test_orbit_vanishing_small_grid_never_fails():
 
 def by_multiset(g: int, w: int, n: int):
     """The multiset route's answers for S(g, w, n): the orbit, its
-    certificate, and the offender exp_sum._unpaired must name."""
+    certificate, and (r, count(r), count(r ^ 2^(n-1))) at the offender r
+    that a theorem6 run must name, None when the sum vanishes."""
     orbit = residue_orbit(g, w, n)
     cert = is_exact_zero(orbit)
     r = cert.violating_residue
@@ -311,20 +312,25 @@ def assert_certificate_matches(g: int, w: int, n: int, orbit, cert, floats: bool
         assert abs(got.value - float_sum(orbit)) <= 1e-9 * orbit.total, (g, w, n)
 
 
-def test_dense_decider_agrees_with_the_multiset_route():
+def test_dense_decider_agrees_with_the_multiset_route(monkeypatch):
     # odd |g| < 64 plus bases that are +-1 modulo 2^9 or 2^10, so a short
     # orbit at small n grows at the top of the grid; even weights give
-    # multiplicities above 1, and 2^12 and 5 * 2^20 are 0 modulo every 2^n
+    # multiplicities above 1, and 2^12 and 5 * 2^20 are 0 modulo every 2^n.
+    # The decider gives the verdict; a theorem6 run of each g reads the
+    # offender's counts from the table of <g> mod 2^m
     bases = [g for g in range(-63, 64, 2) if g not in (-1, 1)]
     bases += [s * (k + e) for k in (1 << 9, 1 << 10) for e in (-1, 1) for s in (-1, 1)]
     weights = [w for w in range(-40, 41) if w != 0] + [1 << 12, -(3 << 9), 5 << 20]
+    ns = range(1, 13)
     failures = 0
     for g in bases:
         column = order_engine._order_column(g, 1, 12)
+        offenders = {}
         for w in weights:
-            for n in range(1, 13):
+            for n in ns:
                 orbit, cert, expected = by_multiset(g, w, n)
-                assert exp_sum._unpaired(g, w, n, column) == expected, (g, w, n)
+                assert exp_sum._vanishes(g, w, n, column) is (expected is None), (g, w, n)
+                offenders[w, n] = expected
                 if expected is not None:
                     # the orbit is a scaled coset of <g>: a sum that does not
                     # vanish pairs none of its residues, so the first term,
@@ -336,6 +342,7 @@ def test_dense_decider_agrees_with_the_multiset_route():
                 # a complex exp per term: floats are compared up to 2^10
                 assert_certificate_matches(g, w, n, orbit, cert, floats=n <= 10)
                 failures += expected is not None
+        assert_lowered_run_reports(monkeypatch, g, weights, ns, offenders)
     assert failures > 0
 
 
@@ -394,6 +401,20 @@ def theorem6_observed(g: int, w: int, n: int, unpaired) -> str | None:
     return None if g & low not in (1, low) else "exact zero (collapse guard failed)"
 
 
+def assert_lowered_run_reports(monkeypatch, g: int, weights: list, ns: range, offenders) -> None:
+    """With every bound lowered to d(w) + 1, each (w, n) with n > d(w) is
+    met, and a theorem6 run of g alone reports each as theorem6_observed
+    does from offenders[w, n], the reference's (r, count(r),
+    count(r ^ 2^(n-1))) or None, and nothing else; _run_chunk holds it to
+    count each tuple once."""
+    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: odd_part(w).d + 1)
+    _, _, details = sweep._run_chunk(("theorem6", range(g, g + 1), weights, ns))
+    reported = {(w, n): observed for _, n, w, (_, (observed, _)) in details}
+    want = {(w, n): theorem6_observed(g, w, n, offenders[w, n])
+            for w in weights for n in ns if n > odd_part(w).d}
+    assert reported == {key: o for key, o in want.items() if o is not None}, g
+
+
 def test_subgroup_run_agrees_with_each_tuples_own_table(monkeypatch):
     # with every bound at d(w) + 1 each (g, w, n) with n > d(w) is met,
     # below theorem6's bound too, where sums vanish and fail to; 3 * 2^9
@@ -439,6 +460,44 @@ def test_a_group_decides_each_weight_for_the_h_whose_met_holds_it(monkeypatch):
         assert all(by_own_table(g, w, n) is None for g, w, n in met)
 
 
+@pytest.mark.parametrize("lowered", [False, True], ids=["bound", "bound-at-d-plus-1"])
+@pytest.mark.parametrize("cap", [LITERAL_EXPONENT_CAP, 5], ids=["tables", "congruence-above-5"])
+def test_a_run_of_valuation_classes_is_the_sum_of_its_one_weight_runs(monkeypatch, cap, lowered):
+    # classes of several weights each, first met out of valuation order:
+    # d = 9, 0, 1, 2, 3 and 5, with 2^k and -3 * 2^k at d = 5 and 9; with
+    # every bound at d(w) + 1 both routes report counterexamples and failed
+    # collapse guards
+    weights = [1 << 9, 1, -1, 3, 2, -6, 10, 4, -12, 8, 1 << 5, -(3 << 5), -(3 << 9)]
+    gs, ns = range(-15, 16, 2), range(1, 13)
+    monkeypatch.setattr(exp_sum, "LITERAL_EXPONENT_CAP", cap)
+    if lowered:
+        monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: odd_part(w).d + 1)
+    held, unmet, details = exp_sum._orbit_vanishing(gs, weights, ns)
+    alone = [exp_sum._orbit_vanishing(gs, (w,), ns) for w in weights]
+    assert held == sum(run[0] for run in alone)
+    assert unmet == sum(run[1] for run in alone)
+    assert sorted(details) == sorted(d for run in alone for d in run[2])
+    assert held + unmet + len(details) == len(gs) * len(weights) * len(ns)
+    if lowered:
+        kinds = {(n > cap, observed.split("(")[0]) for _, n, _, (_, (observed, _)) in details}
+        sides = {False, True} if cap == 5 else {False}
+        assert kinds == {(side, kind) for side in sides for kind in ("count", "exact zero ")}
+
+
+def test_a_run_builds_the_tables_of_its_valuation_classes_alone(monkeypatch):
+    # w = 1..64 holds the classes d = 0..5 of {1, 2, 4, ..., 32} and d = 6;
+    # 64 is met at m = n - 6, where d = 0 is met too, so no table is added
+    real, built = exp_sum._orbit_table, []
+    monkeypatch.setattr(exp_sum, "_orbit_table", lambda *args: built.append(args) or real(*args))
+    gs, ns = range(-31, 32, 2), range(1, 15)
+    tables = []
+    for ws in (range(1, 65), [1, 2, 4, 8, 16, 32]):
+        built.clear()
+        exp_sum._orbit_vanishing(gs, ws, ns)
+        tables.append(list(built))
+    assert tables[0] and tables[0] == tables[1]
+
+
 def test_paired_compares_the_halves_at_every_valuation():
     # one strided pair at d(w) = n - 2; at n - 1 every term sits on 2^(n-1)
     # and the strided slices would be empty; at n and n + 3 on 0
@@ -473,11 +532,16 @@ def test_dense_decider_switches_route_above_the_cap(monkeypatch):
     monkeypatch.setattr(exp_sum, "is_exact_zero", unbuilt)
     for g, w, n in cases:
         column = order_engine._order_column(g, 1, n)
-        assert exp_sum._unpaired(g, w, n, column) == expected[g, w, n], (g, w, n)
+        assert exp_sum._vanishes(g, w, n, column) is (expected[g, w, n] is None), (g, w, n)
         assert_certificate_matches(g, w, n, *reference[g, w, n][:2])
     # the table decides at the cap, in the decider at m = n - d(w) and in
     # the certificate at n; the congruence only above it
     assert tables == [size for g, w, n in cases if n == cap for size in (n - odd_part(w).d, n)]
+    # a theorem6 run of each (g, n) reads the counts on the same route
+    for g, n in dict.fromkeys((g, n) for g, _, n in cases):
+        weights = [w for h, w, k in cases if (h, k) == (g, n)]
+        offenders = {(w, n): expected[g, w, n] for w in weights}
+        assert_lowered_run_reports(monkeypatch, g, weights, range(n, n + 1), offenders)
 
 
 def test_structural_decider_agrees_with_the_multiset_route(monkeypatch):
@@ -493,9 +557,13 @@ def test_structural_decider_agrees_with_the_multiset_route(monkeypatch):
     seen = set()
     for g in bases:
         column = order_engine._order_column(g, 1, ns[-1])
+        offenders = {(w, n): ref[2] for n in ns for w, ref in zip(weights, reference[g, n])}
+        # the counts above the cap, with no table: the run names omega_n / omega_m and 0
+        assert_lowered_run_reports(monkeypatch, g, weights, ns, offenders)
         for n in ns:
             expected = [unpaired for _, _, unpaired in reference[g, n]]
-            assert [exp_sum._unpaired(g, w, n, column) for w in weights] == expected, (g, n)
+            got = [exp_sum._vanishes(g, w, n, column) for w in weights]
+            assert got == [unpaired is None for unpaired in expected], (g, n)
             if None in expected and expected.count(None) < len(expected):
                 seen.add("both verdicts at one (g, n)")
             for w, (orbit, cert, unpaired) in zip(weights, reference[g, n]):
@@ -531,7 +599,7 @@ def by_exact_value(g: int, w: int, n: int, omega: int):
 
 
 @pytest.mark.parametrize("n", [64, 4096])
-def test_structural_decider_matches_the_exact_value(n):
+def test_structural_decider_matches_the_exact_value(monkeypatch, n):
     # bases in each family of the formula at collapsed exponents from 2 to n,
     # and weights with m from n down to -1
     ks = sorted({2, 3, 5, n // 2, n - 3, n - 1, n})
@@ -545,13 +613,13 @@ def test_structural_decider_matches_the_exact_value(n):
         omega = order_fast(g, n).omega
         expected = [by_exact_value(g, w, n, omega) for w in weights]
         column = order_engine._order_column(g, 1, n)
-        got = [exp_sum._unpaired(g, w, n, column) for w in weights]
-        for w, count, unpaired in zip(weights, expected, got):
-            if count is None:
-                assert unpaired is None, (g, w)
-            else:
-                assert unpaired == (w * g % (1 << n), count, 0), (g, w)
+        for w, count in zip(weights, expected):
+            assert exp_sum._vanishes(g, w, n, column) is (count is None), (g, w)
             branches.add((count is None, count == omega))
+        # the counts of omega and of omega / 2 on the first term, from a theorem6 run
+        offenders = {(w, n): None if count is None else (w * g % (1 << n), count, 0)
+                     for w, count in zip(weights, expected)}
+        assert_lowered_run_reports(monkeypatch, g, weights, range(n, n + 1), offenders)
         cert = orbit_certificate(g, weights[0], n).certificate
         assert cert.is_zero is (expected[0] is None) and cert.pairing is None
     # vanishing sums, and counts of omega and of omega / 2
@@ -720,8 +788,8 @@ def by_literal_orbit(g: int, w: int, n: int):
 
 def test_each_sum_is_decided_by_its_subgroup_modulo_2_to_the_m():
     # scaling and unit multiplication: S(g, w, n) is decided from <g> mod
-    # 2^m, and its counts read there at g and at g ^ 2^(m-1); each tuple
-    # against its own multiset
+    # 2^m; each tuple against its own multiset.  Its counts, read there at
+    # g and at g ^ 2^(m-1), are the sweep's, checked on this grid below
     bases, weights, ns = IDENTITIES
     ms = set()
     for g in bases:
@@ -729,7 +797,7 @@ def test_each_sum_is_decided_by_its_subgroup_modulo_2_to_the_m():
         for n in ns:
             for w in weights:
                 want = by_literal_orbit(g, w, n)
-                assert exp_sum._unpaired(g, w, n, column) == want, (g, w, n)
+                assert exp_sum._vanishes(g, w, n, column) is (want is None), (g, w, n)
                 ms.add((n - odd_part(w).d, want is None))
     assert {m for m, _ in ms} == set(range(-3, 11))
     # above m = 5 no base here is +-1 or 2^(m-1) - 1 modulo 2^m, and every sum vanishes

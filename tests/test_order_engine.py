@@ -90,6 +90,12 @@ def test_naive_scan_cap(monkeypatch):
     with pytest.raises(ScanBudgetExceeded) as raised:
         order_naive(3, 8)
     assert str(raised.value) == "order scan for g=3 mod 2^8 exceeded 63 iterations"
+    # up to 64 bits g is printed in full, above that only its width
+    for g, name in [((1 << 63) + 3, f"g={(1 << 63) + 3}"), (-(1 << 63) + 3, f"g={-(1 << 63) + 3}"),
+                    ((1 << 64) + 3, "a 65-bit g"), (-(1 << 65) + 3, "a 65-bit g")]:
+        with pytest.raises(ScanBudgetExceeded) as raised:
+            order_naive(g, 8)
+        assert str(raised.value) == f"order scan for {name} mod 2^8 exceeded 63 iterations"
 
 
 def test_naive_scan_budget_counts_the_words_of_each_product(monkeypatch):

@@ -233,6 +233,16 @@ def test_orbit_domain_of_one_chunk_runs_inline_whatever_its_g_count(recording_po
     assert recording_pool == []
 
 
+def test_a_one_g_sweep_runs_inline_whatever_its_chunk_count(monkeypatch, recording_pool):
+    # one g, 2,000 w and 12 exponents: 24,000 grid points, but one run of g
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    domain = dict(claim="theorem6", g_min=3, g_max=3, n_min=1, n_max=12,
+                  w_min=-1000, w_max=1000)
+    report = run_sweep(spec(jobs=2, **domain))
+    assert recording_pool == []
+    assert report.tallies["holds"] == 16012
+
+
 def _domain(domain) -> set:
     """The (g, w, n) tuples of a sweep domain, from the rule the README
     states: odd g, with w != 0 for theorem6 and g < 2^n otherwise."""
@@ -249,9 +259,9 @@ def _domain(domain) -> set:
     [
         # 4,096 g x 13 n = 13 chunks: 8 runs of 512 g on 2 workers, 13 on 4
         (dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13), {2: 8, 4: 13}),
-        # two g, fewer than the 6 slices: each g alone with 3 runs of its w
+        # two g: a run of one g each, with every w, however many chunks
         (dict(claim="theorem6", g_min=3, g_max=5, n_min=1, n_max=3, w_min=-2000, w_max=2000),
-         {2: 6, 4: 6}),
+         {2: 2, 4: 2}),
         # many g with few w: 5 runs of 204 or 205 g, each with every w
         (dict(claim="theorem6", g_min=-1023, g_max=1023, n_min=1, n_max=5, w_min=-2, w_max=2),
          {2: 5, 4: 5}),
@@ -276,14 +286,14 @@ def _domain(domain) -> set:
 def test_pool_jobs_partition_the_domain(monkeypatch, recording_pool, domain, jobs):
     serial = json_body(run_sweep(spec(jobs=1, **domain)))
     tuples = _domain(domain)
-    every_g = {g for g, _, _ in tuples}
     every_w = sorted({w for _, w, _ in tuples}, key=lambda w: w or 0)
     for workers, count in jobs.items():
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
         recording_pool.clear()
         parallel = run_sweep(spec(jobs=workers, **domain))
         (pool,) = recording_pool
-        assert (pool.max_workers, len(pool.jobs)) == (workers, count)
+        # a pool has no more processes than slices
+        assert (pool.max_workers, len(pool.jobs)) == (min(workers, count), count)
         held = []
         for name, gs, ws, ns in pool.jobs:
             assert name == domain["claim"]
@@ -292,17 +302,11 @@ def test_pool_jobs_partition_the_domain(monkeypatch, recording_pool, domain, job
         # every tuple of the domain is in exactly one job
         assert len(held) == len(set(held))
         assert set(held) == tuples
+        # near-equal runs of g, each with every w, so each g's order column
+        # is walked once
         g_runs = [len(gs) for _, gs, _, _ in pool.jobs]
-        w_runs = [len(ws) for _, _, ws, _ in pool.jobs]
-        if count <= len(every_g):
-            # near-equal runs of g, each with every w, so each g's order
-            # column is walked once
-            assert max(g_runs) - min(g_runs) <= 1
-            assert all(list(ws) == every_w for _, _, ws, _ in pool.jobs)
-        else:
-            # fewer g than slices: each g alone, with near-equal runs of its w
-            assert set(g_runs) == {1}
-            assert max(w_runs) - min(w_runs) <= 1
+        assert max(g_runs) - min(g_runs) <= 1
+        assert all(list(ws) == every_w for _, _, ws, _ in pool.jobs)
         assert json_body(parallel) == serial
 
 

@@ -63,6 +63,7 @@ A_GROUP = T_EXP + "test_a_group_decides_each_weight_for_the_h_whose_met_holds_it
 IDENT = T_EXP + "test_each_sum_is_decided_by_its_subgroup_modulo_2_to_the_m"
 IDENT_SWEEP = T_EXP + "test_theorem6_sweep_reports_each_tuple_as_its_literal_orbit"
 ONE_DECIDER = T_EXP + "test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap"
+CLASS_SUM = T_EXP + "test_a_run_of_valuation_classes_is_the_sum_of_its_one_weight_runs"
 T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
 STRADDLE = T_ORDER + "test_order_column_straddles_the_walk_switch"
 ABOVE = T_EXP + "test_half_order_and_antipodal_shift_above_the_walk_switch"
@@ -94,9 +95,13 @@ MUTANTS = [
            "if n <= LITERAL_EXPONENT_CAP and m > 0:", "if n < LITERAL_EXPONENT_CAP and m > 0:",
            (SWITCH,)),
     Mutant("certificate-route-switch-at-the-cap", EXP,
-           "    if n > LITERAL_EXPONENT_CAP:\n        unpaired = ",
-           "    if n >= LITERAL_EXPONENT_CAP:\n        unpaired = ",
+           "    if n > LITERAL_EXPONENT_CAP:\n        r = None if _vanishes",
+           "    if n >= LITERAL_EXPONENT_CAP:\n        r = None if _vanishes",
            (SWITCH,)),
+    Mutant("vanishing-certificate-names-the-first-term", EXP,
+           "ZeroCertificate(r is None, violating_residue=r), None)",
+           "ZeroCertificate(r is None, violating_residue=w * g & ((1 << n) - 1)), None)",
+           (SWITCH, STRUCT)),
     Mutant("decider-offender-is-the-weight", EXP,
            "    r = w * g & ((1 << n) - 1)\n", "    r = w & ((1 << n) - 1)\n",
            (DENSE, SWITCH, ONE_DECIDER, STRUCT)),
@@ -110,23 +115,37 @@ MUTANTS = [
            (DENSE,)),
     # the offender's counts, read from the table of <g> mod 2^m at g and its antipode
     Mutant("collapsed-exponent-taken-as-n", EXP,
-           "    m = n - two_adic_valuation(w)\n    omega", "    m = n\n    omega",
+           "    m = n - two_adic_valuation(w)\n    if n <=", "    m = n\n    if n <=",
            (STRUCT, IDENT)),
     Mutant("offender-read-at-the-cofactor", EXP,
            "s, half = g & len(table) - 1, ",
            "s, half = r >> n - len(table).bit_length() + 1 & len(table) - 1, ",
-           (IDENT, IDENT_SWEEP)),
+           (DENSE, IDENT_SWEEP)),
     Mutant("antipode-read-at-the-residue", EXP,
            "k * table[s ^ half]", "k * table[s]",
-           (DENSE, IDENT)),
+           (DENSE, IDENT_SWEEP)),
     # theorem6 below the cap: one table per subgroup <g> mod 2^m
     Mutant("offender-count-without-k", EXP,
-           "omegas[n - 1] // omegas[m - 1], table)", "1, table)",
-           (IDENT_SWEEP, GROUPED)),
+           "k = omegas[n - 1] // omegas[m - 1]\n", "k = 1\n",
+           (IDENT_SWEEP, GROUPED, T_EXP + "test_structural_decider_matches_the_exact_value")),
     Mutant("verdict-keyed-by-n", EXP,
-           "at = [(i, m + d) for i, d in enumerate(ds) if ns.start",
-           "at = [(i, m) for i, d in enumerate(ds) if ns.start",
+           "at = [(m + d, c) for d, c in classes.items() if lo",
+           "at = [(m, c) for d, c in classes.items() if lo",
            (IDENT_SWEEP, GROUPED)),
+    # the valuation classes: one step holds a class, a reported weight is visited alone
+    Mutant("class-held-once-not-per-weight", EXP,
+           "return at, sum(len(c) for _, c in at)", "return at, len(at)",
+           (CLASS_SUM, T_SWEEP + "test_run_sweep_theorem6_domain")),
+    Mutant("unmet-counted-per-class", EXP,
+           "unmet += sum(len(c) * (min(", "unmet += sum(1 * (min(",
+           (CLASS_SUM, T_SWEEP + "test_run_sweep_theorem6_domain")),
+    Mutant("details-for-a-class-first-weight-only", EXP,
+           "                for w in c:\n", "                for w in c[:1]:\n",
+           (CLASS_SUM, IDENT_SWEEP)),
+    Mutant("class-met-at-another-class-n", EXP,
+           "for d, c in classes.items() if lo",
+           "for d, c in zip(sorted(classes), classes.values()) if lo",
+           (CLASS_SUM, IDENT_SWEEP)),
     Mutant("shared-membership-filter-dropped", EXP,
            "joins = run[2][m - 1] == omegas[m - 1] and table[run[0] & low]",
            "joins = True",
@@ -154,7 +173,7 @@ MUTANTS = [
            "table[lo:half - 1:2 * lo] == table[half + lo:-1:2 * lo]",
            (DENSE,)),
     Mutant("bounds-ignore-the-weight-valuation", EXP,
-           "bounds = [d + base for d in ds]", "bounds = [base for d in ds]",
+           "len(c) * (min(max(d + base, ns.start)", "len(c) * (min(max(base, ns.start)",
            (T_SWEEP + "test_run_sweep_theorem6_domain",)),
     Mutant("certificate-offender-is-the-least-residue", EXP,
            "violating_residue=w * g & (m - 1)", "violating_residue=residues[0]",
@@ -177,7 +196,7 @@ MUTANTS = [
            "return OrbitCertificate(len(residues), cert, value)",
            (DENSE,)),
     Mutant("min-vanishing-on-the-multiset-route", EXP,
-           "if _unpaired(g, w, n, column) is None:",
+           "if _vanishes(g, w, n, column):",
            "if is_exact_zero(residue_orbit(g, w, n)).is_zero:",
            (T_EXP + "test_min_vanishing_n_decides_from_the_table_below_the_cap",)),
     Mutant("min-vanishing-starts-one-late", EXP,
@@ -197,29 +216,26 @@ MUTANTS = [
            "m >= 2 and column[m - 1][1] == (1 << (m - 1)) - 1",
            (STRUCT,)),
     Mutant("run-congruence-read-at-n", EXP,
-           "at, column[m - 1][1] == (1 << (m - 1)) + 1, None)",
-           "at, column[at[0][1] - 1][1] == (1 << (at[0][1] - 1)) + 1, None)",
+           "met, column[m - 1][1] == (1 << (m - 1)) + 1, None)",
+           "met, column[at[0][0] - 1][1] == (1 << (at[0][0] - 1)) + 1, None)",
            (IDENT_SWEEP, ONE_DECIDER)),
     Mutant("run-congruence-skips-the-base", EXP,
            "            if m >= base:\n", "            if m > base:\n",
            (ONE_DECIDER,)),
     Mutant("run-decision-reused-for-the-next-m", EXP,
-           "at, column[m - 1][1] == (1 << (m - 1)) + 1, None)",
-           "at, _unpaired.__dict__.setdefault(\n"
+           "met, column[m - 1][1] == (1 << (m - 1)) + 1, None)",
+           "met, _vanishes.__dict__.setdefault(\n"
            "                    g, column[m - 1][1] == (1 << (m - 1)) + 1), None)",
            (ONE_DECIDER,)),
-    Mutant("structural-count-is-the-order", EXP,
-           "k = omega // column[m - 1][0] if m > 0 else omega", "k = omega",
-           (STRUCT,)),
     Mutant("orbit-decision-and-to-or", EXP,
            "if paired and h & low not in (1, low):", "if paired or h & low not in (1, low):",
            (RECORDS,)),
     Mutant("theorem6-unmet-skips-one-n", EXP,
-           "min(max(bound, ns.start), ns.stop) - ns.start for",
-           "min(max(bound, ns.start + 1), ns.stop) - ns.start - 1 for",
+           "min(max(d + base, ns.start), ns.stop) - ns.start)",
+           "min(max(d + base, ns.start + 1), ns.stop) - ns.start - 1)",
            (T_SWEEP + "test_run_sweep_theorem6_domain",)),
     Mutant("theorem6-detail-names-the-first-weight", EXP,
-           "details.append((h, n, ws[i], ", "details.append((h, n, ws[0], ",
+           "details.append((h, n, w, ", "details.append((h, n, c[0], ",
            (T_SWEEP + "test_theorem6_run_agrees_with_the_public_check",)),
     Mutant("literal-orbit-cap-one-short", EXP,
            "if omega > 1 << (LITERAL_EXPONENT_CAP - 2):",
@@ -303,16 +319,15 @@ MUTANTS = [
            (T_CLI + "test_table_format", T_CLI + "test_csv_format_single_query")),
     # sweep slicing and the pool
     Mutant("overlapping-g-runs", SWEEP,
-           "gs[i * len(gs) // kg:(i + 1) * len(gs) // kg]",
-           "gs[i * len(gs) // kg:(i + 1) * len(gs) // kg + 1]",
-           (PARTITION,)),
-    Mutant("w-runs-one-short", SWEEP,
-           "ws[j * len(ws) // kw:(j + 1) * len(ws) // kw]",
-           "ws[j * len(ws) // kw:(j + 1) * len(ws) // kw - 1]",
+           "gs[i * len(gs) // k:(i + 1) * len(gs) // k]",
+           "gs[i * len(gs) // k:(i + 1) * len(gs) // k + 1]",
            (PARTITION,)),
     Mutant("one-slice-per-worker", SWEEP,
-           "k = min(4 * workers, -(-len", "k = min(workers, -(-len",
+           "k = min(4 * workers, len(gs), -(-len", "k = min(workers, len(gs), -(-len",
            (PARTITION,)),
+    Mutant("slices-not-capped-by-the-g-count", SWEEP,
+           "k = min(4 * workers, len(gs), -(-len", "k = min(4 * workers, -(-len",
+           (PARTITION, T_SWEEP + "test_a_one_g_sweep_runs_inline_whatever_its_chunk_count")),
     Mutant("chunks-counted-from-the-real-tuples", SWEEP,
            "-(-len(gs) * len(ws) * len(ns) // _CHUNK_TUPLES)",
            "-(-len(ws) * sum(len(range(gs.start, min(gs.stop, 1 << n), 2)) for n in ns)"
@@ -322,9 +337,10 @@ MUTANTS = [
            "_slices(claim, gs, ws, ns, workers) if workers > 1 else []",
            "_slices(claim, gs, ws, ns, workers) if spec.jobs > 1 else []",
            (T_SWEEP + "test_a_single_cpu_runs_the_sweep_inline",)),
-    Mutant("empty-run-not-guarded", SWEEP,
-           "    if k < 2:\n        return []\n", "    if k == 1:\n        return []\n",
-           (T_SWEEP + "test_run_sweep_is_deterministic_across_worker_counts",)),
+    Mutant("one-slice-starts-a-pool", SWEEP,
+           "    if len(slices) <= 1:\n", "    if not slices:\n",
+           (T_SWEEP + "test_a_one_g_sweep_runs_inline_whatever_its_chunk_count",
+            T_SWEEP + "test_orbit_domain_of_one_chunk_runs_inline_whatever_its_g_count")),
     Mutant("pool-not-bounded-by-the-cpu-count", SWEEP,
            "workers = min(spec.jobs, os.cpu_count() or 1)", "workers = spec.jobs",
            (T_SWEEP + "test_pool_size_is_bounded_by_the_cpu_count",)),
