@@ -27,11 +27,10 @@ decider of min_vanishing_n, picks the route and returns the verdict
 alone.  A sum that does not vanish is named by its first term,
 w * g mod 2^n; only the sweep reads its counts, from the table at g and
 at its antipode (_offender).  orbit_certificate (the expsum command)
-takes the same routes, but below the cap counts the orbit itself into
-2^n counters, since its pairing lists the residues at n, and reads only
-w's residue class of that table.  residue_orbit, is_exact_zero and
-float_sum build the literal multiset, pair it and sum it in floating
-point; they are the tests' reference only.
+takes the same routes, and below the cap lists the coset w0 <g> mod 2^m
+scaled by 2^d.  residue_orbit, is_exact_zero and float_sum build the
+literal multiset, pair it and sum it in floating point; they are the
+tests' reference only.
 
 theorem6 takes a run, each g of a range with a run of weights at a run
 of n: every order of a g comes from one squaring chain, the weights are
@@ -212,11 +211,11 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
     """The orbit sum S(g, w, n) with its exact certificate.
 
     The terms and verdict of is_exact_zero(residue_orbit(g, w, n)), with no
-    cap on the orbit.  Up to LITERAL_EXPONENT_CAP the orbit's table is read
-    only in w's class lo (mod 2 lo), lo = w & -w: the pairing, and the
-    floating value summed over the occupied residues r in ascending order at
-    the angles (2 pi / 2^n) r, an exact rescaling of fl(2 pi r) / 2^n, so only
-    its last digits can differ from float_sum's.  Above it _vanishes decides.
+    cap on the orbit.  Above LITERAL_EXPONENT_CAP _vanishes decides.  Up to
+    it the pairing and the floating value come from the coset w0 <g> mod
+    2^m scaled by 2^d, summed over its residues r in ascending order at the
+    angles (2 pi / 2^n) r, an exact rescaling of fl(2 pi r) / 2^n, so only
+    its last digits can differ from float_sum's.
     """
     _require_orbit(g, w, n)
     column = _order_column(g, 1, n)
@@ -224,23 +223,26 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
     if n > LITERAL_EXPONENT_CAP:
         r = None if _vanishes(g, w, n, column) else w * g & ((1 << n) - 1)
         return OrbitCertificate(omega, ZeroCertificate(r is None, violating_residue=r), None)
-    table = _orbit_table(g, w, n, omega)
-    m = len(table)
-    # the occupied residues in ascending order and their counts; the class is [0] at lo >= m
-    lo = w & -w
-    start, step = lo & (m - 1), 2 * lo
-    residues = list(compress(range(start, m, step), islice(table, start, None, step)))
-    counts = list(filter(None, islice(table, start, None, step)))
-    if _paired(table, w):
+    d = two_adic_valuation(w)
+    m = n - d
+    if m > 0:
+        # r = s * 2^d for each odd s of the coset, in ascending order
+        table = _orbit_table(g, w >> d, m, column[m - 1][0])
+        residues = list(compress(range(1 << d, 1 << n, 2 << d), islice(table, 1, None, 2)))
+        paired = _paired(table)
+    else:
+        residues, paired = [0], False  # every term sits on 0
+    # the omega terms share the residues evenly, and a coset's table counts 0 or 1
+    k = omega // len(residues)
+    if paired:
         # a vanishing sum pairs each occupied residue below half with one
         # above it, so the lower half holds exactly half of them
-        k = len(residues) >> 1
-        cert = ZeroCertificate(is_zero=True, pairing=tuple(islice(zip(residues, counts), k)))
+        cert = ZeroCertificate(True, tuple(islice(zip(residues, repeat(k)), len(residues) >> 1)))
     else:
         # the first term is unpaired in every sum that does not vanish (_offender)
-        cert = ZeroCertificate(is_zero=False, violating_residue=w * g & (m - 1))
-    # rect(c, phi) forms the products of c * cmath.exp(2j * math.pi * r / m)
-    value = sum(map(cmath.rect, counts, map(mul, repeat(2 * math.pi / m), residues)))
+        cert = ZeroCertificate(is_zero=False, violating_residue=w * g & ((1 << n) - 1))
+    # rect(k, phi) forms the products of k * cmath.exp(2j * math.pi * r / 2^n)
+    value = sum(map(cmath.rect, repeat(k), map(mul, repeat(2 * math.pi / (1 << n)), residues)))
     return OrbitCertificate(omega, cert, value)
 
 
@@ -351,7 +353,7 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
                 joins = run[2][m - 1] == omegas[m - 1] and table[run[0] & low]
                 (group if joins else rest).append(run)
             runs = rest
-            tally(group, m, at, met, _paired(table, 1), table)
+            tally(group, m, at, met, _paired(table), table)
             table = None
     return held, unmet, details
 
@@ -367,7 +369,7 @@ def _vanishes(g: int, w: int, n: int, column: Sequence[tuple]) -> bool:
     antipode counts 0; so every occupied residue is paired or none is."""
     m = n - two_adic_valuation(w)
     if n <= LITERAL_EXPONENT_CAP and m > 0:
-        return _paired(_orbit_table(g, 1, m, column[m - 1][0]), 1)
+        return _paired(_orbit_table(g, 1, m, column[m - 1][0]))
     # the congruence; at m <= 0 every term sits on 0
     return m >= 2 and column[m - 1][1] == (1 << (m - 1)) + 1
 
@@ -389,8 +391,8 @@ def _offender(g: int, w: int, n: int, k: int, table: Optional[list[int]]) -> tup
 
 def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:
     """The orbit w * g^k mod 2^n, k = 1..omega, counted into a list of 2^n
-    counters.  The caller has validated g, w and n, and omega is the order
-    of g modulo 2^n."""
+    counters, each 0 or 1 for odd w.  The caller has validated g, w and n,
+    and omega is the order of g modulo 2^n."""
     mask = (1 << n) - 1
     s = g & mask
     cur = w & mask
@@ -401,16 +403,13 @@ def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:
     return table
 
 
-def _paired(table: list[int], w: int) -> bool:
-    """Whether each residue of the table of w's orbit (_orbit_table) carries
-    the count of its antipode.  Each term w * g^k has w's 2-adic valuation:
-    with lo = w & -w below half, only the residues = lo (mod 2 lo) can be
-    occupied, and their antipodes r + half lie in the same class, so the
-    class is compared slice to slice.  At lo >= half every term sits on 0,
-    or every term on half, and such a sum never vanishes."""
+def _paired(table: list[int]) -> bool:
+    """Whether each residue of the table of an odd coset mod 2^m
+    (_orbit_table) carries the count of its antipode r + 2^(m-1), odd as
+    well, so the odd residues are compared slice to slice.  At m = 1 the
+    coset is {1}, whose antipode 0 is even: it never pairs."""
     half = len(table) >> 1
-    lo = w & -w
-    return lo < half and table[lo:half:2 * lo] == table[half + lo::2 * lo]
+    return half > 1 and table[1:half:2] == table[half + 1::2]
 
 
 class MinVanishing(NamedTuple):

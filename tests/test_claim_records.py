@@ -109,7 +109,7 @@ def test_a_run_reports_its_first_and_its_last_g(monkeypatch, claim, force, obser
 
 def test_orbit_vanishing_records_the_unpaired_residue(monkeypatch):
     # the table of <3> mod 2^4 is taken as unpaired, with forced counts
-    monkeypatch.setattr(exp_sum, "_paired", lambda table, w: False)
+    monkeypatch.setattr(exp_sum, "_paired", lambda table: False)
     monkeypatch.setattr(exp_sum, "_offender", lambda g, w, n, k, table: (1, 2, 1))
     assert records("theorem6", 3, 4, w=1) == [
         (3, 4, 1, "count(1)=2 != count(9)=1", "equal multiplicities on every antipodal residue pair")

@@ -363,29 +363,36 @@ def test_float_value_is_the_bits_of_the_complex_exponential_sum():
 @pytest.mark.parametrize(
     "g, w, n",
     [(3, 1, 5), (-5, 2, 9), (7, -6, 12), (3, 12, 16), (-13, 1, 16), (3, 1, 18), (5, -10, 18),
-     (3, 6, 18), (3, 1 << 7, 8), (-5, 1 << 8, 8), (7, 1 << 11, 8), (-13, -3 << 6, 8)],
+     (3, 6, 18), (3, 1 << 7, 8), (-5, 1 << 8, 8), (7, 1 << 11, 8), (-13, -3 << 6, 8),
+     (-3, 5 << 10, 14), (9, -(1 << 14), 14)],
 )
-def test_float_value_is_the_literal_angle_sum(g, w, n):
+def test_float_value_is_the_literal_angle_sum(monkeypatch, g, w, n):
     # the angles 2 * math.pi * r / m written as one expression per residue,
-    # over every counter of the table; orbit_certificate reads w's class
-    # lo (mod 2 lo) alone, lo = w & -w: at lo = 2^(n-1) the class [2^(n-1)],
-    # at lo >= 2^n the class [0]
+    # over every counter of w's own table at n; orbit_certificate builds one
+    # table, of the coset w0 <g> mod 2^(n - d(w)), and none when 2^n | w,
+    # where every term sits on 0
     m = 1 << n
     table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
     residues = [r for r, c in enumerate(table) if c]
     counts = [c for c in table if c]
     literal = sum(map(cmath.rect, counts, (2 * math.pi * r / m for r in residues)))
+    real, built = exp_sum._orbit_table, []
+    monkeypatch.setattr(exp_sum, "_orbit_table", lambda *args: built.append(args[2]) or real(*args))
     assert orbit_certificate(g, w, n).value == literal
+    d = odd_part(w).d
+    assert built == ([n - d] if d < n else []), (g, w, n)
 
 
 def by_own_table(g: int, w: int, n: int):
-    """S(g, w, n) decided from its own table alone, half to half, with the
-    counts read at its first term w * g; the decider's comparison of w's
-    residue class must give the same answer on that table."""
+    """S(g, w, n), n > d(w), decided from its own table alone, half to half,
+    with the counts read at its first term w * g; _paired must give the same
+    answer on the table of the coset w0 <g> mod 2^m, m = n - d(w)."""
     table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
     half, r = 1 << (n - 1), w * g % (1 << n)
     paired = table[:half] == table[half:]
-    assert exp_sum._paired(table, w) == paired, (g, w, n)
+    d, w0 = odd_part(w)
+    coset = exp_sum._orbit_table(g, w0, n - d, order_fast(g, n - d).omega)
+    assert exp_sum._paired(coset) == paired, (g, w, n)
     return None if paired else (r, table[r], table[r ^ half])
 
 
@@ -498,16 +505,19 @@ def test_a_run_builds_the_tables_of_its_valuation_classes_alone(monkeypatch):
     assert tables[0] and tables[0] == tables[1]
 
 
-def test_paired_compares_the_halves_at_every_valuation():
-    # one strided pair at d(w) = n - 2; at n - 1 every term sits on 2^(n-1)
-    # and the strided slices would be empty; at n and n + 3 on 0
+def test_paired_compares_the_halves_of_an_odd_coset():
+    # every table that _paired reads is an odd coset w0 <g> mod 2^m; the
+    # 2-counter table at m = 1 never pairs, the 4-counter table at m = 2
+    # pairs for g = 3 (mod 4)
     for g in (3, -29, 513, -1025):
-        for n in range(2, 13):
-            half, omega = 1 << (n - 1), order_fast(g, n).omega
-            for w in (3 << (n - 2), -(1 << (n - 2)), 1 << (n - 1), -(5 << (n - 1)),
-                      1 << n, -(3 << (n + 3))):
-                table = exp_sum._orbit_table(g, w, n, omega)
-                assert exp_sum._paired(table, w) == (table[:half] == table[half:]), (g, w, n)
+        for m in range(1, 13):
+            half, omega = 1 << (m - 1), order_fast(g, m).omega
+            for w0 in (1, -3, 5):
+                table = exp_sum._orbit_table(g, w0, m, omega)
+                paired = table[:half] == table[half:]
+                assert exp_sum._paired(table) == paired, (g, w0, m)
+                if m <= 2:
+                    assert paired is (m == 2 and g % 4 == 3), (g, w0, m)
 
 
 def unbuilt(*args):
@@ -534,9 +544,9 @@ def test_dense_decider_switches_route_above_the_cap(monkeypatch):
         column = order_engine._order_column(g, 1, n)
         assert exp_sum._vanishes(g, w, n, column) is (expected[g, w, n] is None), (g, w, n)
         assert_certificate_matches(g, w, n, *reference[g, w, n][:2])
-    # the table decides at the cap, in the decider at m = n - d(w) and in
-    # the certificate at n; the congruence only above it
-    assert tables == [size for g, w, n in cases if n == cap for size in (n - odd_part(w).d, n)]
+    # the table of the coset at m = n - d(w) decides at the cap, in the
+    # decider and in the certificate; the congruence only above it
+    assert tables == [n - odd_part(w).d for g, w, n in cases if n == cap for _ in range(2)]
     # a theorem6 run of each (g, n) reads the counts on the same route
     for g, n in dict.fromkeys((g, n) for g, _, n in cases):
         weights = [w for h, w, k in cases if (h, k) == (g, n)]

@@ -77,16 +77,16 @@ PARTITION = T_SWEEP + "test_pool_jobs_partition_the_domain"
 AGREE = T_SWEEP + "test_per_modulus_runs_agree_with_the_public_checks"
 AT_LIMIT = T_SWEEP + "test_lemma1_at_the_exponent_limit_is_tallied_not_raised"
 LIMIT_AT_CALL = T_SWEEP + "test_lemma1_reads_the_exponent_limit_at_call_time"
+BOUNDED = "tests/test_bounded_calls.py::test_every_public_call_is_bounded_or_raises_a_typed_error"
 
 MUTANTS = [
     # the dense table decider and the expsum certificate
     Mutant("decider-half-split-off-by-one", EXP,
-           "    half = len(table) >> 1\n    lo = w & -w\n",
-           "    half = (len(table) >> 1) - 1\n    lo = w & -w\n",
+           "    half = len(table) >> 1\n    return half > 1",
+           "    half = (len(table) >> 1) - 1\n    return half > 1",
            (DENSE,)),
     Mutant("certificate-half-split-off-by-one", EXP,
-           "    if _paired(table, w):\n        # a vanishing",
-           "    if table[:m // 2 - 1] == table[m // 2:-1]:\n        # a vanishing",
+           "paired = _paired(table)\n", "paired = _paired(table[:-1])\n",
            (DENSE,)),
     Mutant("table-walk-starts-at-1", EXP,
            "    cur = w & mask\n", "    cur = 1\n",
@@ -106,7 +106,7 @@ MUTANTS = [
            "    r = w * g & ((1 << n) - 1)\n", "    r = w & ((1 << n) - 1)\n",
            (DENSE, SWITCH, ONE_DECIDER, STRUCT)),
     Mutant("certificate-offender-is-the-weight", EXP,
-           "violating_residue=w * g & (m - 1)", "violating_residue=w & (m - 1)",
+           "violating_residue=w * g & ((1 << n) - 1)", "violating_residue=w & ((1 << n) - 1)",
            (T_CLI + "test_expsum_command_nonzero_case", DENSE)),
     Mutant("decider-offender-is-the-least-residue", EXP,
            "    return r, k * table[s], ",
@@ -165,31 +165,34 @@ MUTANTS = [
            "            table = None\n    return held, unmet, details\n",
            "    return held, unmet, details\n",
            (T_SWEEP + "test_theorem6_sweep_keeps_one_orbit_table_alive",)),
-    Mutant("strided-pairing-at-the-top-valuation", EXP,
-           "return lo < half and", "return lo <= half and",
-           (DENSE, IDENT, T_EXP + "test_paired_compares_the_halves_at_every_valuation")),
+    Mutant("paired-at-the-one-counter-half", EXP,
+           "return half > 1 and", "return half > 0 and",
+           (DENSE, T_EXP + "test_paired_compares_the_halves_of_an_odd_coset")),
     Mutant("strided-pairing-drops-the-last-pair", EXP,
-           "table[lo:half:2 * lo] == table[half + lo::2 * lo]",
-           "table[lo:half - 1:2 * lo] == table[half + lo:-1:2 * lo]",
+           "table[1:half:2] == table[half + 1::2]",
+           "table[1:half - 1:2] == table[half + 1:-1:2]",
            (DENSE,)),
     Mutant("bounds-ignore-the-weight-valuation", EXP,
            "len(c) * (min(max(d + base, ns.start)", "len(c) * (min(max(base, ns.start)",
            (T_SWEEP + "test_run_sweep_theorem6_domain",)),
     Mutant("certificate-offender-is-the-least-residue", EXP,
-           "violating_residue=w * g & (m - 1)", "violating_residue=residues[0]",
+           "violating_residue=w * g & ((1 << n) - 1)", "violating_residue=residues[0]",
            (T_CLI + "test_table_format", DENSE)),
-    Mutant("class-read-from-residue-0", EXP,
-           "start, step = lo & (m - 1), 2 * lo", "start, step = 0, 2 * lo",
+    # the certificate lists the coset w0 <g> mod 2^m scaled by 2^d
+    Mutant("cofactors-not-scaled-by-2-to-the-d", EXP,
+           "range(1 << d, 1 << n, 2 << d)", "range(1, 1 << m, 2)",
            (ANGLE_SUM, T_CLI + "test_expsum_command")),
-    Mutant("class-start-taken-as-lo-not-lo-mod-m", EXP,
-           "start, step = lo & (m - 1), 2 * lo", "start, step = lo, 2 * lo",
-           (ANGLE_SUM,)),
+    Mutant("counts-not-multiplied-by-k", EXP,
+           "    k = omega // len(residues)\n", "    k = 1\n",
+           (DENSE,)),
+    Mutant("certificate-table-at-m-0", EXP,
+           "    if m > 0:\n        # r = s * 2^d", "    if m >= 0:\n        # r = s * 2^d",
+           (ANGLE_SUM, DENSE)),
     Mutant("pairing-one-row-too-long", EXP,
-           "k = len(residues) >> 1", "k = (len(residues) >> 1) + 1",
+           "repeat(k)), len(residues) >> 1)", "repeat(k)), (len(residues) >> 1) + 1)",
            (T_CLI + "test_table_format", DENSE)),
     Mutant("float-without-multiplicities", EXP,
-           "sum(map(cmath.rect, counts, ",
-           "sum(map(cmath.rect, [1] * len(counts), ",
+           "sum(map(cmath.rect, repeat(k), ", "sum(map(cmath.rect, repeat(1), ",
            (DENSE, T_EXP + "test_float_value_is_the_bits_of_the_complex_exponential_sum")),
     Mutant("terms-as-distinct-residues", EXP,
            "return OrbitCertificate(omega, cert, value)",
@@ -281,6 +284,9 @@ MUTANTS = [
            "(max(64, t.bit_length()) * n)", "(64 * n)", (BUDGET,)),
     Mutant("budget-not-scaled-by-the-modulus-width", ORDER,
            "(max(64, t.bit_length()) * n)", "(max(64, t.bit_length()) * 64)", (BUDGET,)),
+    Mutant("naive-scan-skips-its-first-product", ORDER,
+           "    x = s\n", "    x = s * t & mask\n",
+           (T_ORDER + "test_order_examples", BOUNDED)),
     Mutant("scan-range-one-short-of-the-cap", ORDER,
            "for k in range(1, cap + 1):", "for k in range(1, cap):",
            (T_ORDER + "test_naive_scan_cap",)),
