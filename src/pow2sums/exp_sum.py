@@ -19,14 +19,15 @@ times, and adding 2^(n-1) adds 2^(m-1) to its cofactor, which commutes
 with multiplying by the unit w0.  So S(g, w, n) = 0 exactly when the orbit
 of 1 under g pairs modulo 2^m; for m <= 0 every term sits on 0 and no sum
 vanishes.  Two exact routes decide that.  Up to LITERAL_EXPONENT_CAP <g>
-mod 2^m is counted into a table of 2^m counters and each odd residue is
-compared with its antipode (_paired).  Above it the paper's congruence
-decides: S = 0 exactly when m >= 2 and the order column's half-order
-residue g^(omega_g(2^m)/2) mod 2^m is 2^(m-1) + 1.  _vanishes, the
-decider of min_vanishing_n, picks the route and returns the verdict
-alone.  A sum that does not vanish is named by its first term,
-w * g mod 2^n; only the sweep reads its counts, from the table at g and
-at its antipode (_offender).  orbit_certificate (the expsum command)
+mod 2^m is counted into a bytearray of 2^m one-byte counters, each 0 or 1
+since the terms of an odd coset are distinct, and the odd residues are
+compared with their antipodes as two byte slices (_paired).  Above it the
+paper's congruence decides: S = 0 exactly when m >= 2 and the order
+column's half-order residue g^(omega_g(2^m)/2) mod 2^m is 2^(m-1) + 1.
+_vanishes, the decider of min_vanishing_n, picks the route and returns
+the verdict alone.  A sum that does not vanish is named by its first
+term, w * g mod 2^n; only the sweep reads its counts, from the table at g
+and at its antipode (_offender).  orbit_certificate (the expsum command)
 takes the same routes, and below the cap lists the coset w0 <g> mod 2^m
 scaled by 2^d.  residue_orbit, is_exact_zero and float_sum build the
 literal multiset, pair it and sum it in floating point; they are the
@@ -228,7 +229,7 @@ def orbit_certificate(g: int, w: int, n: int) -> OrbitCertificate:
     if m > 0:
         # r = s * 2^d for each odd s of the coset, in ascending order
         table = _orbit_table(g, w >> d, m, column[m - 1][0])
-        residues = list(compress(range(1 << d, 1 << n, 2 << d), islice(table, 1, None, 2)))
+        residues = list(compress(range(1 << d, 1 << n, 2 << d), table[1::2]))
         paired = _paired(table)
     else:
         residues, paired = [0], False  # every term sits on 0
@@ -277,7 +278,8 @@ def check_orbit_vanishing(g: int, w: int, n: int) -> Verdict:
 def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
     """theorem6 on a run: each g of gs with each weight of ws at every n of
     ns.  g = +-1, and each n below a weight's bound, are not met; any other
-    g reads one column from exponent 1.  S(g, w, n) depends on g and
+    g reads one column, from exponent 1, or from the least m met when all of
+    ns lies above LITERAL_EXPONENT_CAP.  S(g, w, n) depends on g and
     m = n - d(w) alone (_vanishes), so the weights are taken a valuation
     class at a time: each met (g, m) is decided once on each side of
     LITERAL_EXPONENT_CAP, and one step holds every weight of the classes
@@ -302,8 +304,9 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
         at = [(m + d, c) for d, c in classes.items() if lo <= m + d <= hi]
         return at, sum(len(c) for _, c in at)
 
-    def tally(runs: list, m: int, at: list, met: int, paired: bool, table: Optional[list]) -> None:
-        # one decision at m for each (h, _, orders) of runs and the met weights of at
+    def tally(runs: list, m: int, lo: int, at: list, met: int, paired: bool,
+              table: Optional[bytearray]) -> None:
+        # one decision at m for each (h, _, orders from lo) of runs and the met weights of at
         nonlocal held
         low = (1 << m) - 1
         for h, _, omegas in runs:
@@ -311,7 +314,7 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
                 held += met
                 continue
             for n, c in at:
-                k = omegas[n - 1] // omegas[m - 1]
+                k = omegas[n - lo] // omegas[m - lo]
                 for w in c:
                     if paired:  # the collapse guard failed
                         detail = ("exact zero (collapse guard failed)",
@@ -332,13 +335,17 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
                      for d, c in classes.items())
         if min(classes, default=top) + base > top:
             continue
-        column = _order_column(g, 1, top)
+        # wholly above the cap, the least m met is ns.start less the largest d
+        lo = 1 if ns.start <= LITERAL_EXPONENT_CAP else max(base, ns.start - max(classes))
+        column = _order_column(g, lo, top)
         omegas = [row[0] for row in column]
-        orders.append((g, base, omegas[:LITERAL_EXPONENT_CAP]))
+        if lo == 1:  # only a run that reaches below the cap reads the orders to it
+            orders.append((g, base, omegas[:LITERAL_EXPONENT_CAP]))
         # a met m is m >= base, at least 3 under theorem6's bound
         for m, (at, met) in above_at.items():
             if m >= base:
-                tally([(g, base, omegas)], m, at, met, column[m - 1][1] == (1 << (m - 1)) + 1, None)
+                tally([(g, base, omegas)], m, lo, at, met,
+                      column[m - lo][1] == (1 << (m - 1)) + 1, None)
     cap = min(top, LITERAL_EXPONENT_CAP)
     for m in sorted({n - d for d in classes for n in range(ns.start, cap + 1)}):
         # the classes met at m + d, for each g whose bound at w = 1 is <= m,
@@ -353,7 +360,7 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
                 joins = run[2][m - 1] == omegas[m - 1] and table[run[0] & low]
                 (group if joins else rest).append(run)
             runs = rest
-            tally(group, m, at, met, _paired(table), table)
+            tally(group, m, 1, at, met, _paired(table), table)
             table = None
     return held, unmet, details
 
@@ -374,7 +381,7 @@ def _vanishes(g: int, w: int, n: int, column: Sequence[tuple]) -> bool:
     return m >= 2 and column[m - 1][1] == (1 << (m - 1)) + 1
 
 
-def _offender(g: int, w: int, n: int, k: int, table: Optional[list[int]]) -> tuple[int, int, int]:
+def _offender(g: int, w: int, n: int, k: int, table: Optional[bytearray]) -> tuple[int, int, int]:
     """(r, count(r), count(r ^ 2^(n-1))) for a sum S(g, w, n) that does not
     vanish, at its first term r = w * g mod 2^n, with k = omega_n / omega_m
     the count of each residue of the coset w0 <g> mod 2^m (_vanishes).  r's
@@ -389,21 +396,22 @@ def _offender(g: int, w: int, n: int, k: int, table: Optional[list[int]]) -> tup
     return r, k * table[s], k * table[s ^ half]
 
 
-def _orbit_table(g: int, w: int, n: int, omega: int) -> list[int]:
-    """The orbit w * g^k mod 2^n, k = 1..omega, counted into a list of 2^n
-    counters, each 0 or 1 for odd w.  The caller has validated g, w and n,
-    and omega is the order of g modulo 2^n."""
+def _orbit_table(g: int, w: int, n: int, omega: int) -> bytearray:
+    """The orbit w * g^k mod 2^n, k = 1..omega, counted into 2^n one-byte
+    counters.  w is odd, so the omega terms of the coset w <g> are distinct
+    and each counter is 0 or 1; a count of 256 would raise, not wrap.  The
+    caller has validated g, w and n, and omega is the order of g modulo 2^n."""
     mask = (1 << n) - 1
     s = g & mask
     cur = w & mask
-    table = [0] * (mask + 1)
+    table = bytearray(mask + 1)
     for _ in range(omega):
         cur = cur * s & mask
         table[cur] += 1
     return table
 
 
-def _paired(table: list[int]) -> bool:
+def _paired(table: bytearray) -> bool:
     """Whether each residue of the table of an odd coset mod 2^m
     (_orbit_table) carries the count of its antipode r + 2^(m-1), odd as
     well, so the odd residues are compared slice to slice.  At m = 1 the

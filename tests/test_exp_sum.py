@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -346,6 +347,18 @@ def test_dense_decider_agrees_with_the_multiset_route(monkeypatch):
     assert failures > 0
 
 
+def literal_table(g: int, w: int, n: int) -> list[int]:
+    """w's own orbit w * g^k mod 2^n, k = 1..omega_g(2^n), counted into a
+    list of 2^n counters: the reference for any weight.  _orbit_table
+    counts an odd coset into bytes, and an even w repeats each residue."""
+    table = [0] * (1 << n)
+    cur = w
+    for _ in range(order_fast(g, n).omega):
+        cur = cur * g % (1 << n)
+        table[cur] += 1
+    return table
+
+
 def test_float_value_is_the_bits_of_the_complex_exponential_sum():
     # one c * exp(2 pi i r / 2^n) per occupied residue, in ascending order:
     # the products and the order that orbit_certificate's rect terms keep
@@ -355,7 +368,7 @@ def test_float_value_is_the_bits_of_the_complex_exponential_sum():
         for w in [w for w in range(-16, 17) if w != 0]:
             for n in range(1, 13):
                 m = 1 << n
-                table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
+                table = literal_table(g, w, n)
                 old = sum(c * cmath.exp(2j * math.pi * r / m) for r, c in enumerate(table) if c)
                 assert repr(orbit_certificate(g, w, n).value) == repr(old), (g, w, n)
 
@@ -372,7 +385,7 @@ def test_float_value_is_the_literal_angle_sum(monkeypatch, g, w, n):
     # table, of the coset w0 <g> mod 2^(n - d(w)), and none when 2^n | w,
     # where every term sits on 0
     m = 1 << n
-    table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
+    table = literal_table(g, w, n)
     residues = [r for r, c in enumerate(table) if c]
     counts = [c for c in table if c]
     literal = sum(map(cmath.rect, counts, (2 * math.pi * r / m for r in residues)))
@@ -387,7 +400,7 @@ def by_own_table(g: int, w: int, n: int):
     """S(g, w, n), n > d(w), decided from its own table alone, half to half,
     with the counts read at its first term w * g; _paired must give the same
     answer on the table of the coset w0 <g> mod 2^m, m = n - d(w)."""
-    table = exp_sum._orbit_table(g, w, n, order_fast(g, n).omega)
+    table = literal_table(g, w, n)
     half, r = 1 << (n - 1), w * g % (1 << n)
     paired = table[:half] == table[half:]
     d, w0 = odd_part(w)
@@ -518,6 +531,20 @@ def test_paired_compares_the_halves_of_an_odd_coset():
                 assert exp_sum._paired(table) == paired, (g, w0, m)
                 if m <= 2:
                     assert paired is (m == 2 and g % 4 == 3), (g, w0, m)
+
+
+def test_a_table_at_the_cap_holds_one_byte_per_counter():
+    # <-3> mod 2^22 has 2^20 terms: its table is 4 MiB of bytes, and _paired
+    # compares two 1 MiB slices of its odd residues.  Counters in a list
+    # would take 32 MiB, and their slices 16 MiB more
+    column = order_engine._order_column(-3, 1, LITERAL_EXPONENT_CAP)
+    tracemalloc.start()
+    try:
+        assert exp_sum._vanishes(-3, 1, LITERAL_EXPONENT_CAP, column)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * (1 << 20)
 
 
 def unbuilt(*args):
@@ -679,6 +706,35 @@ def test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap(monkeypatch):
         assert (held, unmet) == (vanished, below), g
 
 
+def test_a_run_above_the_cap_walks_each_column_from_its_least_met_m(monkeypatch):
+    # with every bound at d(w) + 1, the classes d = 0, 1, 3 and 7 are met at
+    # m = n - d from 23 on at n = 30..40, so each column starts at 23, set
+    # by the largest d.  1 + 2^25, 2^24 - 1 and 2^27 - 1 are +-1 or
+    # 2^(m-1) - 1 modulo 2^m at some of those m, where the sum does not
+    # vanish and the run reports counts omega_n / omega_m up to 2^7.  Each
+    # run is held to the sum's exact value, and so is the same run from
+    # n = 1 with the cap at 0, whose columns start at exponent 1
+    real, walks = exp_sum._order_column, []
+    monkeypatch.setattr(exp_sum, "_order_column",
+                        lambda g, lo, hi: walks.append(lo) or real(g, lo, hi))
+    weights, ns = [1, -3, 2, 8, -24, 1 << 7, 5 << 7], range(30, 41)
+    counts = set()
+    for g in (3, -5, 1 + (1 << 25), (1 << 24) - 1, (1 << 27) - 1):
+        walks.clear()
+        omegas = {n: order_fast(g, n).omega for n in range(1, ns.stop)}
+        exact = {(w, n): by_exact_value(g, w, n, omega) for w in weights
+                 for n, omega in omegas.items()}
+        offenders = {(w, n): None if count is None else (w * g % (1 << n), count, 0)
+                     for (w, n), count in exact.items()}
+        assert_lowered_run_reports(monkeypatch, g, weights, ns, offenders)
+        with monkeypatch.context() as lowered:
+            lowered.setattr(exp_sum, "LITERAL_EXPONENT_CAP", 0)
+            assert_lowered_run_reports(lowered, g, weights, range(1, ns.stop), offenders)
+        assert walks == [ns.start - 7, 1], g
+        counts |= {exact[w, n] for w in weights for n in ns}
+    assert None in counts and len(counts) > 3, counts
+
+
 def test_literal_orbit_is_capped(monkeypatch):
     with pytest.raises(DomainError, match="LITERAL_EXPONENT_CAP"):
         residue_orbit(3, 1, LITERAL_EXPONENT_CAP + 1)
@@ -837,6 +893,27 @@ def test_theorem6_sweep_reports_each_tuple_as_its_literal_orbit(monkeypatch, cap
     assert report.cases_checked == len(range(bases[0], bases[-1] + 1, 2)) * len(weights) * len(ns)
     kinds = {(n == odd_part(w).d + 1, want.split("(")[0]) for (g, n, w), want in reported.items()}
     assert kinds == {(True, "count"), (False, "count"), (False, "exact zero ")}
+
+
+def test_the_run_and_the_certificate_decide_alike_from_their_tables(monkeypatch):
+    # below the cap the run reads the byte table of <g> mod 2^m and the
+    # certificate that of the coset w0 <g> mod 2^m; with every bound at
+    # d(w) + 1 the run names each sum that does not vanish by its first term
+    bases, weights, ns = IDENTITIES
+    monkeypatch.setattr(exp_sum, "vanishing_bound", lambda g, w: odd_part(w).d + 1)
+    verdicts = set()
+    for g in bases:
+        _, _, details = exp_sum._orbit_vanishing(range(g, g + 1), weights, ns)
+        unpaired = {(n, w): observed for _, n, w, (_, (observed, _)) in details
+                    if observed.startswith("count")}
+        for w in weights:
+            for n in ns[odd_part(w).d:]:
+                cert = orbit_certificate(g, w, n).certificate
+                r = cert.violating_residue
+                assert cert.is_zero is ((n, w) not in unpaired), (g, w, n)
+                assert cert.is_zero or unpaired[n, w].startswith(f"count({r})="), (g, w, n)
+                verdicts.add(cert.is_zero)
+    assert verdicts == {False, True}
 
 
 def test_orbit_reduction_identity():

@@ -367,19 +367,19 @@ def test_serial_sweep_memory_does_not_grow_with_the_domain():
 
 
 def test_theorem6_sweep_keeps_one_orbit_table_alive():
-    # at n = 16, w = 2 is decided at m = 15 and w = 1 at m = 16, where each
-    # subgroup of the odd |g| <= 63 takes a table of 2^16 counters: 512 KiB,
-    # and the two strided slices that compare its odd residues 256 KiB
-    # more.  A table kept alive while the next group's is built would pass
-    # 1 MiB
+    # at n = 18, w = 2 is decided at m = 17 and w = 1 at m = 18, where each
+    # subgroup of the odd |g| <= 63 takes a table of 2^18 one-byte counters:
+    # 256 KiB, and the two strided slices that compare its odd residues
+    # 128 KiB more.  A table kept alive while the next group's is built
+    # would pass 512 KiB
     tracemalloc.start()
     try:
-        run_sweep(spec(claim="theorem6", g_min=-63, g_max=63, n_min=16, n_max=16,
+        run_sweep(spec(claim="theorem6", g_min=-63, g_max=63, n_min=18, n_max=18,
                        w_min=1, w_max=2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 920 * 1024
+    assert peak < 475 * 1024
 
 
 @pytest.mark.parametrize(

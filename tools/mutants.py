@@ -64,6 +64,9 @@ IDENT = T_EXP + "test_each_sum_is_decided_by_its_subgroup_modulo_2_to_the_m"
 IDENT_SWEEP = T_EXP + "test_theorem6_sweep_reports_each_tuple_as_its_literal_orbit"
 ONE_DECIDER = T_EXP + "test_one_decider_for_a_run_of_weights_on_both_sides_of_the_cap"
 CLASS_SUM = T_EXP + "test_a_run_of_valuation_classes_is_the_sum_of_its_one_weight_runs"
+LEAST_MET = T_EXP + "test_a_run_above_the_cap_walks_each_column_from_its_least_met_m"
+ALIKE = T_EXP + "test_the_run_and_the_certificate_decide_alike_from_their_tables"
+ONE_BYTE = T_EXP + "test_a_table_at_the_cap_holds_one_byte_per_counter"
 T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
 STRADDLE = T_ORDER + "test_order_column_straddles_the_walk_switch"
 ABOVE = T_EXP + "test_half_order_and_antipodal_shift_above_the_walk_switch"
@@ -126,7 +129,7 @@ MUTANTS = [
            (DENSE, IDENT_SWEEP)),
     # theorem6 below the cap: one table per subgroup <g> mod 2^m
     Mutant("offender-count-without-k", EXP,
-           "k = omegas[n - 1] // omegas[m - 1]\n", "k = 1\n",
+           "k = omegas[n - lo] // omegas[m - lo]\n", "k = 1\n",
            (IDENT_SWEEP, GROUPED, T_EXP + "test_structural_decider_matches_the_exact_value")),
     Mutant("verdict-keyed-by-n", EXP,
            "at = [(m + d, c) for d, c in classes.items() if lo",
@@ -159,7 +162,7 @@ MUTANTS = [
            "                lead, _orbit_table(lead, 1, m, omegas[m - 1]))",
            (GROUPED,)),
     Mutant("group-decides-its-leader-only", EXP,
-           "tally(group, m, at, ", "tally(group[:1], m, at, ",
+           "tally(group, m, 1, at, ", "tally(group[:1], m, 1, at, ",
            (GROUPED, A_GROUP)),
     Mutant("sweep-table-kept-across-groups", EXP,
            "            table = None\n    return held, unmet, details\n",
@@ -168,6 +171,16 @@ MUTANTS = [
     Mutant("paired-at-the-one-counter-half", EXP,
            "return half > 1 and", "return half > 0 and",
            (DENSE, T_EXP + "test_paired_compares_the_halves_of_an_odd_coset")),
+    Mutant("paired-against-a-slice-at-0", EXP,
+           "table[1:half:2] == table[half + 1::2]", "table[1:half:2] == table[0:half:2]",
+           (DENSE, ALIKE)),
+    # the tables are bytearrays of one counter per residue
+    Mutant("table-one-counter-short", EXP,
+           "    table = bytearray(mask + 1)\n", "    table = bytearray(mask)\n",
+           (DENSE, ALIKE)),
+    Mutant("table-counted-in-a-list", EXP,
+           "    table = bytearray(mask + 1)\n", "    table = [0] * (mask + 1)\n",
+           (ONE_BYTE, T_SWEEP + "test_theorem6_sweep_keeps_one_orbit_table_alive")),
     Mutant("strided-pairing-drops-the-last-pair", EXP,
            "table[1:half:2] == table[half + 1::2]",
            "table[1:half - 1:2] == table[half + 1:-1:2]",
@@ -219,16 +232,27 @@ MUTANTS = [
            "m >= 2 and column[m - 1][1] == (1 << (m - 1)) - 1",
            (STRUCT,)),
     Mutant("run-congruence-read-at-n", EXP,
-           "met, column[m - 1][1] == (1 << (m - 1)) + 1, None)",
-           "met, column[at[0][0] - 1][1] == (1 << (at[0][0] - 1)) + 1, None)",
+           "column[m - lo][1] == (1 << (m - 1)) + 1, None)",
+           "column[at[0][0] - lo][1] == (1 << (at[0][0] - 1)) + 1, None)",
            (IDENT_SWEEP, ONE_DECIDER)),
+    # wholly above the cap a column starts at the least met m, lo
+    Mutant("run-column-starts-one-above-lo", EXP,
+           "max(base, ns.start - max(classes))", "max(base, ns.start - max(classes)) + 1",
+           (LEAST_MET,)),
+    Mutant("run-congruence-row-read-at-lo-minus-1", EXP,
+           "column[m - lo][1] == (1 << (m - 1)) + 1, None)",
+           "column[m - lo + 1][1] == (1 << (m - 1)) + 1, None)",
+           (LEAST_MET,)),
+    Mutant("run-count-read-at-lo-minus-1", EXP,
+           "k = omegas[n - lo] // omegas[m - lo]\n", "k = omegas[n - lo + 1] // omegas[m - lo + 1]\n",
+           (LEAST_MET,)),
     Mutant("run-congruence-skips-the-base", EXP,
            "            if m >= base:\n", "            if m > base:\n",
            (ONE_DECIDER,)),
     Mutant("run-decision-reused-for-the-next-m", EXP,
-           "met, column[m - 1][1] == (1 << (m - 1)) + 1, None)",
-           "met, _vanishes.__dict__.setdefault(\n"
-           "                    g, column[m - 1][1] == (1 << (m - 1)) + 1), None)",
+           "column[m - lo][1] == (1 << (m - 1)) + 1, None)",
+           "_vanishes.__dict__.setdefault(\n"
+           "                      g, column[m - lo][1] == (1 << (m - 1)) + 1), None)",
            (ONE_DECIDER,)),
     Mutant("orbit-decision-and-to-or", EXP,
            "if paired and h & low not in (1, low):", "if paired or h & low not in (1, low):",
@@ -409,6 +433,11 @@ MUTANTS = [
            (DENSE,),
            equivalent="cur * g & mask is cur * (g & mask) & mask: both are the product "
                       "modulo 2^n, and Python's & reduces a negative g the same way"),
+    Mutant("table-counter-set-not-added", EXP,
+           "        table[cur] += 1\n", "        table[cur] = 1\n",
+           (DENSE, ALIKE),
+           equivalent="the omega terms of an odd coset are distinct, so each counter "
+                      "is reached once and += 1 sets it to 1"),
     Mutant("exact-zero-half-count-at-least", EXP,
            "if 2 * len(matched) == len(items):", "if 2 * len(matched) >= len(items):",
            (T_EXP + "test_is_exact_zero_agrees_with_cyclotomic_reduction",
