@@ -37,7 +37,8 @@ theorem6 takes a run, each g of a range with a run of weights at a run
 of n: every order of a g comes from one squaring chain, the weights are
 grouped by 2-adic valuation, and each met (g, m) is decided once on each
 side of the cap, for every class met at n with n - d = m: up to the cap
-a subgroup <g> mod 2^m at a time, from one table, and above it by the
+a subgroup at a time, from one table of <g> mod 2^M at the largest met m
+folded in place to each lower m (_folded), and above it by the
 congruence (_orbit_vanishing).
 check_antipodal_shift reads one congruence.
 """
@@ -284,12 +285,14 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
     class at a time: each met (g, m) is decided once on each side of
     LITERAL_EXPONENT_CAP, and one step holds every weight of the classes
     met at m; only a reported weight is visited alone.  Above the cap the
-    congruence decides, a g at a time.  Up to it each m is decided a
-    subgroup at a time: the first g left leads, the table of <g> mod 2^m
-    holds each h of <g>, each h of g's order there generates <g> and joins
-    the group, and the one table decides every h of it.  One table is alive
-    at a time.  A failed collapse guard, h = +-1 (mod 2^m), is reported
-    while the sum vanishes, else the unpaired residue."""
+    congruence decides, a g at a time.  Up to it the g are grouped once, at
+    the largest met m, M: the first g left leads, the table of <g> mod 2^M
+    holds each h of <g>, and each h of g's order there generates <g> mod
+    2^M, hence mod every lower 2^m, and joins the group.  Folded in place to
+    each lower met m in turn, the one table decides every h of the group
+    met there.  One table is alive at a time.  A failed collapse guard,
+    h = +-1 (mod 2^m), is reported while the sum vanishes, else the
+    unpaired residue."""
     top = ns[-1]
     _require_exponent(top)
     classes: dict[int, list[int]] = {}  # d -> the weights w with d(w) = d
@@ -347,21 +350,28 @@ def _orbit_vanishing(gs: range, ws: Sequence[int], ns: range) -> Run:
                 tally([(g, base, omegas)], m, lo, at, met,
                       column[m - lo][1] == (1 << (m - 1)) + 1, None)
     cap = min(top, LITERAL_EXPONENT_CAP)
-    for m in sorted({n - d for d in classes for n in range(ns.start, cap + 1)}):
-        # the classes met at m + d, for each g whose bound at w = 1 is <= m,
-        # so m >= 3 wherever a g is met
-        at, met = met_at(m, ns.start, cap)
-        runs = [run for run in orders if run[1] <= m]
-        while runs:
-            lead, _, omegas = runs[0]
-            table = _orbit_table(lead, 1, m, omegas[m - 1])
-            group, rest, low = [], [], len(table) - 1
-            for run in runs:
-                joins = run[2][m - 1] == omegas[m - 1] and table[run[0] & low]
-                (group if joins else rest).append(run)
-            runs = rest
-            tally(group, m, 1, at, met, _paired(table), table)
-            table = None
+    # the met m in descending order, each with the classes met at m + d; a g
+    # is met at m when its bound at w = 1 is <= m, so m >= 3 wherever one is
+    below = {n - d for d in classes for n in range(ns.start, cap + 1)} or {0}
+    below_at = [(m, *met_at(m, ns.start, cap)) for m in sorted(below, reverse=True)]
+    top_m = below_at[0][0]
+    runs = [run for run in orders if run[1] <= top_m]
+    while runs:
+        lead, _, omegas = runs[0]
+        table = _orbit_table(lead, 1, top_m, omegas[top_m - 1])
+        group, rest, low = [], [], len(table) - 1
+        for run in runs:
+            joins = run[2][top_m - 1] == omegas[top_m - 1] and table[run[0] & low]
+            (group if joins else rest).append(run)
+        runs = rest
+        # a g met at m is met at every larger m
+        for m, at, met in below_at:
+            members = [run for run in group if run[1] <= m]
+            if not members:
+                break
+            table = _folded(table, m)
+            tally(members, m, 1, at, met, _paired(table), table)
+        table = None
     return held, unmet, details
 
 
@@ -408,6 +418,24 @@ def _orbit_table(g: int, w: int, n: int, omega: int) -> bytearray:
     for _ in range(omega):
         cur = cur * s & mask
         table[cur] += 1
+    return table
+
+
+def _folded(table: bytearray, m: int) -> bytearray:
+    """The table of an odd coset w <g> mod 2^M folded in place to 2^m <= 2^M
+    counters: g^k mod 2^m is (g^k mod 2^M) mod 2^m, so ORing each upper half
+    into its lower half marks exactly w <g> mod 2^m, the bytes of
+    _orbit_table(g, w, m, omega_m).  4 KiB blocks at a time, as ints; a
+    block equal to its upper block is its own OR with it."""
+    while len(table) > 1 << m:
+        half = len(table) >> 1
+        step = min(half, 4096)
+        for i in range(0, half, step):
+            lower, upper = table[i:i + step], table[half + i:half + i + step]
+            if lower != upper:
+                table[i:i + step] = (int.from_bytes(lower, "little")
+                                     | int.from_bytes(upper, "little")).to_bytes(step, "little")
+        del table[half:]
     return table
 
 

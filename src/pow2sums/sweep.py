@@ -10,10 +10,10 @@ per-modulus claims: it reads every n's order and half-order residue from
 one squaring chain per g, with the order one exponent up for lemma1, and
 calls the claim's checker once per tuple.  The orbit-sum claim, exp_sum's
 own run, walks one chain per g, and below the literal cap counts one
-orbit table per subgroup <g> mod 2^m at each collapsed exponent
-m = n - d(w).  The ids, verdict tallies and the JSON report schema are
-the machine interface; the registry is mutable so a harness (or the test
-suite) can inject extra claims.
+orbit table per subgroup <g> mod 2^M at the largest collapsed exponent
+m = n - d(w), folded to each lower m.  The ids, verdict tallies and the
+JSON report schema are the machine interface; the registry is mutable so
+a harness (or the test suite) can inject extra claims.
 
 Per-modulus claims take each odd g in the range at every n with g < 2^n,
 i.e. the canonical residues of each modulus; the orbit-sum claim takes
@@ -21,7 +21,8 @@ literal signed integers for g and w, since its hypotheses are about g as
 an integer, and skips w = 0.  A sweep is one run; with min(jobs, CPU
 count) > 1 workers, two or more g and a g x w x n grid of more than one
 _CHUNK_TUPLES chunk, it is cut into about four near-equal runs of g per
-worker.  Tallies add up and exceptions are sorted, so a report is
+worker, the orbit-sum claim into at most four stripes of g, one per
+class mod 8.  Tallies add up and exceptions are sorted, so a report is
 byte-deterministic for a given spec at any worker count.  Only a sweep
 that starts a pool imports the pool machinery (multiprocessing).
 """
@@ -212,8 +213,14 @@ def _slices(claim: Claim, gs: range, ws: Sequence[Optional[int]], ns: range,
             workers: int) -> list[tuple]:
     """Cut a sweep's run into k = min(4 * workers, len(gs), chunks)
     near-equal runs of g, each with every w, chunks counting _CHUNK_TUPLES
-    in the g x w x n grid that its columns walk."""
+    in the g x w x n grid that its columns walk.  The orbit-sum claim, when
+    cut, takes instead one stripe gs[i::4] per class of g mod 8: the h that
+    generate <g> mod 2^m are its odd powers, all = g (mod 8), so each
+    subgroup's table is walked in one slice.  Classes mod 16 would split
+    a subgroup: 3^3 = 11 (mod 16)."""
     k = min(4 * workers, len(gs), -(-len(gs) * len(ws) * len(ns) // _CHUNK_TUPLES))
+    if claim.needs_w and k > 1:
+        return [(claim.name, gs[i::4], ws, ns) for i in range(min(4, len(gs)))]
     return [(claim.name, gs[i * len(gs) // k:(i + 1) * len(gs) // k], ws, ns) for i in range(k)]
 
 

@@ -222,12 +222,17 @@ def subgroup(g, n):
 
 
 def test_orbit_sweep_builds_at_most_one_orbit_per_tuple(monkeypatch):
-    real_table = exp_sum._orbit_table
+    real_table, real_fold = exp_sum._orbit_table, exp_sum._folded
     tables: Counter = Counter()
+    folds: Counter = Counter()
 
     def counted(g, w, m, omega):
         tables[g, w, m] += 1
-        table = real_table(g, w, m, omega)
+        return real_table(g, w, m, omega)
+
+    def folded(table, m):
+        folds[m] += 1
+        table = real_fold(table, m)
         if m == 4 and table[3]:
             # one extra copy of 3 breaks the pairing of <3> mod 2^4
             table[3] += 1
@@ -237,20 +242,22 @@ def test_orbit_sweep_builds_at_most_one_orbit_per_tuple(monkeypatch):
         raise AssertionError("the table decides below the cap; no multiset is built")
 
     monkeypatch.setattr(exp_sum, "_orbit_table", counted)
+    monkeypatch.setattr(exp_sum, "_folded", folded)
     monkeypatch.setattr(exp_sum, "residue_orbit", unbuilt)
     bases, ws = (-7, -5, -3, 3, 5, 7), [w for w in range(-8, 9) if w]
     report = run_sweep(SweepSpec("theorem6", -7, 7, 1, 8, -8, 8, jobs=1))
-    # the one table of <3> mod 2^4 decides every met (h, w, n) with
-    # n - d(w) = 4, for each h of <3> with its order there: 3 and -5 = 11
+    # the one table of <3>, folded to 2^4 counters, decides every met
+    # (h, w, n) with n - d(w) = 4, for each h of <3> with its order there:
+    # 3 and -5 = 11
     group = [h for h in bases if subgroup(h, 4) == subgroup(3, 4)]
     assert group == [-5, 3] and all(exp_sum.vanishing_bound(h, 1) <= 4 for h in group)
     assert {(e.g, e.n, e.w) for e in report.exceptions} == {
         (h, 4 + core_arith.two_adic_valuation(w), w) for h in group for w in ws}
     assert report.tallies["counterexample"] == len(group) * len(ws)
-    # one table per subgroup <h> mod 2^m of the h met at m (h = +-1 meets no
-    # bound), each of the orbit of 1, against one per (h, m)
-    assert tables and max(tables.values()) == 1 and {w for _, w, _ in tables} == {1}
-    per_m = Counter(m for _, _, m in tables)
+    # one table per subgroup <h> mod 2^8 of the h met at the largest m, 8
+    # (h = +-1 meets no bound), each of the orbit of 1, against one per (h, m);
+    # it is folded once to each lower m at which an h of it is met
+    assert tables and max(tables.values()) == 1 and {(w, m) for _, w, m in tables} == {(1, 8)}
     met = {m: [h for h in bases if exp_sum.vanishing_bound(h, 1) <= m] for m in range(1, 9)}
-    assert per_m == Counter({m: len({subgroup(h, m) for h in hs}) for m, hs in met.items() if hs})
-    assert sum(per_m.values()) < sum(map(len, met.values()))
+    assert len(tables) == len({subgroup(h, 8) for h in met[8]}) < len(met[8])
+    assert folds == Counter({m: len({subgroup(h, 8) for h in hs}) for m, hs in met.items() if hs})

@@ -468,13 +468,17 @@ def test_a_group_decides_each_weight_for_the_h_whose_met_holds_it(monkeypatch):
     # and from m = 6 on one table of the group decides both, whichever leads
     real, built = exp_sum._orbit_table, []
     monkeypatch.setattr(exp_sum, "_orbit_table", lambda *args: built.append(args[:3]) or real(*args))
-    ws, ns = [1, 4, -12], range(6, 13)
+    real_fold, folds = exp_sum._folded, []
+    monkeypatch.setattr(exp_sum, "_folded", lambda table, m: folds.append(m) or real_fold(table, m))
+    ws, ns = [1, 4, -12], range(4, 13)
     assert (vanishing_bound(3, 1), vanishing_bound(-29, 1)) == (4, 6)
     for gs in (range(-29, 4, 32), range(3, -30, -32)):
-        built.clear()
+        built.clear(), folds.clear()
         held, unmet, details = exp_sum._orbit_vanishing(gs, ws, ns)
-        # one table per m = n - d(w), of <g> for the first g of gs met there
-        assert built == [(3 if m < 6 else gs[0], 1, m) for m in range(4, 13)], gs
+        # one table, of <g> mod 2^12 for the first g of gs at the largest m =
+        # n - d(w), folded down to each m = 12..4; the run stops there, as
+        # neither g is met at m = 3 or 2
+        assert built == [(gs[0], 1, 12)] and folds == list(range(12, 3, -1)), gs
         met = [(g, w, n) for g in gs for w in ws for n in ns if vanishing_bound(g, w) <= n]
         assert (held, unmet, details) == (len(met), 2 * len(ws) * len(ns) - len(met), []), gs
         assert all(by_own_table(g, w, n) is None for g, w, n in met)
@@ -516,6 +520,44 @@ def test_a_run_builds_the_tables_of_its_valuation_classes_alone(monkeypatch):
         exp_sum._orbit_vanishing(gs, ws, ns)
         tables.append(list(built))
     assert tables[0] and tables[0] == tables[1]
+
+
+def test_a_folded_table_is_the_table_walked_at_its_m():
+    # g in each class mod 8, negative and wide g among them, and odd cosets
+    # w0 <g>: the table at M folded to any m < M has the bytes of the table
+    # walked at m.  At M = 16 a half holds 32 KiB, eight 4 KiB blocks
+    bases = (3, -5, 5, -3, 7, -9, 9, -15, 17, (1 << 70) + 7, -(1 << 40) - 3, 1025)
+    for g in bases:
+        for w0 in (1, -3):
+            walked = {m: exp_sum._orbit_table(g, w0, m, order_fast(g, m).omega)
+                      for m in range(1, 17)}
+            for top in range(2, 17):
+                for m in range(1, top):
+                    assert exp_sum._folded(bytearray(walked[top]), m) == walked[m], (g, w0, top, m)
+            # folded level by level, in place
+            table = bytearray(walked[16])
+            for m in range(15, 0, -1):
+                assert exp_sum._folded(table, m) is table and table == walked[m], (g, w0, m)
+
+
+def test_a_run_builds_one_table_per_subgroup_at_its_largest_m(monkeypatch):
+    # the orbit_vanishing domain at n <= 12: each met g is grouped once, at
+    # M = 12, so the run counts one table per distinct <g> mod 2^12, inline
+    # and summed over the slices of a two-worker pool alike
+    real, built = exp_sum._orbit_table, []
+    monkeypatch.setattr(exp_sum, "_orbit_table", lambda *args: built.append(args) or real(*args))
+    gs, ws, ns = range(-31, 32, 2), [w for w in range(-32, 33) if w], range(1, 13)
+    top = 1 << 12
+    subgroups = {frozenset(pow(g, k, top) for k in range(top))
+                 for g in gs if g not in (-1, 1) and vanishing_bound(g, 1) <= 12}
+    assert len(subgroups) == 8
+    sweep._run_chunk(("theorem6", gs, ws, ns))
+    assert len(built) == len(subgroups) and {args[1:3] for args in built} == {(1, 12)}
+    built.clear()
+    slices = sweep._slices(sweep.CLAIMS["theorem6"], gs, ws, ns, 2)
+    for run in slices:
+        sweep._run_chunk(run)
+    assert len(slices) == 4 and len(built) == len(subgroups)
 
 
 def test_paired_compares_the_halves_of_an_odd_coset():

@@ -243,6 +243,18 @@ def test_a_one_g_sweep_runs_inline_whatever_its_chunk_count(monkeypatch, recordi
     assert report.tallies["holds"] == 16012
 
 
+def test_per_modulus_slices_never_outnumber_the_g(monkeypatch, recording_pool):
+    # with chunks of 8 grid points, 4 odd g over 16 exponents make 8 chunks,
+    # more than the g: each slice is a run of one g, and none is empty
+    monkeypatch.setattr(sweep, "_CHUNK_TUPLES", 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    domain = dict(claim="lemma1", g_min=1, g_max=7, n_min=1, n_max=16)
+    report = run_sweep(spec(jobs=2, **domain))
+    (pool,) = recording_pool
+    assert [list(gs) for _, gs, _, _ in pool.jobs] == [[1], [3], [5], [7]]
+    assert json_body(report) == json_body(run_sweep(spec(jobs=1, **domain)))
+
+
 def _domain(domain) -> set:
     """The (g, w, n) tuples of a sweep domain, from the rule the README
     states: odd g, with w != 0 for theorem6 and g < 2^n otherwise."""
@@ -259,16 +271,17 @@ def _domain(domain) -> set:
     [
         # 4,096 g x 13 n = 13 chunks: 8 runs of 512 g on 2 workers, 13 on 4
         (dict(claim="lemma1", g_min=1, g_max=8191, n_min=1, n_max=13), {2: 8, 4: 13}),
-        # two g: a run of one g each, with every w, however many chunks
+        # theorem6, once cut, takes one stripe per class of g mod 8.  Two g:
+        # a stripe of one g each, with every w, however many chunks
         (dict(claim="theorem6", g_min=3, g_max=5, n_min=1, n_max=3, w_min=-2000, w_max=2000),
          {2: 2, 4: 2}),
-        # many g with few w: 5 runs of 204 or 205 g, each with every w
+        # many g with few w: 4 stripes of 256 g, each with every w
         (dict(claim="theorem6", g_min=-1023, g_max=1023, n_min=1, n_max=5, w_min=-2, w_max=2),
-         {2: 5, 4: 5}),
-        # the orbit_vanishing domain: 24,576 grid points in 6 runs of g
+         {2: 4, 4: 4}),
+        # the orbit_vanishing domain: 24,576 grid points in 4 stripes of 8 g
         (dict(claim="theorem6", g_min=-31, g_max=31, n_min=1, n_max=12, w_min=-32, w_max=32),
-         {2: 6, 4: 6}),
-        # above the literal cap the same rule: 16,000 grid points in 4 runs of g
+         {2: 4, 4: 4}),
+        # above the literal cap the same rule: 16,000 grid points in 4 stripes
         (dict(claim="theorem6", g_min=-9, g_max=9, n_min=23, n_max=26, w_min=-200, w_max=200),
          {2: 4, 4: 4}),
         # the acceptance domains: 128 chunks and 24 chunks
@@ -302,11 +315,17 @@ def test_pool_jobs_partition_the_domain(monkeypatch, recording_pool, domain, job
         # every tuple of the domain is in exactly one job
         assert len(held) == len(set(held))
         assert set(held) == tuples
-        # near-equal runs of g, each with every w, so each g's order column
-        # is walked once
+        # near-equal slices of g, each with every w, so each g's order column
+        # is walked once: runs of g for a per-modulus claim, and for theorem6
+        # stripes whose g share one class mod 8, so that a subgroup <g> mod
+        # 2^m, whose generators do, is counted into a table in one slice
         g_runs = [len(gs) for _, gs, _, _ in pool.jobs]
         assert max(g_runs) - min(g_runs) <= 1
         assert all(list(ws) == every_w for _, _, ws, _ in pool.jobs)
+        if domain["claim"] == "theorem6":
+            assert all(len({g % 8 for g in gs}) == 1 for _, gs, _, _ in pool.jobs)
+        else:
+            assert all(gs.step == 2 for _, gs, _, _ in pool.jobs)
         assert json_body(parallel) == serial
 
 
@@ -367,11 +386,12 @@ def test_serial_sweep_memory_does_not_grow_with_the_domain():
 
 
 def test_theorem6_sweep_keeps_one_orbit_table_alive():
-    # at n = 18, w = 2 is decided at m = 17 and w = 1 at m = 18, where each
-    # subgroup of the odd |g| <= 63 takes a table of 2^18 one-byte counters:
+    # at n = 18, w = 1 is decided at m = 18 and w = 2 at m = 17: each
+    # subgroup of the odd |g| <= 63 takes a table of 2^18 one-byte counters,
     # 256 KiB, and the two strided slices that compare its odd residues
-    # 128 KiB more.  A table kept alive while the next group's is built
-    # would pass 512 KiB
+    # 128 KiB more; the table is then folded in place, a 4 KiB block at a
+    # time, to its 2^17 counters.  A folded table kept alive while the next
+    # group's is built would reach 512 KiB
     tracemalloc.start()
     try:
         run_sweep(spec(claim="theorem6", g_min=-63, g_max=63, n_min=18, n_max=18,

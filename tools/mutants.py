@@ -67,6 +67,8 @@ CLASS_SUM = T_EXP + "test_a_run_of_valuation_classes_is_the_sum_of_its_one_weigh
 LEAST_MET = T_EXP + "test_a_run_above_the_cap_walks_each_column_from_its_least_met_m"
 ALIKE = T_EXP + "test_the_run_and_the_certificate_decide_alike_from_their_tables"
 ONE_BYTE = T_EXP + "test_a_table_at_the_cap_holds_one_byte_per_counter"
+FOLD = T_EXP + "test_a_folded_table_is_the_table_walked_at_its_m"
+PER_SUBGROUP = T_EXP + "test_a_run_builds_one_table_per_subgroup_at_its_largest_m"
 T_WALK = T_ORDER + "test_order_column_t_walk_equals_the_chain"
 STRADDLE = T_ORDER + "test_order_column_straddles_the_walk_switch"
 ABOVE = T_EXP + "test_half_order_and_antipodal_shift_above_the_walk_switch"
@@ -127,7 +129,7 @@ MUTANTS = [
     Mutant("antipode-read-at-the-residue", EXP,
            "k * table[s ^ half]", "k * table[s]",
            (DENSE, IDENT_SWEEP)),
-    # theorem6 below the cap: one table per subgroup <g> mod 2^m
+    # theorem6 below the cap: one table per subgroup <g> mod 2^M, folded to each met m
     Mutant("offender-count-without-k", EXP,
            "k = omegas[n - lo] // omegas[m - lo]\n", "k = 1\n",
            (IDENT_SWEEP, GROUPED, T_EXP + "test_structural_decider_matches_the_exact_value")),
@@ -150,24 +152,39 @@ MUTANTS = [
            "for d, c in zip(sorted(classes), classes.values()) if lo",
            (CLASS_SUM, IDENT_SWEEP)),
     Mutant("shared-membership-filter-dropped", EXP,
-           "joins = run[2][m - 1] == omegas[m - 1] and table[run[0] & low]",
+           "joins = run[2][top_m - 1] == omegas[top_m - 1] and table[run[0] & low]",
            "joins = True",
            (GROUPED, PER_ORBIT)),
     Mutant("subgroup-order-check-dropped", EXP,
-           "run[2][m - 1] == omegas[m - 1] and table[run[0] & low]", "table[run[0] & low]",
+           "run[2][top_m - 1] == omegas[top_m - 1] and table[run[0] & low]",
+           "table[run[0] & low]",
            (GROUPED,)),
-    Mutant("subgroup-table-reused-across-m", EXP,
-           "table = _orbit_table(lead, 1, m, omegas[m - 1])",
+    Mutant("subgroup-table-reused-across-groups", EXP,
+           "table = _orbit_table(lead, 1, top_m, omegas[top_m - 1])",
            "table = _orbit_table.__dict__.setdefault(\n"
-           "                lead, _orbit_table(lead, 1, m, omegas[m - 1]))",
+           "            top_m, _orbit_table(lead, 1, top_m, omegas[top_m - 1]))",
            (GROUPED,)),
     Mutant("group-decides-its-leader-only", EXP,
-           "tally(group, m, 1, at, ", "tally(group[:1], m, 1, at, ",
+           "tally(members, m, 1, at, ", "tally(members[:1], m, 1, at, ",
            (GROUPED, A_GROUP)),
     Mutant("sweep-table-kept-across-groups", EXP,
-           "            table = None\n    return held, unmet, details\n",
+           "        table = None\n    return held, unmet, details\n",
            "    return held, unmet, details\n",
            (T_SWEEP + "test_theorem6_sweep_keeps_one_orbit_table_alive",)),
+    # each group's table is walked once, at the largest met m, and folded down
+    Mutant("fold-keeps-the-lower-half-without-the-or", EXP,
+           "\n                                     | int.from_bytes(upper, \"little\"))",
+           ")",
+           (FOLD, GROUPED)),
+    Mutant("fold-reads-the-upper-block-one-byte-off", EXP,
+           "table[half + i:half + i + step]", "table[half + i + 1:half + i + step + 1]",
+           (FOLD, GROUPED)),
+    Mutant("fold-stops-one-level-early", EXP,
+           "while len(table) > 1 << m:", "while len(table) > 2 << m:",
+           (FOLD, GROUPED)),
+    Mutant("fold-members-met-below-m", EXP,
+           "run[1] <= m]", "run[1] < m]",
+           (A_GROUP, PER_ORBIT)),
     Mutant("paired-at-the-one-counter-half", EXP,
            "return half > 1 and", "return half > 0 and",
            (DENSE, T_EXP + "test_paired_compares_the_halves_of_an_odd_coset")),
@@ -352,12 +369,23 @@ MUTANTS = [
            "gs[i * len(gs) // k:(i + 1) * len(gs) // k]",
            "gs[i * len(gs) // k:(i + 1) * len(gs) // k + 1]",
            (PARTITION,)),
+    # theorem6 slices are stripes of g, one per class mod 8
+    Mutant("theorem6-eight-stripes", SWEEP,
+           "gs[i::4], ws, ns) for i in range(min(4, len(gs)))",
+           "gs[i::8], ws, ns) for i in range(min(8, len(gs)))",
+           (PARTITION, PER_SUBGROUP)),
+    Mutant("theorem6-slices-are-runs-of-g", SWEEP,
+           "    if claim.needs_w and k > 1:\n", "    if claim.needs_w and k < 1:\n",
+           (PARTITION, PER_SUBGROUP)),
+    Mutant("theorem6-stripe-starts-one-late", SWEEP,
+           "gs[i::4], ws, ns)", "gs[i + 1::4], ws, ns)",
+           (PARTITION,)),
     Mutant("one-slice-per-worker", SWEEP,
            "k = min(4 * workers, len(gs), -(-len", "k = min(workers, len(gs), -(-len",
            (PARTITION,)),
     Mutant("slices-not-capped-by-the-g-count", SWEEP,
            "k = min(4 * workers, len(gs), -(-len", "k = min(4 * workers, -(-len",
-           (PARTITION, T_SWEEP + "test_a_one_g_sweep_runs_inline_whatever_its_chunk_count")),
+           (T_SWEEP + "test_per_modulus_slices_never_outnumber_the_g",)),
     Mutant("chunks-counted-from-the-real-tuples", SWEEP,
            "-(-len(gs) * len(ws) * len(ns) // _CHUNK_TUPLES)",
            "-(-len(ws) * sum(len(range(gs.start, min(gs.stop, 1 << n), 2)) for n in ns)"
@@ -438,6 +466,11 @@ MUTANTS = [
            (DENSE, ALIKE),
            equivalent="the omega terms of an odd coset are distinct, so each counter "
                       "is reached once and += 1 sets it to 1"),
+    Mutant("fold-ors-every-block", EXP,
+           "            if lower != upper:\n", "            if True:\n",
+           (FOLD, GROUPED),
+           equivalent="a block equal to its upper block is its own OR with it, so "
+                      "ORing it writes the bytes it holds"),
     Mutant("exact-zero-half-count-at-least", EXP,
            "if 2 * len(matched) == len(items):", "if 2 * len(matched) >= len(items):",
            (T_EXP + "test_is_exact_zero_agrees_with_cyclotomic_reduction",
